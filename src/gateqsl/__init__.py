@@ -50,7 +50,6 @@ from .linalg import (
     EigenDecomposition,
     complex_matrix,
     eig_hermitian,
-    eig_unitary,
     expm_hermitian_scaled,
     is_hermitian,
     is_unitary,

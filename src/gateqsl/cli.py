@@ -7,9 +7,12 @@ Subcommands:
 * ``figure``  - emit CSV curve data for the qubit/qutrit figures
 * ``catalog`` - list the named gate families and their closed-form traces
 
-The default RNG seed is 12345, overridable by the QSL_SEED environment
-variable; an explicit ``--seed`` flag always wins.  Numbers are printed
-with 12 significant digits.
+The ``verify`` seed defaults to 12345, overridable by the QSL_SEED
+environment variable; an explicit ``--seed`` flag always wins.  Numbers
+are printed with 12 significant digits.
+
+Exit codes: 0 success, 1 a bound was broken, 2 bad input or unwritable
+output, 3 a file-supplied matrix is not unitary.
 """
 
 from __future__ import annotations
@@ -34,16 +37,6 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_BAD_INPUT = 2
 EXIT_NOT_UNITARY = 3
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("QSL_SEED", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_SEED
 
 
 def _fmt(x: float) -> str:
@@ -92,6 +85,8 @@ def load_matrix_file(path: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f'"n" must be an integer, got {n!r}')
     re = np.asarray(data["re"], dtype=np.float64)
     im = np.asarray(data["im"], dtype=np.float64)
     if re.shape != (n, n) or im.shape != (n, n):
@@ -138,10 +133,6 @@ def cmd_bounds(args) -> int:
     n = u.shape[0]
     tr = trace_abs(u)
     ti = bounds.TraceInput(n, tr)
-    print(f"n          {n}")
-    print(f"|tr U|     {_fmt(tr)}")
-    print(f"r=|trU|/n  {_fmt(ti.ratio)}")
-
     if args.spectrum is not None:
         try:
             spectrum = _parse_spectrum(args.spectrum)
@@ -152,22 +143,35 @@ def cmd_bounds(args) -> int:
             print(f"error: spectrum has {spectrum.n} levels, gate has dimension {n}",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
-        bs = bounds.bound_set(ti, compute_stats(spectrum))
-        print(f"ml         {_fmt(bs.ml)}  [time]")
-        print(f"mt         {_fmt(bs.mt)}  [time]")
-        print(f"dual_ml    {_fmt(bs.dual_ml)}  [time]")
-        print(f"width_ml   {_fmt(bs.width_ml)}  [time]")
-        print(f"width_mt   {_fmt(bs.width_mt)}  [time]")
-        print(f"combined   {_fmt(bs.combined)}  [time, max(ml, mt)]")
+        try:
+            bs = bounds.bound_set(ti, compute_stats(spectrum))
+        except bounds.UndefinedBoundError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        rows = [
+            ("ml", bs.ml, "[time]"),
+            ("mt", bs.mt, "[time]"),
+            ("dual_ml", bs.dual_ml, "[time]"),
+            ("width_ml", bs.width_ml, "[time]"),
+            ("width_mt", bs.width_mt, "[time]"),
+            ("combined", bs.combined, "[time, max(ml, mt)]"),
+        ]
     else:
         ml = bounds.ml_product(ti.ratio)
         mt = bounds.mt_product(ti.ratio)
-        print(f"ml         {_fmt(ml)}  [units 1/E]")
-        print(f"mt         {_fmt(mt)}  [units 1/dE]")
-        print(f"dual_ml    {_fmt(ml)}  [units 1/(Emax-mean)]")
-        print(f"width_ml   {_fmt(2.0 * ml)}  [units 1/width]")
-        print(f"width_mt   {_fmt(2.0 * mt)}  [units 1/width]")
-        print(f"combined   {_fmt(max(ml, mt))}  [max(ml, mt) at E = dE = 1]")
+        rows = [
+            ("ml", ml, "[units 1/E]"),
+            ("mt", mt, "[units 1/dE]"),
+            ("dual_ml", ml, "[units 1/(Emax-mean)]"),
+            ("width_ml", 2.0 * ml, "[units 1/width]"),
+            ("width_mt", 2.0 * mt, "[units 1/width]"),
+            ("combined", max(ml, mt), "[max(ml, mt) at E = dE = 1]"),
+        ]
+    print(f"n          {n}")
+    print(f"|tr U|     {_fmt(tr)}")
+    print(f"r=|trU|/n  {_fmt(ti.ratio)}")
+    for name, value, unit in rows:
+        print(f"{name:<11}{_fmt(value)}  {unit}")
     return EXIT_OK
 
 
@@ -191,17 +195,15 @@ def cmd_verify(args) -> int:
 
 
 _FIGURES = {
-    "qubit": lambda points, seed: harness.figure_qubit(points),
-    "qubit-mub": lambda points, seed: harness.figure_qubit_mub(points),
-    "qutrit-u1": lambda points, seed: harness.figure_qutrit(
-        catalog.MubFamily.ONE, y_points=points, seed=seed),
-    "qutrit-u2": lambda points, seed: harness.figure_qutrit(
-        catalog.MubFamily.TWO, y_points=points, seed=seed),
+    "qubit": harness.figure_qubit,
+    "qubit-mub": harness.figure_qubit_mub,
+    "qutrit-u1": lambda points: harness.figure_qutrit(catalog.MubFamily.ONE, y_points=points),
+    "qutrit-u2": lambda points: harness.figure_qutrit(catalog.MubFamily.TWO, y_points=points),
 }
 
 
 def cmd_figure(args) -> int:
-    points = _FIGURES[args.name](args.resolution + 1, args.seed)
+    points = _FIGURES[args.name](args.resolution + 1)
     try:
         out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
         try:
@@ -274,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_figure.add_argument("-o", "--out", help="CSV path (default: stdout)")
     p_figure.add_argument("-r", "--resolution", type=int, default=200,
                           help="grid intervals; output has resolution+1 rows per block")
-    p_figure.add_argument("--seed", type=int, default=None)
     p_figure.set_defaults(func=cmd_figure)
 
     p_catalog = sub.add_parser("catalog", help="list named gates and traces")
@@ -285,9 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = _default_seed()
     if args.command == "verify":
+        if args.seed is None:
+            raw = os.environ.get("QSL_SEED", "")
+            try:
+                args.seed = int(raw) if raw else DEFAULT_SEED
+            except ValueError:
+                print(f"error: QSL_SEED is not an integer: {raw!r}", file=sys.stderr)
+                return EXIT_BAD_INPUT
         if args.samples < 1:
             parser.error("--samples must be at least 1")
         if not args.dims or min(args.dims) < 2:

@@ -1,10 +1,11 @@
 """Dense complex linear algebra for small unitary and Hermitian problems.
 
 Everything here is a pure function: matrices go in, matrices come out,
-and the only randomness (Haar sampling, the unitary eigensolver's mixing
-coefficients) is driven by an explicit seed.  Matrices are plain numpy
-``complex128`` arrays; :func:`complex_matrix` is the validating
-constructor used wherever input may be hostile (files, user code).
+and the only randomness (Haar sampling) is driven by an explicit seed.
+Eigendecompositions go to LAPACK through ``numpy.linalg``.  Matrices are
+plain numpy ``complex128`` arrays; :func:`complex_matrix` is the
+validating constructor used wherever input may be hostile (files, user
+code).
 """
 
 from __future__ import annotations
@@ -13,15 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import jacobi_eigh
-
 
 class Tolerances(NamedTuple):
     """Package-wide numerical tolerances.
 
     ``structural`` gates predicate checks (unitarity, Hermiticity) and
-    eigendecomposition residuals; ``reconstruction`` is the looser limit
-    accepted for round trips through a unitary eigendecomposition.
+    eigendecomposition residuals; ``reconstruction`` is the looser
+    unitarity limit for a matrix whose eigenphases are taken.
     """
 
     structural: float = 1e-10
@@ -30,11 +29,9 @@ class Tolerances(NamedTuple):
 
 TOL = Tolerances()
 
-_RETRY_CAP = 12
-
 
 class ConvergenceError(RuntimeError):
-    """An iterative eigensolver failed to converge within its cap."""
+    """The eigensolver failed to converge."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -85,7 +82,7 @@ def trace_abs(u) -> float:
 
 
 def eig_hermitian(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix.
 
     Eigenvalues are real and sorted ascending, eigenvector columns are
     orthonormal, and ``a ≈ V diag(w) V†`` to the structural tolerance.
@@ -93,59 +90,11 @@ def eig_hermitian(a) -> EigenDecomposition:
     a = complex_matrix(a)
     if not is_hermitian(a):
         raise ValueError(f"matrix is not Hermitian to tolerance {TOL.structural:g}")
-    scale = 1.0 + _maxabs(a)
-    work = 0.5 * (a + a.conj().T)
-    # Stop an order below the structural residual target: the final
-    # residual is bounded by the remaining off-diagonal Frobenius mass.
-    w, v, sweeps = jacobi_eigh(work, stop_off=0.1 * TOL.structural * scale)
-    if sweeps < 0:
-        raise ConvergenceError("Jacobi sweeps exhausted without converging")
-    order = np.argsort(w, kind="stable")
-    return EigenDecomposition(w[order], np.ascontiguousarray(v[:, order]))
-
-
-def _phase_lex_order(values: np.ndarray, vectors: np.ndarray) -> list[int]:
-    # Principal phase in [0, 2π); exact phase ties fall back to a
-    # lexicographic comparison of the eigenvector columns.
-    phases = np.angle(values) % (2.0 * np.pi)
-
-    def key(k: int):
-        col = vectors[:, k]
-        return (phases[k], *(x for z in col for x in (z.real, z.imag)))
-
-    return sorted(range(values.size), key=key)
-
-
-def eig_unitary(u, seed: int) -> EigenDecomposition:
-    """Eigendecomposition of a unitary matrix.
-
-    A random Hermitian combination ``t1 (U+U†)/2 + t2 (U-U†)/(2i)`` shares
-    eigenvectors with ``U`` for generic ``(t1, t2)``; its Jacobi
-    eigenvectors are kept and the unitary's eigenvalues recovered as
-    Rayleigh quotients.  A degenerate draw (two distinct eigenvalues of U
-    colliding in the combination) shows up as a large reconstruction
-    residual and triggers a redraw, up to a fixed retry cap.
-    """
-    u = complex_matrix(u)
-    if not is_unitary(u, TOL.reconstruction):
-        raise ValueError(f"matrix is not unitary to tolerance {TOL.reconstruction:g}")
-    n = u.shape[0]
-    scale = 1.0 + _maxabs(u)
-    herm = 0.5 * (u + u.conj().T)
-    anti = -0.5j * (u - u.conj().T)
-    rng = np.random.default_rng(seed)
-    for _ in range(_RETRY_CAP):
-        t1, t2 = rng.standard_normal(2)
-        _, vectors = eig_hermitian(t1 * herm + t2 * anti)
-        values = np.sum(vectors.conj() * (u @ vectors), axis=0)
-        values = values / np.abs(values)
-        residual = _maxabs(u - (vectors * values) @ vectors.conj().T)
-        if residual <= TOL.structural * scale:
-            order = _phase_lex_order(values, vectors)
-            return EigenDecomposition(values[order], np.ascontiguousarray(vectors[:, order]))
-    raise ConvergenceError(
-        f"eig_unitary retry cap ({_RETRY_CAP}) exhausted; persistent degenerate combinations"
-    )
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
+    return EigenDecomposition(w, v)
 
 
 def expm_hermitian_scaled(h, t: float) -> np.ndarray:

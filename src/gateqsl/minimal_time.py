@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ml_product, mt_product
-from .linalg import complex_matrix, eig_unitary, trace_abs
+from .linalg import TOL, complex_matrix, is_unitary, trace_abs
 
 TWO_PI = 2.0 * np.pi
 
@@ -102,10 +102,12 @@ class VerificationRecord:
         )
 
 
-def eigenphases(u, seed: int = 0) -> PhaseVector:
+def eigenphases(u) -> PhaseVector:
     """Phases phi_k in [0, 2 pi) with eigenvalues(u) = {e^{-i phi_k}}."""
-    values, _ = eig_unitary(u, seed)
-    ph = (-np.angle(values)) % TWO_PI
+    u = complex_matrix(u)
+    if not is_unitary(u, TOL.reconstruction):
+        raise ValueError(f"matrix is not unitary to tolerance {TOL.reconstruction:g}")
+    ph = (-np.angle(np.linalg.eigvals(u))) % TWO_PI
     # wrapping a phase an ulp below zero rounds to exactly 2 pi
     ph[ph >= TWO_PI] = 0.0
     return PhaseVector(ph)
@@ -141,7 +143,7 @@ def enumerate_rotations(p: PhaseVector) -> ExactTimeProfile:
     )
 
 
-def verify_dominance(u, seed: int = 0, tol: float = DOMINANCE_TOL) -> VerificationRecord:
+def verify_dominance(u, tol: float = DOMINANCE_TOL) -> VerificationRecord:
     """Check every rotation of ``u`` against all five trace bounds.
 
     A failed check is reported in the record (negative margin, passed
@@ -150,7 +152,7 @@ def verify_dominance(u, seed: int = 0, tol: float = DOMINANCE_TOL) -> Verificati
     u = complex_matrix(u)
     n = u.shape[0]
     ratio = min(1.0, trace_abs(u) / n)
-    profile = enumerate_rotations(eigenphases(u, seed))
+    profile = enumerate_rotations(eigenphases(u))
     ml = ml_product(ratio)
     mt = mt_product(ratio)
     rots = profile.rotations

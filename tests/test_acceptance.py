@@ -41,7 +41,7 @@ def campaign_samples():
     rows = []
     for n in CAMPAIGN_DIMS:
         for index in range(CAMPAIGN_SAMPLES_PER_DIM):
-            spectrum, t, u, _ = sample_spectrum_gate(n, CAMPAIGN_SEED, index)
+            spectrum, t, u = sample_spectrum_gate(n, CAMPAIGN_SEED, index)
             stats = compute_stats(spectrum)
             bs = bound_set(TraceInput(n, trace_abs(u)), stats)
             rows.append((t, bs, stats))
@@ -116,13 +116,13 @@ def test_criterion_5_grover_trace():
 def test_criterion_6_qutrit_figures(tmp_path):
     worst = math.inf
     for family in (MubFamily.ONE, MubFamily.TWO):
-        points = figure_qutrit(family, x_values=DEFAULT_QUTRIT_X, y_points=100, seed=0)
+        points = figure_qutrit(family, x_values=DEFAULT_QUTRIT_X, y_points=100)
         assert len(points) == 400
         worst = min(worst, min(p.exact - p.ml for p in points))
     blobs = []
     for name in ("a.csv", "b.csv"):
         path = tmp_path / name
-        assert cli_main(["figure", "qutrit-u1", "-o", str(path), "-r", "99", "--seed", "0"]) == 0
+        assert cli_main(["figure", "qutrit-u1", "-o", str(path), "-r", "99"]) == 0
         blobs.append(path.read_bytes())
     ok = worst >= -1e-9 and blobs[0] == blobs[1]
     report(6, "qutrit figures dominate the ML bound; CSV deterministic", ok,
@@ -145,7 +145,7 @@ def test_criterion_7_mub_comparison():
 def test_criterion_8_tightness_witness():
     hits = []
     for q in (1, 2, 3):
-        profile = enumerate_rotations(eigenphases(hadamard_power(q), seed=0))
+        profile = enumerate_rotations(eigenphases(hadamard_power(q)))
         hits.append(any(abs(r.e_t - math.pi / 2.0) <= 1e-9 for r in profile.rotations))
     # gap between pi/2 and the MUB ML bound at dimension 8: (pi/2) k / sqrt(8)
     gap = math.pi / 2.0 - ml_product(math.sqrt(8.0) / 8.0)

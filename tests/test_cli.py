@@ -73,6 +73,24 @@ class TestBoundsCommand:
         code, _, _ = run_cli(["bounds", "--fourier", "4", "--spectrum", "0,1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("spectrum", ["1,1", "1,2,3"])
+    def test_spectrum_error_prints_nothing_on_stdout(self, spectrum, capsys):
+        # "1,1" leaves the bounds undefined; "1,2,3" has the wrong length
+        code, out, err = run_cli(["bounds", "--fourier", "2", "--spectrum", spectrum], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n", ["true", "1.0", '"1"'])
+    def test_non_integer_n_exits_2(self, n, tmp_path, capsys):
+        path = tmp_path / "bool_n.json"
+        path.write_text('{"n": %s, "re": [[1.0]], "im": [[0.0]]}' % n)
+        code, out, err = run_cli(["bounds", "--file", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
     def test_spectrum_from_file(self, tmp_path, capsys):
         levels_file = tmp_path / "levels.txt"
         levels_file.write_text("0\n1\n2\n3\n")
@@ -153,6 +171,14 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["seed"] == 99
 
+    def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSL_SEED", "abc")
+        code, out, err = run_cli(["verify", "--dims", "2", "--samples", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "QSL_SEED" in err
+
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QSL_SEED", "99")
         code, out, _ = run_cli(["verify", "--dims", "2", "--samples", "3", "--seed", "5"], capsys)
@@ -194,7 +220,7 @@ class TestFigureCommand:
         blobs = []
         for name in ("one.csv", "two.csv"):
             p = tmp_path / name
-            run_cli(["figure", "qutrit-u2", "-o", str(p), "-r", "8", "--seed", "3"], capsys)
+            run_cli(["figure", "qutrit-u2", "-o", str(p), "-r", "8"], capsys)
             blobs.append(p.read_bytes())
         assert blobs[0] == blobs[1]
 

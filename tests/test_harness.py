@@ -17,6 +17,7 @@ from gateqsl.harness import (
     sample_spectrum_gate,
 )
 from gateqsl.linalg import is_unitary, trace_abs
+from gateqsl.minimal_time import eigenphases
 from gateqsl.spectrum import EnergySpectrum, compute_stats
 
 HALF_PI = math.pi / 2.0
@@ -57,11 +58,13 @@ class TestCampaign:
         assert (bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt) == (0.0,) * 5
 
     def test_sample_generator_contract(self):
-        spectrum, t, u, follow = sample_spectrum_gate(4, seed=3, index=17)
+        spectrum, t, u = sample_spectrum_gate(4, seed=3, index=17)
         assert spectrum.n == 4
         assert 0.0 < t <= 2.0
         assert is_unitary(u, 1e-9)
-        assert follow >= 0
+        # the gate carries exactly the phases E_k*T mod 2 pi
+        want = np.sort((spectrum.levels * t) % (2.0 * math.pi))
+        assert np.max(np.abs(eigenphases(u).phases - want)) < 1e-10
         again = sample_spectrum_gate(4, seed=3, index=17)
         assert np.array_equal(spectrum.levels, again[0].levels)
         assert t == again[1]
@@ -69,7 +72,7 @@ class TestCampaign:
 
     def test_popoviciu_on_sampled_spectra(self):
         for index in range(200):
-            spectrum, _, _, _ = sample_spectrum_gate(5, seed=21, index=index)
+            spectrum, _, _ = sample_spectrum_gate(5, seed=21, index=index)
             stats = compute_stats(spectrum)
             assert 2.0 * stats.variance_sqrt <= stats.width + 1e-12
 
@@ -129,7 +132,7 @@ class TestFigureQubitMub:
 class TestFigureQutrit:
     def test_block_structure_and_dominance(self):
         xs = (0.0, math.pi / 2.0)
-        pts = figure_qutrit(MubFamily.ONE, x_values=xs, y_points=12, seed=0)
+        pts = figure_qutrit(MubFamily.ONE, x_values=xs, y_points=12)
         assert len(pts) == 24
         assert pts[0].abscissa == 0.0
         assert abs(pts[11].abscissa - 2 * math.pi) < 1e-12
@@ -138,14 +141,14 @@ class TestFigureQutrit:
             assert p.exact >= p.ml - 1e-9
 
     def test_origin_ml_value(self):
-        pts = figure_qutrit(MubFamily.ONE, x_values=(0.0,), y_points=2, seed=0)
+        pts = figure_qutrit(MubFamily.ONE, x_values=(0.0,), y_points=2)
         # frozen: (pi/2)(1 - k/3) at |tr| = 1
         assert abs(pts[0].ml - 0.95009769708870108) < 1e-12
 
     def test_conjugate_families_share_ml_column(self):
         xs = (0.4,)
-        one = figure_qutrit(MubFamily.ONE, x_values=xs, y_points=9, seed=0)
-        two = figure_qutrit(MubFamily.TWO, x_values=(-0.4,), y_points=9, seed=0)
+        one = figure_qutrit(MubFamily.ONE, x_values=xs, y_points=9)
+        two = figure_qutrit(MubFamily.TWO, x_values=(-0.4,), y_points=9)
         # U2(-x, -y) is the entrywise conjugate of U1(x, y): same |tr|
         for a, b in zip(one, reversed(two)):
             assert abs(a.ml - b.ml) < 1e-9
