@@ -12,10 +12,12 @@ from .bounds import (
     TraceInput,
     UndefinedBoundError,
     bound_set,
+    bounds_from_products,
     dual_ml_bound,
     ml_bound,
     ml_product,
     mt_bound,
+    mt_from_deficit,
     mt_product,
     state_pair_bound,
     width_bounds,
@@ -54,17 +56,21 @@ from .linalg import (
     is_hermitian,
     is_unitary,
     matmul,
+    random_unitaries,
     random_unitary,
     trace_abs,
+    unitarity_error,
 )
 from .minimal_time import (
+    Dominance,
     ExactTimeProfile,
     PhaseVector,
     VerificationRecord,
+    dominance,
     eigenphases,
     enumerate_rotations,
     verify_dominance,
 )
-from .spectrum import EnergySpectrum, EnergyStats, compute_stats, shift
+from .spectrum import EnergySpectrum, EnergyStats, compute_stats, level_stats, shift
 
 __version__ = "0.1.0"

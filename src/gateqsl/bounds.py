@@ -12,13 +12,17 @@ invariant under global phases and basis changes of the gate:
 
 Negative raw ML values clamp to zero (a vacuous time bound).  A zero
 denominator with a genuine trace deficit has no finite answer and raises
-:class:`UndefinedBoundError` instead of returning infinity.
+:class:`UndefinedBoundError` instead of returning infinity.  Every form
+works elementwise, so one implementation serves a single gate and a
+stack of campaign draws alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .spectrum import EnergyStats
 
@@ -31,7 +35,11 @@ class UndefinedBoundError(ValueError):
 
 @dataclass(frozen=True)
 class TraceInput:
-    """Gate dimension and trace modulus, the only gate data the bounds use."""
+    """Gate dimension and trace modulus, the only gate data the bounds use.
+
+    ``trace_abs`` is a float, or an array with one entry per gate of a
+    stack of n-dimensional gates.
+    """
 
     n: int
     trace_abs: float
@@ -39,15 +47,13 @@ class TraceInput:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be at least 1")
-        t = float(self.trace_abs)
+        t = np.asarray(self.trace_abs, dtype=np.float64)
+        clamped = np.minimum(np.maximum(t, 0.0), float(self.n))
         # Absorb numerical overshoot from computed traces.
-        if -1e-9 * self.n <= t < 0.0:
-            t = 0.0
-        elif self.n < t <= self.n * (1.0 + 1e-9):
-            t = float(self.n)
-        if not 0.0 <= t <= self.n:
-            raise ValueError(f"|tr U| = {self.trace_abs} outside [0, {self.n}]")
-        object.__setattr__(self, "trace_abs", t)
+        outside = ~(np.abs(t - clamped) <= 1e-9 * self.n)
+        if outside.any():
+            raise ValueError(f"|tr U| = {t[outside].flat[0]} outside [0, {self.n}]")
+        object.__setattr__(self, "trace_abs", clamped[()])
 
     @property
     def ratio(self) -> float:
@@ -56,7 +62,10 @@ class TraceInput:
 
 @dataclass(frozen=True)
 class BoundSet:
-    """All five bound values for one gate/spectrum pair, plus their max."""
+    """All five bound values for one gate/spectrum pair, plus their max.
+
+    Fields are floats, or arrays over a stack of pairs.
+    """
 
     ml: float
     mt: float
@@ -66,68 +75,96 @@ class BoundSet:
     combined: float
 
     def __post_init__(self):
-        if min(self.ml, self.mt, self.dual_ml, self.width_ml, self.width_mt) < 0:
+        if np.any(np.minimum.reduce([self.ml, self.mt, self.dual_ml,
+                                     self.width_ml, self.width_mt]) < 0):
             raise ValueError("bounds cannot be negative")
-        if self.combined != max(self.ml, self.mt):
+        if np.any(self.combined != np.maximum(self.ml, self.mt)):
             raise ValueError("combined must equal max(ml, mt)")
 
 
 def ml_product(ratio: float) -> float:
-    """Dimensionless ML bound: lower limit on E*T (equally on (E_max - mean)*T)."""
-    return max(0.0, 0.5 * math.pi * (1.0 - ratio * ML_TRACE_FACTOR))
+    """Dimensionless ML bound: lower limit on E*T (equally on (E_max - mean)*T).
+
+    Elementwise over an array of ratios, as are all the forms below.
+    """
+    return np.maximum(0.0, 0.5 * math.pi * (1.0 - ratio * ML_TRACE_FACTOR))
 
 
 def mt_product(ratio: float) -> float:
     """Dimensionless MT bound: lower limit on dE*T."""
-    return math.sqrt(max(0.0, 1.0 - ratio * ratio))
+    return mt_from_deficit(1.0 - ratio * ratio)
 
 
-def _scaled(raw: float, denom: float, what: str) -> float:
-    if denom > 0.0:
-        return raw / denom
-    if raw == 0.0:
-        return 0.0
-    raise UndefinedBoundError(
-        f"{what} is zero but the gate has a trace deficit; no finite bound exists"
-    )
+def mt_from_deficit(deficit: float) -> float:
+    """MT product ``sqrt(1 - r^2)`` from the trace deficit ``1 - r^2``.
+
+    Near ``r = 1`` the deficit is best computed without subtracting
+    from a rounded trace; :func:`gateqsl.minimal_time.dominance` takes
+    it from the eigenphases.
+    """
+    return np.sqrt(np.maximum(0.0, deficit))
+
+
+def _scaled(raw, denom, what: str):
+    """``raw / denom``, 0 where both vanish; raw and denom share a shape."""
+    positive = np.greater(denom, 0.0)
+    if not np.all(positive | np.equal(raw, 0.0)):
+        raise UndefinedBoundError(
+            f"{what} is zero but the gate has a trace deficit; no finite bound exists"
+        )
+    return np.divide(raw, denom, out=np.zeros(positive.shape), where=positive)[()]
+
+
+def _ml_time(ml, stats: EnergyStats):
+    return _scaled(ml, stats.e_above_ground, "mean energy above ground")
+
+
+def _mt_time(mt, stats: EnergyStats):
+    return _scaled(mt, stats.variance_sqrt, "energy spread (std)")
+
+
+def _dual_ml_time(ml, stats: EnergyStats):
+    return _scaled(ml, stats.e_below_top, "mean energy below the top level")
+
+
+def _width_times(ml, mt, stats: EnergyStats):
+    return (_scaled(2.0 * ml, stats.width, "spectrum width"),
+            _scaled(2.0 * mt, stats.width, "spectrum width"))
 
 
 def ml_bound(t: TraceInput, stats: EnergyStats) -> float:
-    return _scaled(ml_product(t.ratio), stats.e_above_ground, "mean energy above ground")
+    return _ml_time(ml_product(t.ratio), stats)
 
 
 def mt_bound(t: TraceInput, stats: EnergyStats) -> float:
-    return _scaled(mt_product(t.ratio), stats.variance_sqrt, "energy spread (std)")
+    return _mt_time(mt_product(t.ratio), stats)
 
 
 def dual_ml_bound(t: TraceInput, stats: EnergyStats) -> float:
-    return _scaled(ml_product(t.ratio), stats.e_below_top, "mean energy below the top level")
+    return _dual_ml_time(ml_product(t.ratio), stats)
 
 
 def width_bounds(t: TraceInput, stats: EnergyStats) -> tuple[float, float]:
     """The two spectrum-width bounds ``(width_ml, width_mt)``."""
-    raw_ml = 2.0 * ml_product(t.ratio)
-    raw_mt = 2.0 * mt_product(t.ratio)
-    if stats.width > 0.0:
-        return raw_ml / stats.width, raw_mt / stats.width
-    if raw_mt == 0.0:
-        return 0.0, 0.0
-    raise UndefinedBoundError(
-        "spectrum width is zero but the gate has a trace deficit; no finite bound exists"
-    )
+    return _width_times(ml_product(t.ratio), mt_product(t.ratio), stats)
 
 
 def bound_set(t: TraceInput, stats: EnergyStats) -> BoundSet:
-    ml = ml_bound(t, stats)
-    mt = mt_bound(t, stats)
-    w_ml, w_mt = width_bounds(t, stats)
+    return bounds_from_products(ml_product(t.ratio), mt_product(t.ratio), stats)
+
+
+def bounds_from_products(ml, mt, stats: EnergyStats) -> BoundSet:
+    """The five time bounds from the dimensionless ML and MT products."""
+    b_ml = _ml_time(ml, stats)
+    b_mt = _mt_time(mt, stats)
+    w_ml, w_mt = _width_times(ml, mt, stats)
     return BoundSet(
-        ml=ml,
-        mt=mt,
-        dual_ml=dual_ml_bound(t, stats),
+        ml=b_ml,
+        mt=b_mt,
+        dual_ml=_dual_ml_time(ml, stats),
         width_ml=w_ml,
         width_mt=w_mt,
-        combined=max(ml, mt),
+        combined=np.maximum(b_ml, b_mt),
     )
 
 

@@ -12,7 +12,8 @@ environment variable; an explicit ``--seed`` flag always wins.  Numbers
 are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 a bound was broken, 2 bad input or unwritable
-output, 3 a file-supplied matrix is not unitary.
+output, 3 a file-supplied matrix is not unitary.  Gate dimensions from
+``--dims`` and from a matrix file's ``"n"`` are capped at ``MAX_DIM``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .spectrum import EnergySpectrum, compute_stats
 DEFAULT_SEED = 12345
 
 FILE_UNITARY_TOL = 1e-6
+
+# Largest gate dimension accepted from --dims or a matrix file: that of
+# hadamard_power(10), the largest named gate.
+MAX_DIM = 1024
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -87,6 +92,8 @@ def load_matrix_file(path: str) -> np.ndarray:
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f'"n" must be an integer, got {n!r}')
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f'"n" = {n} is outside [1, {MAX_DIM}]')
     re = np.asarray(data["re"], dtype=np.float64)
     im = np.asarray(data["im"], dtype=np.float64)
     if re.shape != (n, n) or im.shape != (n, n):
@@ -298,6 +305,9 @@ def main(argv=None) -> int:
             parser.error("--samples must be at least 1")
         if not args.dims or min(args.dims) < 2:
             parser.error("--dims must be integers >= 2")
+        if max(args.dims) > MAX_DIM:
+            print(f"error: --dims entries must be at most {MAX_DIM}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         if args.seed < 0:
             parser.error("--seed must be nonnegative")
     if args.command == "figure" and args.resolution < 1:

@@ -59,12 +59,19 @@ def is_hermitian(a, tol: float = TOL.structural) -> bool:
     return a.ndim == 2 and a.shape[0] == a.shape[1] and _maxabs(a - a.conj().T) <= tol
 
 
+def unitarity_error(u) -> np.ndarray:
+    """Max-abs-entry of ``u†u - I`` for each matrix of a stack ``(..., n, n)``."""
+    u = np.asarray(u)
+    gram = np.swapaxes(u.conj(), -1, -2) @ u
+    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
+
+
 def is_unitary(u, tol: float = TOL.structural) -> bool:
     """Max-abs-entry of ``u†u - I`` is at most ``tol``."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return _maxabs(u.conj().T @ u - np.eye(u.shape[0])) <= tol
+    return bool(unitarity_error(u) <= tol)
 
 
 def matmul(a, b) -> np.ndarray:
@@ -105,16 +112,25 @@ def expm_hermitian_scaled(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Haar-distributed n-by-n unitary, deterministic for a fixed seed.
+def random_unitaries(n: int, seeds) -> np.ndarray:
+    """Stack of Haar-distributed n-by-n unitaries, one per seed.
 
-    QR factorization of a complex Ginibre matrix, with the R diagonal's
-    phases absorbed into Q so the distribution is exactly Haar.
+    Each seed drives its own complex Ginibre matrix, so a unitary does
+    not depend on the other seeds of the stack.  One stacked QR
+    factorization follows, with each R diagonal's phases absorbed into
+    its Q so the distribution is exactly Haar.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    z = np.empty((len(seeds), n, n), dtype=np.complex128)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[i] = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def random_unitary(n: int, seed: int) -> np.ndarray:
+    """Haar-distributed n-by-n unitary, deterministic for a fixed seed."""
+    return random_unitaries(n, [seed])[0]

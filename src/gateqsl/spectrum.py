@@ -41,9 +41,10 @@ class EnergySpectrum:
 
 @dataclass(frozen=True)
 class EnergyStats:
-    """Derived statistics of a spectrum.
+    """Derived statistics of a spectrum, or of a stack of spectra.
 
-    ``e_above_ground + e_below_top == width`` up to rounding, and
+    Each field is a float, or an array with one entry per spectrum of a
+    stack.  ``e_above_ground + e_below_top == width`` up to rounding, and
     Popoviciu's inequality ``2 * variance_sqrt <= width`` always holds.
     """
 
@@ -54,28 +55,33 @@ class EnergyStats:
     e_below_top: float
 
     def __post_init__(self):
-        if min(self.e_above_ground, self.variance_sqrt, self.width, self.e_below_top) < 0:
+        gaps = [self.e_above_ground, self.variance_sqrt, self.width, self.e_below_top]
+        if np.any(np.minimum.reduce(gaps) < 0):
             raise ValueError("energy statistics cannot be negative")
         # Rounding slack scales with the level magnitudes the gaps came from.
-        slack = 1e-12 * (1.0 + self.width + abs(self.mean))
-        if abs((self.e_above_ground + self.e_below_top) - self.width) > slack:
+        slack = 1e-12 * (1.0 + self.width + np.abs(self.mean))
+        if np.any(np.abs((self.e_above_ground + self.e_below_top) - self.width) > slack):
             raise ValueError("e_above_ground + e_below_top must equal width")
-        if 2.0 * self.variance_sqrt > self.width + slack:
+        if np.any(2.0 * self.variance_sqrt > self.width + slack):
             raise ValueError("Popoviciu violated: 2*variance_sqrt exceeds width")
 
 
 def compute_stats(s: EnergySpectrum) -> EnergyStats:
     """Mean, mean-above-ground, population std, width and top gap."""
-    lv = s.levels
-    mean = float(lv.mean())
+    return level_stats(s.levels)
+
+
+def level_stats(levels) -> EnergyStats:
+    """:func:`compute_stats` of every row of sorted levels ``(..., n)``."""
+    mean = levels.mean(axis=-1)
     # The mean of identical large levels can round an ulp past the
     # extremes; the gap statistics are nonnegative by definition.
     return EnergyStats(
         mean=mean,
-        e_above_ground=max(0.0, mean - float(lv[0])),
-        variance_sqrt=float(lv.std()),
-        width=float(lv[-1] - lv[0]),
-        e_below_top=max(0.0, float(lv[-1]) - mean),
+        e_above_ground=np.maximum(0.0, mean - levels[..., 0]),
+        variance_sqrt=levels.std(axis=-1),
+        width=levels[..., -1] - levels[..., 0],
+        e_below_top=np.maximum(0.0, levels[..., -1] - mean),
     )
 
 

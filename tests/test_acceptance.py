@@ -20,10 +20,10 @@ from gateqsl.catalog import (
     prior_mub_bound,
 )
 from gateqsl.cli import main as cli_main
-from gateqsl.harness import DEFAULT_QUTRIT_X, figure_qubit, figure_qutrit, sample_spectrum_gate
+from gateqsl.harness import DEFAULT_QUTRIT_X, _draws, figure_qubit, figure_qutrit
 from gateqsl.linalg import random_unitary, trace_abs
 from gateqsl.minimal_time import TWO_PI, PhaseVector, eigenphases, enumerate_rotations
-from gateqsl.spectrum import EnergySpectrum, compute_stats
+from gateqsl.spectrum import EnergySpectrum, compute_stats, level_stats
 
 CAMPAIGN_SEED = 20240
 CAMPAIGN_DIMS = range(2, 9)
@@ -37,43 +37,37 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def campaign_samples():
-    """Shared (T, bounds, stats) draws for criteria 1 and 2."""
-    rows = []
+    """Shared (T, bounds) stacks for criteria 1 and 2, one per dimension,
+    drawn as the campaign draws them."""
+    stacks = []
     for n in CAMPAIGN_DIMS:
-        for index in range(CAMPAIGN_SAMPLES_PER_DIM):
-            spectrum, t, u = sample_spectrum_gate(n, CAMPAIGN_SEED, index)
-            stats = compute_stats(spectrum)
-            bs = bound_set(TraceInput(n, trace_abs(u)), stats)
-            rows.append((t, bs, stats))
-    return rows
+        levels, t, u = _draws(n, CAMPAIGN_SEED, range(CAMPAIGN_SAMPLES_PER_DIM))
+        trace = np.abs(np.trace(u, axis1=-2, axis2=-1))
+        stacks.append((t, bound_set(TraceInput(n, trace), level_stats(levels))))
+    return stacks
 
 
 def test_criterion_1_combined_bound_dominance(campaign_samples):
-    worst = math.inf
-    failures = 0
-    for t, bs, _ in campaign_samples:
-        margin = min(t - bs.ml, t - bs.mt, t - bs.dual_ml)
-        worst = min(worst, margin)
-        if margin < -1e-9:
-            failures += 1
+    margins = np.concatenate([
+        np.minimum.reduce([t - bs.ml, t - bs.mt, t - bs.dual_ml])
+        for t, bs in campaign_samples
+    ])
+    worst = float(margins.min())
+    failures = int(np.count_nonzero(margins < -1e-9))
     report(
         1,
         "ML, MT and dual-ML bounds dominated by T",
         failures == 0 and worst >= -1e-9,
-        f"samples={len(campaign_samples)} worst_margin={worst:.3e}",
+        f"samples={margins.size} worst_margin={worst:.3e}",
     )
 
 
 def test_criterion_2_width_bound_dominance(campaign_samples):
-    worst = math.inf
-    consistency = math.inf
-    failures = 0
-    for t, bs, _ in campaign_samples:
-        margin = min(t - bs.width_ml, t - bs.width_mt)
-        worst = min(worst, margin)
-        consistency = min(consistency, bs.mt - bs.width_mt)
-        if margin < -1e-9:
-            failures += 1
+    margins = np.concatenate([np.minimum(t - bs.width_ml, t - bs.width_mt)
+                              for t, bs in campaign_samples])
+    consistency = min(float((bs.mt - bs.width_mt).min()) for _, bs in campaign_samples)
+    worst = float(margins.min())
+    failures = int(np.count_nonzero(margins < -1e-9))
     ok = failures == 0 and worst >= -1e-9 and consistency >= -1e-12
     report(
         2,

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gateqsl.cli import main
+from gateqsl.cli import MAX_DIM, main
 
 
 def run_cli(argv, capsys):
@@ -91,6 +91,15 @@ class TestBoundsCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    def test_file_n_above_cap_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big_n.json"
+        path.write_text('{"n": %d, "re": [[1.0]], "im": [[0.0]]}' % (MAX_DIM + 1))
+        code, out, err = run_cli(["bounds", "--file", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
     def test_spectrum_from_file(self, tmp_path, capsys):
         levels_file = tmp_path / "levels.txt"
         levels_file.write_text("0\n1\n2\n3\n")
@@ -147,6 +156,21 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--dims", "1,2", "--samples", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("dims", [str(MAX_DIM + 1), f"2,{4 * MAX_DIM}"])
+    def test_dims_above_cap_exits_2(self, dims, capsys):
+        code, out, err = run_cli(["verify", "--dims", dims, "--samples", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
+    def test_pinned_near_identity_seed_passes(self, capsys):
+        # r = 1 - 1e-8: a false FAIL at -2.07e-8 when 1 - r^2 came from the rounded trace
+        code, out, _ = run_cli(["verify", "--dims", "2", "--samples", "1",
+                                "--seed", "119294153"], capsys)
+        assert code == 0
+        assert json.loads(out)["failures"] == 0
 
     def test_failure_exits_1_report_still_written(self, tmp_path, capsys, monkeypatch):
         from gateqsl import cli

@@ -8,8 +8,10 @@ import pytest
 from gateqsl.bounds import TraceInput, bound_set
 from gateqsl.catalog import MubFamily
 from gateqsl.harness import (
+    CHUNK_ENTRIES,
     DEFAULT_QUTRIT_X,
     CurvePoint,
+    _draws,
     figure_qubit,
     figure_qubit_mub,
     figure_qutrit,
@@ -17,7 +19,7 @@ from gateqsl.harness import (
     sample_spectrum_gate,
 )
 from gateqsl.linalg import is_unitary, trace_abs
-from gateqsl.minimal_time import eigenphases
+from gateqsl.minimal_time import DOMINANCE_TOL, eigenphases, verify_dominance
 from gateqsl.spectrum import EnergySpectrum, compute_stats
 
 HALF_PI = math.pi / 2.0
@@ -75,6 +77,55 @@ class TestCampaign:
             spectrum, _, _ = sample_spectrum_gate(5, seed=21, index=index)
             stats = compute_stats(spectrum)
             assert 2.0 * stats.variance_sqrt <= stats.width + 1e-12
+
+
+def reference_campaign(dims, samples_per_dim, seed):
+    """(failures, worst_margin) of the campaign, one draw at a time through
+    the public scalar functions."""
+    failures = 0
+    worst = math.inf
+    for n in dims:
+        for index in range(samples_per_dim):
+            spectrum, t, u = sample_spectrum_gate(n, seed, index)
+            bs = bound_set(TraceInput(n, trace_abs(u)), compute_stats(spectrum))
+            margin = min(t - bs.ml, t - bs.mt, t - bs.dual_ml, t - bs.width_ml,
+                         t - bs.width_mt, verify_dominance(u).worst)
+            worst = min(worst, margin)
+            failures += margin < -DOMINANCE_TOL
+    return failures, worst
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_draw_reference(self, seed):
+        report = run_random_campaign(range(2, 9), 40, seed)
+        failures, worst = reference_campaign(range(2, 9), 40, seed)
+        assert report.failures == failures
+        assert abs(report.worst_margin - worst) <= 1e-12
+
+    def test_chunked_dimension_matches_reference(self):
+        # n = 64 holds 16 draws per chunk, so 40 draws span three chunks
+        assert 2 * (CHUNK_ENTRIES // 64**2) < 40
+        report = run_random_campaign([64], 40, 5)
+        failures, worst = reference_campaign([64], 40, 5)
+        assert report.failures == failures
+        assert abs(report.worst_margin - worst) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_stacked_draw_is_bitwise_the_single_draw(self, n):
+        levels, t, u = _draws(n, 9, range(12))
+        for index in range(12):
+            spectrum, t1, u1 = sample_spectrum_gate(n, 9, index)
+            assert np.array_equal(levels[index], spectrum.levels)
+            assert t[index] == t1
+            assert np.array_equal(u[index], u1)
+
+    def test_pinned_near_identity_draw_passes(self):
+        # draw (seed 1, n 2, index 570) has r = 1 - 1e-8; taking 1 - r^2
+        # from its rounded trace made it a false FAIL at -4.42e-9
+        report = run_random_campaign([2], 571, 1)
+        assert report.failures == 0
+        assert report.worst_margin >= -DOMINANCE_TOL
 
 
 class TestFigureQubit:

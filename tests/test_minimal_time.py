@@ -5,17 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gateqsl.catalog import fourier
+from gateqsl.bounds import bounds_from_products
+from gateqsl.catalog import fourier, hadamard_power, permutation
 from gateqsl.linalg import (
     eig_hermitian,
     expm_hermitian_scaled,
     random_unitary,
 )
 from gateqsl.minimal_time import (
+    DOMINANCE_TOL,
     TWO_PI,
     ExactTimeProfile,
     PhaseVector,
+    dominance,
     eigenphases,
     enumerate_rotations,
     verify_dominance,
@@ -183,6 +188,44 @@ class TestVerifyDominance:
             worst = min(worst, rec.worst)
             assert rec.passed
         assert worst >= -1e-9
+
+    def test_stack_matches_batch_of_one(self):
+        # repeated phases (Fourier, Hadamard, permutations) exercise the
+        # masking of windows that start on a repeated phase
+        gates = np.stack([fourier(4), hadamard_power(2), permutation([1, 0, 3, 2]),
+                          permutation([0, 1, 2, 3]), random_unitary(4, 8)])
+        d = dominance(gates)
+        for u, ratio, margins in zip(gates, d.ratio, d.margins.T):
+            rec = verify_dominance(u)
+            assert rec.trace_ratio == ratio
+            assert [rec.ml_margin, rec.mt_margin, rec.dual_ml_margin, rec.width_ml_margin,
+                    rec.width_mt_margin] == margins.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    e0=st.floats(min_value=0.0, max_value=10.0),
+    gap=st.floats(min_value=1e-7, max_value=1e-3),
+    t=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+    basis_seed=st.integers(min_value=0, max_value=2**63 - 2),
+)
+# campaign draw (seed 1, n 2, index 570): a false FAIL at -4.42e-9 when
+# 1 - r^2 was taken from the rounded trace
+@example(e0=7.836222152965291, gap=0.00038122545140772957, t=0.3306931847501886,
+         basis_seed=50127387383993703)
+def test_near_identity_qubit_dominance(e0, gap, t, basis_seed):
+    levels = np.array([e0, e0 + gap])
+    basis = random_unitary(2, basis_seed)
+    u = (basis * np.exp(-1j * levels * t)) @ basis.conj().T
+    d = dominance(u)
+    assert d.margins.min() >= -DOMINANCE_TOL
+    # A float gate carries its phases only to about eps * (1 + E*T), and
+    # that error over dE is a floor under any time margin: time margins
+    # are judged where the floor is a tenth of the tolerance.
+    stats = compute_stats(EnergySpectrum(levels))
+    if np.finfo(float).eps * (1.0 + levels[1] * t) / stats.variance_sqrt <= DOMINANCE_TOL / 10:
+        bs = bounds_from_products(d.ml, d.mt, stats)
+        assert t - max(bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt) >= -DOMINANCE_TOL
 
 
 class TestRoundTrip:
