@@ -39,6 +39,7 @@ from .catalog import (
     qutrit_phase_reduce,
 )
 from .harness import (
+    CrossCheckError,
     CurvePoint,
     VerificationReport,
     figure_qubit,
@@ -67,8 +68,10 @@ from .minimal_time import (
     PhaseVector,
     VerificationRecord,
     dominance,
+    dominance_from_phases,
     eigenphases,
     enumerate_rotations,
+    phases_from_levels,
     verify_dominance,
 )
 from .spectrum import EnergySpectrum, EnergyStats, compute_stats, level_stats, shift

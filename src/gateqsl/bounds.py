@@ -105,48 +105,48 @@ def mt_from_deficit(deficit: float) -> float:
     return np.sqrt(np.maximum(0.0, deficit))
 
 
-def _scaled(raw, denom, what: str):
-    """``raw / denom``, 0 where both vanish; raw and denom share a shape."""
-    positive = np.greater(denom, 0.0)
-    if not np.all(positive | np.equal(raw, 0.0)):
+_E = "mean energy above ground"
+_DE = "energy spread (std)"
+_E_TOP = "mean energy below the top level"
+_WIDTH = "spectrum width"
+
+
+def _scaled(raw, denom, what):
+    """``raw / denom``, 0 where both vanish, over one stack.
+
+    ``raw`` and ``denom`` share a shape whose leading axis runs over the
+    statistics named by ``what``; the first statistic that is zero where
+    its numerator is not names the :class:`UndefinedBoundError`.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    denom = np.asarray(denom, dtype=np.float64)
+    positive = denom > 0.0
+    undefined = ~(positive | (raw == 0.0))
+    if undefined.any():
+        first = int(np.argmax(undefined.reshape(len(what), -1).any(axis=-1)))
         raise UndefinedBoundError(
-            f"{what} is zero but the gate has a trace deficit; no finite bound exists"
+            f"{what[first]} is zero but the gate has a trace deficit; no finite bound exists"
         )
-    return np.divide(raw, denom, out=np.zeros(positive.shape), where=positive)[()]
-
-
-def _ml_time(ml, stats: EnergyStats):
-    return _scaled(ml, stats.e_above_ground, "mean energy above ground")
-
-
-def _mt_time(mt, stats: EnergyStats):
-    return _scaled(mt, stats.variance_sqrt, "energy spread (std)")
-
-
-def _dual_ml_time(ml, stats: EnergyStats):
-    return _scaled(ml, stats.e_below_top, "mean energy below the top level")
-
-
-def _width_times(ml, mt, stats: EnergyStats):
-    return (_scaled(2.0 * ml, stats.width, "spectrum width"),
-            _scaled(2.0 * mt, stats.width, "spectrum width"))
+    return np.divide(raw, denom, out=np.zeros(positive.shape), where=positive)
 
 
 def ml_bound(t: TraceInput, stats: EnergyStats) -> float:
-    return _ml_time(ml_product(t.ratio), stats)
+    return _scaled([ml_product(t.ratio)], [stats.e_above_ground], [_E])[0]
 
 
 def mt_bound(t: TraceInput, stats: EnergyStats) -> float:
-    return _mt_time(mt_product(t.ratio), stats)
+    return _scaled([mt_product(t.ratio)], [stats.variance_sqrt], [_DE])[0]
 
 
 def dual_ml_bound(t: TraceInput, stats: EnergyStats) -> float:
-    return _dual_ml_time(ml_product(t.ratio), stats)
+    return _scaled([ml_product(t.ratio)], [stats.e_below_top], [_E_TOP])[0]
 
 
 def width_bounds(t: TraceInput, stats: EnergyStats) -> tuple[float, float]:
     """The two spectrum-width bounds ``(width_ml, width_mt)``."""
-    return _width_times(ml_product(t.ratio), mt_product(t.ratio), stats)
+    w_ml, w_mt = _scaled([2.0 * ml_product(t.ratio), 2.0 * mt_product(t.ratio)],
+                         [stats.width, stats.width], [_WIDTH, _WIDTH])
+    return w_ml, w_mt
 
 
 def bound_set(t: TraceInput, stats: EnergyStats) -> BoundSet:
@@ -154,14 +154,18 @@ def bound_set(t: TraceInput, stats: EnergyStats) -> BoundSet:
 
 
 def bounds_from_products(ml, mt, stats: EnergyStats) -> BoundSet:
-    """The five time bounds from the dimensionless ML and MT products."""
-    b_ml = _ml_time(ml, stats)
-    b_mt = _mt_time(mt, stats)
-    w_ml, w_mt = _width_times(ml, mt, stats)
+    """The five time bounds from the dimensionless ML and MT products,
+    by one divide over the stacked numerators and denominators."""
+    b_ml, b_mt, w_ml, w_mt, dual = _scaled(
+        [ml, mt, 2.0 * ml, 2.0 * mt, ml],
+        [stats.e_above_ground, stats.variance_sqrt, stats.width, stats.width,
+         stats.e_below_top],
+        [_E, _DE, _WIDTH, _WIDTH, _E_TOP],
+    )
     return BoundSet(
         ml=b_ml,
         mt=b_mt,
-        dual_ml=_dual_ml_time(ml, stats),
+        dual_ml=dual,
         width_ml=w_ml,
         width_mt=w_mt,
         combined=np.maximum(b_ml, b_mt),

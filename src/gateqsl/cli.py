@@ -12,14 +12,16 @@ environment variable; an explicit ``--seed`` flag always wins.  Numbers
 are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 a bound was broken, 2 bad input or unwritable
-output, 3 a file-supplied matrix is not unitary.  Gate dimensions from
-``--dims`` and from a matrix file's ``"n"`` are capped at ``MAX_DIM``.
+output, 3 a file-supplied matrix is not unitary, 4 a campaign's internal
+cross-check failed.  Gate dimensions from ``--dims`` and from a matrix
+file's ``"n"`` are capped at ``MAX_DIM``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_BAD_INPUT = 2
 EXIT_NOT_UNITARY = 3
+EXIT_CROSS_CHECK = 4
 
 
 def _fmt(x: float) -> str:
@@ -183,7 +186,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = harness.run_random_campaign(args.dims, args.samples, args.seed)
+    try:
+        report = harness.run_random_campaign(args.dims, args.samples, args.seed)
+    except harness.CrossCheckError as exc:
+        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
+        return EXIT_CROSS_CHECK
     payload = json.dumps(report.as_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         try:
@@ -270,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="run a randomized dominance campaign")
-    p_verify.add_argument("--dims", type=_ints_csv, default=list(range(2, 9)),
+    p_verify.add_argument("--dims", type=_ints_csv, default=tuple(range(2, 9)),
                           metavar="D0,D1,...")
     p_verify.add_argument("--samples", type=int, default=200,
                           help="samples per dimension (default 200)")
@@ -290,8 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
         if args.seed is None:

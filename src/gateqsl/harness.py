@@ -1,11 +1,15 @@
 """Randomized verification campaigns and figure-data generation.
 
-The campaign draws (spectrum, time, basis) triples, builds the resulting
-gate, and checks the drawn time against all five trace bounds plus the
-rotation-enumeration dominance record.  Each dimension runs as stacked
-arrays through one draw, eigenphase and window path.  Figure helpers
-emit the curve data behind the qubit exact-time plot, the qubit MUB-time
-plot and the two qutrit MUB family plots.
+A campaign draws (spectrum, time) pairs and judges each one from its
+phases ``(E_k - E_0) T``: every trace bound and every exact product
+depends on the gate only through ``|tr U|`` and its eigenphases, which
+no basis change moves.  Each dimension runs as stacked arrays through
+one draw, phase and window path.  One draw in ``CROSS_CHECK_EVERY`` also
+goes the long way round, through a Haar basis, the gate built on it and
+the gate's ``eigvals``; its phases and product margins must agree with
+the spectral ones, or the campaign raises :class:`CrossCheckError`.
+Figure helpers emit the curve data behind the qubit exact-time plot, the
+qubit MUB-time plot and the two qutrit MUB family plots.
 """
 
 from __future__ import annotations
@@ -19,7 +23,15 @@ import numpy as np
 from . import bounds
 from .catalog import MubFamily, QutritMubParams, qutrit_mub
 from .linalg import random_unitaries, trace_abs
-from .minimal_time import DOMINANCE_TOL, dominance, eigenphases, enumerate_rotations
+from .minimal_time import (
+    DOMINANCE_TOL,
+    _phases,
+    cyclic_distance,
+    dominance_from_phases,
+    eigenphases,
+    enumerate_rotations,
+    phases_from_levels,
+)
 from .spectrum import EnergySpectrum, level_stats
 
 DEFAULT_QUTRIT_X = (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi)
@@ -30,11 +42,26 @@ TIME_HIGH = 2.0
 # Matrix entries per stacked chunk of campaign draws.
 CHUNK_ENTRIES = 2**16
 
+# Campaign draws whose index is a multiple of this are also judged
+# through a Haar basis, the built gate and its eigvals.
+CROSS_CHECK_EVERY = 64
+
+# A cross-checked draw's gate phases must lie within this times
+# (1 + (E_max - E_0) T) of its spectral phases, and its product margins
+# within CROSS_CHECK_MARGIN_TOL of the spectral margins.
+CROSS_CHECK_PHASE_TOL = 1e-9
+CROSS_CHECK_MARGIN_TOL = 1e-12
+
+
+class CrossCheckError(RuntimeError):
+    """A cross-checked draw's gate disagrees with its spectral verdict."""
+
 
 @dataclass(frozen=True)
 class VerificationReport:
     samples: int
     failures: int
+    cross_checked: int
     worst_margin: float
     seed: int
     dims: tuple[int, ...]
@@ -46,6 +73,7 @@ class VerificationReport:
         return {
             "samples": self.samples,
             "failures": self.failures,
+            "cross_checked": self.cross_checked,
             "worst_margin": self.worst_margin,
             "seed": self.seed,
             "dims": list(self.dims),
@@ -62,12 +90,14 @@ class CurvePoint:
     mt: float | None
 
 
-def _draws(n: int, seed: int, indices):
-    """Campaign draws ``indices`` at dimension ``n``, as stacks.
+def _spectra(n: int, seed: int, indices, basis_every: int):
+    """Sorted levels ``(k, n)`` and times ``(k,)`` of campaign draws
+    ``indices`` at dimension ``n``, and the basis seeds of the draws whose
+    index is a multiple of ``basis_every``.
 
-    Each draw has its own RNG stream keyed by ``(seed, n, index)``, so a
-    draw is the same whatever stack it is made in.  Returns sorted levels
-    ``(k, n)``, times ``(k,)`` and gates ``(k, n, n)``.
+    Each draw has its own RNG stream keyed by ``(seed, n, index)``, with
+    its levels and time first and its basis seed next, so a draw is the
+    same whatever stack it is made in.
     """
     levels = np.empty((len(indices), n))
     t = np.empty(len(indices))
@@ -76,12 +106,26 @@ def _draws(n: int, seed: int, indices):
         rng = np.random.default_rng((seed, n, index))
         levels[i] = rng.uniform(0.0, SPECTRUM_HIGH, n)
         t[i] = TIME_HIGH * (1.0 - rng.uniform())
-        basis_seeds.append(int(rng.integers(0, 2**63 - 1)))
+        if index % basis_every == 0:
+            basis_seeds.append(int(rng.integers(0, 2**63 - 1)))
     levels.sort(axis=-1)
-    basis = random_unitaries(n, basis_seeds)
-    phases = np.exp(-1j * levels * t[:, None])
-    u = (basis * phases[:, None, :]) @ np.swapaxes(basis.conj(), -1, -2)
+    return levels, t, basis_seeds
+
+
+def _draws(n: int, seed: int, indices):
+    """Campaign draws ``indices`` at dimension ``n``, with their gates, as stacks.
+
+    Returns sorted levels ``(k, n)``, times ``(k,)`` and gates
+    ``basis diag(e^{-i E_k T}) basis†`` ``(k, n, n)``.
+    """
+    levels, t, basis_seeds = _spectra(n, seed, indices, 1)
+    u = _gates(random_unitaries(n, basis_seeds), np.exp(-1j * levels * t[:, None]))
     return levels, t, u
+
+
+def _gates(basis: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """``basis diag(eigenvalues) basis†`` for stacks ``(k, n, n)`` and ``(k, n)``."""
+    return (basis * eigenvalues[:, None, :]) @ np.swapaxes(basis.conj(), -1, -2)
 
 
 def sample_spectrum_gate(n: int, seed: int, index: int):
@@ -91,26 +135,67 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
     products E_k*T regularly exceed 2 pi and exercise branch wrapping),
     and the eigenbasis is Haar.  The gate ``basis diag(e^{-i E_k T})
     basis†`` is built from the drawn basis directly.  Returns
-    (spectrum, T, U); the campaign makes the same draw in a stack.
+    (spectrum, T, U); the campaign draws the same levels and time.
     """
     levels, t, u = _draws(n, seed, [index])
     return EnergySpectrum(levels[0]), float(t[0]), u[0]
 
 
-def _draw_margins(levels: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Worst margin of each draw over the five time bounds and the
-    five rotation-product bounds."""
-    d = dominance(u)
-    bs = bounds.bounds_from_products(d.ml, d.mt, level_stats(levels))
+def _judge(n: int, seed: int, indices: range) -> tuple[np.ndarray, int]:
+    """Worst margin of each draw of a stack, over the five time bounds
+    and the five rotation-product bounds, and the number of draws
+    cross-checked.
+
+    Every draw is judged from its phases ``(E_k - E_0) T``.  Draws whose
+    index is a multiple of ``CROSS_CHECK_EVERY`` also draw a Haar basis
+    and have their gate ``basis diag(e^{-i (E_k - E_0) T}) basis†``
+    built and diagonalised; the gate phases go through the same window
+    kernel call, stacked after the spectral ones.
+    """
+    k = len(indices)
+    levels, t, basis_seeds = _spectra(n, seed, indices, CROSS_CHECK_EVERY)
+    ph = phases_from_levels(levels, t)
+    tr = np.abs(np.exp(-1j * ph).sum(axis=-1))
+    if basis_seeds:
+        checked = slice(-indices.start % CROSS_CHECK_EVERY, k, CROSS_CHECK_EVERY)
+        lv, tc = levels[checked], t[checked]
+        # built from the unreduced products, so the gate shares no step
+        # with the phase reduction it checks
+        u = _gates(random_unitaries(n, basis_seeds), np.exp(-1j * (lv - lv[:, :1]) * tc[:, None]))
+        gate_ph = _phases(u)
+        d = dominance_from_phases(np.concatenate([ph, gate_ph]),
+                                  np.concatenate([tr, np.abs(np.trace(u, axis1=-2, axis2=-1))]))
+        _cross_check(n, seed, indices[checked], lv, tc, ph[checked], gate_ph,
+                     d.margins[:, checked], d.margins[:, k:])
+    else:
+        d = dominance_from_phases(ph, tr)
+    bs = bounds.bounds_from_products(d.ml[:k], d.mt[:k], level_stats(levels))
     worst_bound = np.maximum.reduce([bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt])
-    return np.minimum(t - worst_bound, d.margins.min(axis=0))
+    return np.minimum(t - worst_bound, d.margins[:, :k].min(axis=0)), len(basis_seeds)
+
+
+def _cross_check(n, seed, indices, levels, t, ph, gate_ph, margins, gate_margins) -> None:
+    """Raise :class:`CrossCheckError` at the first draw whose gate phases or
+    product margins disagree with its spectral ones."""
+    distance = cyclic_distance(ph, gate_ph)
+    margin_gap = np.abs(gate_margins - margins).max(axis=0)
+    tol = CROSS_CHECK_PHASE_TOL * (1.0 + (levels[:, -1] - levels[:, 0]) * t)
+    bad = ~((distance <= tol) & (margin_gap <= CROSS_CHECK_MARGIN_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise CrossCheckError(
+            f"draw (seed {seed}, n {n}, index {indices[i]}): gate phases differ from "
+            f"the spectral phases by {distance[i]:.3g} (tolerance {tol[i]:.3g}) and "
+            f"product margins by {margin_gap[i]:.3g} (tolerance {CROSS_CHECK_MARGIN_TOL:g})"
+        )
 
 
 def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationReport:
     """Dominance campaign; failures are counted, never raised.
 
     Each dimension runs as stacks of at most ``CHUNK_ENTRIES`` matrix
-    entries, so memory stays flat whatever the sample count.
+    entries, so memory stays flat whatever the sample count.  A
+    cross-check mismatch raises :class:`CrossCheckError`.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 2:
@@ -121,17 +206,19 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
         raise ValueError("seed must be nonnegative")
     started = time.perf_counter()
     failures = 0
+    cross_checked = 0
     worst = math.inf
     for n in dims:
         chunk = max(1, CHUNK_ENTRIES // (n * n))
         for first in range(0, samples_per_dim, chunk):
-            indices = range(first, min(first + chunk, samples_per_dim))
-            margin = _draw_margins(*_draws(n, seed, indices))
+            margin, checked = _judge(n, seed, range(first, min(first + chunk, samples_per_dim)))
             worst = min(worst, float(margin.min()))
             failures += int(np.count_nonzero(margin < -DOMINANCE_TOL))
+            cross_checked += checked
     return VerificationReport(
         samples=len(dims) * samples_per_dim,
         failures=failures,
+        cross_checked=cross_checked,
         worst_margin=worst,
         seed=seed,
         dims=dims,

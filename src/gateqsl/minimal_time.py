@@ -15,9 +15,12 @@ in-window assignments are exactly the n cyclic rotations.
 For each rotation this module records the dimensionless products
 ``E*T`` (mean above ground), ``dE*T`` (population std), ``width*T`` and
 the dual gap ``(E_max - mean)*T``, and checks each one against the
-corresponding trace bound.  :func:`dominance` does this for a stack
-``(..., n, n)`` of unitaries at once, with the n windows laid out by an
-n-by-n cyclic index; the single-gate functions are batches of one.
+corresponding trace bound.  :func:`dominance_from_phases` does this for
+a stack ``(..., n)`` of sorted phase lists at once, with the n windows
+laid out by an n-by-n cyclic index.  :func:`dominance` feeds it the
+eigenphases of a stack of unitaries, and a campaign feeds it the phases
+``(E_k - E_0) T`` of its drawn spectra; the single-gate functions are
+batches of one.
 """
 
 from __future__ import annotations
@@ -124,18 +127,51 @@ class Dominance(NamedTuple):
     margins: np.ndarray
 
 
+def _sorted_phases(ph: np.ndarray) -> np.ndarray:
+    """Angles ``(..., n)`` reduced into [0, 2 pi) and sorted, in place."""
+    ph %= TWO_PI
+    # wrapping a phase an ulp below zero rounds to exactly 2 pi
+    ph[ph >= TWO_PI] = 0.0
+    ph.sort(axis=-1)
+    _check_phases(ph)
+    return ph
+
+
 def _phases(u: np.ndarray) -> np.ndarray:
     """Sorted eigenphases ``(..., n)`` of a stack ``(..., n, n)`` of unitaries."""
     if not np.isfinite(u).all():
         raise ValueError("matrix entries must be finite")
     if not (unitarity_error(u) <= TOL.reconstruction).all():
         raise ValueError(f"matrix is not unitary to tolerance {TOL.reconstruction:g}")
-    ph = (-np.angle(np.linalg.eigvals(u))) % TWO_PI
-    # wrapping a phase an ulp below zero rounds to exactly 2 pi
-    ph[ph >= TWO_PI] = 0.0
-    ph.sort(axis=-1)
-    _check_phases(ph)
-    return ph
+    return _sorted_phases(-np.angle(np.linalg.eigvals(u)))
+
+
+def phases_from_levels(levels: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sorted phases ``(E_k - E_0) T mod 2 pi`` of sorted levels ``(..., n)``
+    and times ``(...)``.
+
+    These are the eigenphases of ``exp(-i H T)`` for any H with those
+    levels, less the global phase ``E_0 T``, which no bound or window
+    product sees.
+    """
+    return _sorted_phases((levels - levels[..., :1]) * np.asarray(t)[..., None])
+
+
+def _cyclic_index(n: int) -> np.ndarray:
+    """``idx[j, k] = (j + k) mod n``: row j lists the n slots starting at j."""
+    j = np.arange(n)
+    return (j[:, None] + j) % n
+
+
+def cyclic_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest circular distance between sorted phase lists ``(..., n)``,
+    least over the cyclic shifts of ``a``.
+
+    Two computations of one phase multiset can differ by a cyclic shift,
+    since a phase near 0 in one may come out near 2 pi in the other.
+    """
+    gap = np.abs(b[..., None, :] - a[..., _cyclic_index(a.shape[-1])]) % TWO_PI
+    return np.minimum(gap, TWO_PI - gap).max(axis=-1).min(axis=-1)
 
 
 def _windows(ph: np.ndarray):
@@ -148,10 +184,10 @@ def _windows(ph: np.ndarray):
     duplicates an earlier one.
     """
     j = np.arange(ph.shape[-1])
-    idx = (j[:, None] + j) % j.size
+    idx = _cyclic_index(j.size)
     theta = ph[..., idx] + TWO_PI * (idx < j[:, None])
-    mean = theta.mean(axis=-1)
-    var_t = np.sqrt(np.square(theta - mean[..., None]).mean(axis=-1))
+    mean = theta.sum(axis=-1) / j.size
+    var_t = np.sqrt(np.square(theta - mean[..., None]).sum(axis=-1) / j.size)
     last = theta[..., -1]
     start = np.ones(ph.shape, dtype=bool)
     start[..., 1:] = ph[..., 1:] != ph[..., :-1]
@@ -188,17 +224,15 @@ def enumerate_rotations(p: PhaseVector) -> ExactTimeProfile:
     )
 
 
-def dominance(u) -> Dominance:
-    """Check every rotation of each unitary of a stack ``(..., n, n)``
-    against all five trace bounds.
+def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
+    """Check every rotation of each sorted phase list of a stack ``(..., n)``
+    against all five trace bounds; ``trace_abs`` is the matching ``|tr U|``.
 
-    The MT product takes the trace deficit ``1 - r^2`` from the
-    eigenphases rather than from the rounded trace, so a near-identity
-    gate's margin is not lost to cancellation.
+    The MT product takes the trace deficit ``1 - r^2`` from the phases
+    rather than from the rounded trace, so a near-identity gate's margin
+    is not lost to cancellation.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    ph = _phases(u)
-    ratio = TraceInput(u.shape[-1], np.abs(np.trace(u, axis1=-2, axis2=-1))).ratio
+    ratio = TraceInput(ph.shape[-1], trace_abs).ratio
     ml = ml_product(ratio)
     mt = mt_from_deficit(_trace_deficit(ph))
     products, start = _windows(ph)
@@ -206,6 +240,13 @@ def dominance(u) -> Dominance:
     margins = np.array([e_t - ml, var_t - mt, dual_t - ml, width_t - 2.0 * ml,
                         width_t - 2.0 * mt])
     return Dominance(ratio, ml, mt, margins)
+
+
+def dominance(u) -> Dominance:
+    """:func:`dominance_from_phases` of the eigenphases and trace of each
+    unitary of a stack ``(..., n, n)``."""
+    u = np.asarray(u, dtype=np.complex128)
+    return dominance_from_phases(_phases(u), np.abs(np.trace(u, axis1=-2, axis2=-1)))
 
 
 def verify_dominance(u, tol: float = DOMINANCE_TOL) -> VerificationRecord:

@@ -151,6 +151,16 @@ class TestBoundSet:
         with pytest.raises(ValueError):
             BoundSet(ml=1.0, mt=2.0, dual_ml=0.0, width_ml=0.0, width_mt=0.0, combined=1.0)
 
+    @pytest.mark.parametrize("trace, statistic", [(0.0, "mean energy above ground"),
+                                                  (1.9, "energy spread (std)")])
+    def test_undefined_names_first_zero_statistic(self, trace, statistic):
+        # a flat spectrum zeroes all four statistics; at |tr U| = 1.9 the ML
+        # product clamps to 0, so the MT bound is the first undefined one
+        with pytest.raises(UndefinedBoundError) as exc:
+            bound_set(TraceInput(2, trace), stats_of([1.0, 1.0]))
+        assert str(exc.value) == (f"{statistic} is zero but the gate has a trace deficit; "
+                                  "no finite bound exists")
+
 
 class TestStatePairBound:
     def test_balanced(self):

@@ -177,7 +177,7 @@ class TestVerifyCommand:
         from gateqsl.harness import VerificationReport
 
         def broken_campaign(dims, samples, seed):
-            return VerificationReport(samples=3, failures=2, worst_margin=-0.5,
+            return VerificationReport(samples=3, failures=2, cross_checked=1, worst_margin=-0.5,
                                       seed=seed, dims=tuple(dims), elapsed=0.1)
 
         monkeypatch.setattr(cli.harness, "run_random_campaign", broken_campaign)
@@ -208,6 +208,61 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--dims", "2", "--samples", "3", "--seed", "5"], capsys)
         assert code == 0
         assert json.loads(out)["seed"] == 5
+
+
+    def test_cross_check_failure_exits_4(self, capsys, monkeypatch):
+        from gateqsl import harness
+
+        exact = harness.phases_from_levels
+
+        def perturbed(levels, t):
+            ph = exact(levels, t)
+            ph[-1, -1] += 1e-6
+            return ph
+
+        # draw 0 is cross-checked; its spectral phases are off by 1e-6
+        monkeypatch.setattr(harness, "phases_from_levels", perturbed)
+        code, out, err = run_cli(["verify", "--dims", "3", "--samples", "1", "--seed", "7"],
+                                 capsys)
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: internal cross-check failed: draw (seed 7, n 3, index 0)")
+
+
+class TestParserReuse:
+    def test_one_parser_for_every_call(self):
+        from gateqsl import cli
+
+        assert cli._parser() is cli._parser()
+
+    def test_seed_does_not_carry_over(self, capsys, monkeypatch):
+        argv = ["verify", "--dims", "2", "--samples", "1"]
+        assert json.loads(run_cli(argv + ["--seed", "3"], capsys)[1])["seed"] == 3
+        monkeypatch.setenv("QSL_SEED", "99")
+        assert json.loads(run_cli(argv, capsys)[1])["seed"] == 99
+        monkeypatch.delenv("QSL_SEED")
+        assert json.loads(run_cli(argv, capsys)[1])["seed"] == 12345
+
+    def test_each_bounds_call_builds_its_own_gate(self, capsys):
+        def trace(argv):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            return float(next(line for line in out.splitlines()
+                              if line.startswith("|tr U|")).split()[2])
+
+        assert trace(["bounds", "--fourier", "4"]) == pytest.approx(math.sqrt(2), abs=1e-11)
+        assert trace(["bounds", "--grover", "4"]) == pytest.approx(1.0, abs=1e-11)
+        assert trace(["bounds", "--fourier", "4"]) == pytest.approx(math.sqrt(2), abs=1e-11)
+
+    def test_dims_default_unchanged(self, capsys):
+        from gateqsl import cli
+
+        run_cli(["verify", "--dims", "3,4", "--samples", "1"], capsys)
+        code, out, _ = run_cli(["verify", "--samples", "1", "--seed", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["dims"] == list(range(2, 9))
+        assert cli._parser().parse_args(["verify"]).dims == tuple(range(2, 9))
 
 
 class TestFigureCommand:

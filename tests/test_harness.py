@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from gateqsl import harness
 from gateqsl.bounds import TraceInput, bound_set
 from gateqsl.catalog import MubFamily
 from gateqsl.harness import (
     CHUNK_ENTRIES,
+    CROSS_CHECK_EVERY,
+    CROSS_CHECK_PHASE_TOL,
     DEFAULT_QUTRIT_X,
+    CrossCheckError,
     CurvePoint,
     _draws,
     figure_qubit,
@@ -19,7 +23,13 @@ from gateqsl.harness import (
     sample_spectrum_gate,
 )
 from gateqsl.linalg import is_unitary, trace_abs
-from gateqsl.minimal_time import DOMINANCE_TOL, eigenphases, verify_dominance
+from gateqsl.minimal_time import (
+    DOMINANCE_TOL,
+    cyclic_distance,
+    eigenphases,
+    phases_from_levels,
+    verify_dominance,
+)
 from gateqsl.spectrum import EnergySpectrum, compute_stats
 
 HALF_PI = math.pi / 2.0
@@ -41,7 +51,8 @@ class TestCampaign:
     def test_json_payload_shape(self):
         report = run_random_campaign([3], samples_per_dim=5, seed=0)
         payload = report.as_json_dict()
-        assert sorted(payload) == ["dims", "failures", "samples", "seed", "worst_margin"]
+        assert sorted(payload) == ["cross_checked", "dims", "failures", "samples", "seed",
+                                   "worst_margin"]
         assert report.elapsed > 0.0
 
     def test_argument_validation(self):
@@ -126,6 +137,52 @@ class TestBatchedEngine:
         report = run_random_campaign([2], 571, 1)
         assert report.failures == 0
         assert report.worst_margin >= -DOMINANCE_TOL
+
+
+def perturb_last_draw(monkeypatch, offset=1e-6):
+    """Make the spectral phases of every stack's last draw wrong by ``offset``."""
+    exact = harness.phases_from_levels
+
+    def perturbed(levels, t):
+        ph = exact(levels, t)
+        ph[-1, -1] += offset
+        return ph
+
+    monkeypatch.setattr(harness, "phases_from_levels", perturbed)
+
+
+class TestSpectralVerdict:
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_phases_match_the_gate_eigenphases(self, n):
+        levels, t, _ = _draws(n, 4, range(40))
+        ph = phases_from_levels(levels, t)
+        for index in range(40):
+            spectrum, t1, u = sample_spectrum_gate(n, 4, index)
+            # the gate carries the global phase E_0 T on top of the drawn phases
+            gate_ph = eigenphases(u).phases - spectrum.levels[0] * t1
+            tol = CROSS_CHECK_PHASE_TOL * (1.0 + (spectrum.levels[-1] - spectrum.levels[0]) * t1)
+            assert cyclic_distance(ph[index], gate_ph) <= tol
+
+    def test_cross_checked_count(self):
+        # n = 64 holds 16 draws per chunk: draws 64 and 128 open chunks,
+        # draw 192 sits in the short last one
+        assert CROSS_CHECK_EVERY == 64 and CHUNK_ENTRIES // 64**2 == 16
+        assert run_random_campaign([64], 200, 2).cross_checked == 4
+        report = run_random_campaign([2, 3, 64], 129, 2)
+        assert report.cross_checked == 3 * math.ceil(129 / CROSS_CHECK_EVERY)
+        assert report.as_json_dict()["cross_checked"] == 9
+
+    def test_cross_check_mismatch_raises(self, monkeypatch):
+        perturb_last_draw(monkeypatch)
+        with pytest.raises(CrossCheckError, match=r"seed 7, n 3, index 0\)") as exc:
+            run_random_campaign([3], 1, 7)
+        assert "differ from the spectral phases by 1e-06" in str(exc.value)
+
+    def test_unchecked_draws_are_judged_spectrally(self, monkeypatch):
+        # draw 4 is not cross-checked, so its wrong phases go into the
+        # verdict unseen
+        perturb_last_draw(monkeypatch, offset=1e-3)
+        assert run_random_campaign([3], 5, 7).cross_checked == 1
 
 
 class TestFigureQubit:

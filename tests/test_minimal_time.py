@@ -21,11 +21,13 @@ from gateqsl.minimal_time import (
     ExactTimeProfile,
     PhaseVector,
     dominance,
+    dominance_from_phases,
     eigenphases,
     enumerate_rotations,
+    phases_from_levels,
     verify_dominance,
 )
-from gateqsl.spectrum import EnergySpectrum, compute_stats
+from gateqsl.spectrum import EnergySpectrum, compute_stats, level_stats
 
 
 def brute_force_minima(phases, offsets=(0, 1, 2)):
@@ -226,6 +228,28 @@ def test_near_identity_qubit_dominance(e0, gap, t, basis_seed):
     if np.finfo(float).eps * (1.0 + levels[1] * t) / stats.variance_sqrt <= DOMINANCE_TOL / 10:
         bs = bounds_from_products(d.ml, d.mt, stats)
         assert t - max(bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt) >= -DOMINANCE_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    e0=st.floats(min_value=0.0, max_value=10.0),
+    gap=st.floats(min_value=1e-7, max_value=1e-3),
+    t=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+)
+# built as a gate, this pair had an MT time margin of -1.1e-9: the gate
+# carries its phases only to about eps * (1 + E*T)
+@example(e0=0.0, gap=1e-7, t=5e-324)
+# campaign draw (seed 1, n 2, index 570)
+@example(e0=7.836222152965291, gap=0.00038122545140772957, t=0.3306931847501886)
+def test_near_identity_spectral_dominance(e0, gap, t):
+    # the campaign's verdict from the drawn phases: no gate is built, so
+    # time margins have no build floor and are judged everywhere
+    levels = np.array([[e0, e0 + gap]])
+    ph = phases_from_levels(levels, np.array([t]))
+    d = dominance_from_phases(ph, np.abs(np.exp(-1j * ph).sum(axis=-1)))
+    assert d.margins.min() >= -DOMINANCE_TOL
+    bs = bounds_from_products(d.ml, d.mt, level_stats(levels))
+    assert t - max(bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt) >= -DOMINANCE_TOL
 
 
 class TestRoundTrip:
