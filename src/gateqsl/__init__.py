@@ -51,7 +51,6 @@ from .linalg import (
     TOL,
     ConvergenceError,
     EigenDecomposition,
-    complex_matrix,
     eig_hermitian,
     expm_hermitian_scaled,
     is_hermitian,
@@ -59,6 +58,7 @@ from .linalg import (
     matmul,
     random_unitaries,
     random_unitary,
+    square_matrix,
     trace_abs,
     unitarity_error,
 )

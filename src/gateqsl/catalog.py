@@ -5,6 +5,10 @@ suite: discrete Fourier transforms, Grover iterations, permutations,
 Hadamard tensor powers, general single-qubit gates and the two
 two-parameter families of qutrit basis changes that map the
 computational basis to a mutually unbiased one.
+
+Grover iterations, permutations and Hadamard powers have real entries
+and are returned as float64 arrays, so their eigenvalues come from
+LAPACK's real solver; the other families are complex128.
 """
 
 from __future__ import annotations
@@ -54,11 +58,16 @@ class QutritMubParams:
 
 
 def fourier(n: int) -> np.ndarray:
-    """Discrete Fourier transform matrix F[k,l] = w^{kl} / sqrt(n)."""
+    """Discrete Fourier transform matrix F[k,l] = w^{kl} / sqrt(n), complex128.
+
+    Each entry is looked up in the table of the n roots of unity at
+    ``(k l) mod n``, which also keeps the exponent small at large n.
+    """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     k = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    roots = np.exp(2j * np.pi * k / n) / math.sqrt(n)
+    return roots[np.outer(k, k) % n]
 
 
 def gauss_trace(n: int) -> float:
@@ -69,37 +78,37 @@ def gauss_trace(n: int) -> float:
 
 
 def grover(n: int, target: int) -> np.ndarray:
-    """Grover iteration (2|s><s| - I)(I - 2|t><t|) with uniform |s>."""
+    """Grover iteration (2|s><s| - I)(I - 2|t><t|) with uniform |s>, float64."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if not 0 <= target < n:
         raise ValueError(f"target {target} out of range for dimension {n}")
     s = np.full(n, 1.0 / math.sqrt(n))
-    reflect_s = 2.0 * np.outer(s, s) - np.eye(n)
-    reflect_t = np.eye(n)
-    reflect_t[target, target] = -1.0
-    return (reflect_s @ reflect_t).astype(np.complex128)
+    g = 2.0 * np.outer(s, s) - np.eye(n)
+    # right-multiplying by I - 2|t><t| negates column t
+    g[:, target] *= -1.0
+    return g
 
 
 def permutation(perm) -> np.ndarray:
-    """Permutation matrix sending basis state j to perm[j]; trace counts fixed points."""
+    """Permutation matrix sending basis state j to perm[j], float64; trace
+    counts fixed points."""
     perm = list(perm)
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("permutation must be a bijection on 0..n-1")
-    p = np.zeros((n, n), dtype=np.complex128)
-    for j, image in enumerate(perm):
-        p[image, j] = 1.0
+    p = np.zeros((n, n))
+    p[perm, range(n)] = 1.0
     return p
 
 
 def hadamard_power(q: int) -> np.ndarray:
-    """q-fold tensor power of the 2x2 Hadamard (dimension 2**q, trace 0)."""
+    """q-fold tensor power of the 2x2 Hadamard (dimension 2**q, trace 0), float64."""
     if q < 1:
         raise ValueError("need at least one qubit")
     if q > _MAX_HADAMARD_QUBITS:
         raise ValueError(f"q = {q} exceeds the size guard ({_MAX_HADAMARD_QUBITS})")
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     out = h
     for _ in range(q - 1):
         out = np.kron(out, h)

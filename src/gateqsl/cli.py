@@ -13,8 +13,9 @@ are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 a bound was broken, 2 bad input or unwritable
 output, 3 a file-supplied matrix is not unitary, 4 a campaign's internal
-cross-check failed.  Gate dimensions from ``--dims`` and from a matrix
-file's ``"n"`` are capped at ``MAX_DIM``.
+cross-check failed.  Gate dimensions from ``--dims``, from a matrix
+file's ``"n"`` and from ``--fourier``, ``--grover`` and ``--permutation``
+are capped at ``MAX_DIM``.
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ import sys
 import numpy as np
 
 from . import bounds, catalog, harness
-from .linalg import complex_matrix, is_unitary, trace_abs
+from .linalg import is_unitary, square_matrix, trace_abs
 from .spectrum import EnergySpectrum, compute_stats
 
 DEFAULT_SEED = 12345
 
 FILE_UNITARY_TOL = 1e-6
 
-# Largest gate dimension accepted from --dims or a matrix file: that of
-# hadamard_power(10), the largest named gate.
+# Largest gate dimension accepted from --dims, a matrix file or a named
+# gate: that of hadamard_power(10), the largest Hadamard power.
 MAX_DIM = 1024
 
 EXIT_OK = 0
@@ -101,7 +102,7 @@ def load_matrix_file(path: str) -> np.ndarray:
     im = np.asarray(data["im"], dtype=np.float64)
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"re/im must both be {n}x{n} arrays")
-    return complex_matrix(re + 1j * im)
+    return square_matrix(re + 1j * im)
 
 
 def _parse_spectrum(text: str) -> EnergySpectrum:
@@ -113,14 +114,22 @@ def _parse_spectrum(text: str) -> EnergySpectrum:
     return EnergySpectrum(levels)
 
 
+def _capped(n: int) -> int:
+    """``n``, checked against ``MAX_DIM`` before an n-by-n gate is built."""
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} is above {MAX_DIM}")
+    return n
+
+
 def _build_gate(args) -> np.ndarray:
     if args.file is not None:
         return load_matrix_file(args.file)
     if args.fourier is not None:
-        return catalog.fourier(args.fourier)
+        return catalog.fourier(_capped(args.fourier))
     if args.grover is not None:
-        return catalog.grover(args.grover, args.target)
+        return catalog.grover(_capped(args.grover), args.target)
     if args.permutation is not None:
+        _capped(len(args.permutation))
         return catalog.permutation(args.permutation)
     if args.hadamard_power is not None:
         return catalog.hadamard_power(args.hadamard_power)

@@ -1,11 +1,12 @@
-"""Dense complex linear algebra for small unitary and Hermitian problems.
+"""Dense linear algebra for small unitary and Hermitian problems.
 
 Everything here is a pure function: matrices go in, matrices come out,
 and the only randomness (Haar sampling) is driven by an explicit seed.
 Eigendecompositions go to LAPACK through ``numpy.linalg``.  Matrices are
-plain numpy ``complex128`` arrays; :func:`complex_matrix` is the
-validating constructor used wherever input may be hostile (files, user
-code).
+plain numpy arrays, ``float64`` when their entries are real and
+``complex128`` otherwise, so a real gate reaches LAPACK's real solvers
+and real matrix products; :func:`square_matrix` is the validating
+constructor used wherever input may be hostile (files, user code).
 """
 
 from __future__ import annotations
@@ -39,13 +40,26 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
-def complex_matrix(entries) -> np.ndarray:
-    """Coerce ``entries`` to a square complex128 matrix with finite entries."""
-    a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+def _square_matrices(entries) -> np.ndarray:
+    """Coerce ``entries`` to a stack ``(..., n, n)`` of square matrices with
+    finite entries: float64 when the entries are real (bool, integer or
+    float), complex128 otherwise.  A float64 or complex128 array is not
+    copied."""
+    a = np.asarray(entries)
+    a = a.astype(np.float64 if a.dtype.kind in "biuf" else np.complex128, copy=False)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def square_matrix(entries) -> np.ndarray:
+    """Coerce ``entries`` to a square matrix with finite entries: float64
+    when the entries are real, complex128 otherwise."""
+    a = _square_matrices(entries)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -60,10 +74,16 @@ def is_hermitian(a, tol: float = TOL.structural) -> bool:
 
 
 def unitarity_error(u) -> np.ndarray:
-    """Max-abs-entry of ``u†u - I`` for each matrix of a stack ``(..., n, n)``."""
+    """Max-abs-entry of ``u†u - I`` for each matrix of a stack ``(..., n, n)``.
+
+    A real stack takes a real product.  A matrix with a non-finite entry
+    has a non-finite error, which fails every ``error <= tol`` test.
+    """
     u = np.asarray(u)
-    gram = np.swapaxes(u.conj(), -1, -2) @ u
-    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    adjoint = np.swapaxes(u, -1, -2)
+    gram = (adjoint.conj() if np.iscomplexobj(u) else adjoint) @ u
+    np.einsum("...ii->...i", gram)[...] -= 1.0
+    return np.abs(gram).max(axis=(-2, -1))
 
 
 def is_unitary(u, tol: float = TOL.structural) -> bool:
@@ -75,8 +95,8 @@ def is_unitary(u, tol: float = TOL.structural) -> bool:
 
 
 def matmul(a, b) -> np.ndarray:
-    a = complex_matrix(a)
-    b = complex_matrix(b)
+    a = square_matrix(a)
+    b = square_matrix(b)
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return a @ b
@@ -84,7 +104,7 @@ def matmul(a, b) -> np.ndarray:
 
 def trace_abs(u) -> float:
     """Modulus of the trace; lies in [0, n] for an n-dimensional unitary."""
-    u = complex_matrix(u)
+    u = square_matrix(u)
     return float(abs(np.trace(u)))
 
 
@@ -94,7 +114,7 @@ def eig_hermitian(a) -> EigenDecomposition:
     Eigenvalues are real and sorted ascending, eigenvector columns are
     orthonormal, and ``a ≈ V diag(w) V†`` to the structural tolerance.
     """
-    a = complex_matrix(a)
+    a = square_matrix(a)
     if not is_hermitian(a):
         raise ValueError(f"matrix is not Hermitian to tolerance {TOL.structural:g}")
     try:

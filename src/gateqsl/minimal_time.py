@@ -20,31 +20,29 @@ a stack ``(..., n)`` of sorted phase lists at once, with the n windows
 laid out by an n-by-n cyclic index.  :func:`dominance` feeds it the
 eigenphases of a stack of unitaries, and a campaign feeds it the phases
 ``(E_k - E_0) T`` of its drawn spectra; the single-gate functions are
-batches of one.
+batches of one.  A real gate stays float64 throughout, so its
+eigenvalues come from LAPACK's real solver.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import TraceInput, ml_product, mt_from_deficit
-from .linalg import TOL, complex_matrix, unitarity_error
+from .linalg import TOL, _square_matrices, square_matrix, unitarity_error
 
 TWO_PI = 2.0 * np.pi
 
 DOMINANCE_TOL = 1e-9
 
-BOUND_NAMES = ("ml", "mt", "dual_ml", "width_ml", "width_mt")
-
-
 def _check_phases(ph: np.ndarray) -> None:
-    if not np.isfinite(ph).all():
-        raise ValueError("phases must be finite")
+    # NaN and infinities fail the range test as well
     if not ((0.0 <= ph) & (ph < TWO_PI)).all():
-        raise ValueError("phases must lie in [0, 2*pi)")
+        raise ValueError("phases must be finite and lie in [0, 2*pi)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +115,8 @@ class VerificationRecord:
 class Dominance(NamedTuple):
     """Dominance data of a stack of unitaries; each field has one entry per gate.
 
-    ``margins[i]`` is the worst product minus bound over the rotations,
-    for bound ``BOUND_NAMES[i]``.
+    ``margins`` holds the worst product minus bound over the rotations,
+    one row per bound in the order ml, mt, dual_ml, width_ml, width_mt.
     """
 
     ratio: np.ndarray
@@ -128,19 +126,25 @@ class Dominance(NamedTuple):
 
 
 def _sorted_phases(ph: np.ndarray) -> np.ndarray:
-    """Angles ``(..., n)`` reduced into [0, 2 pi) and sorted, in place."""
+    """Angles ``(..., n)`` reduced into [0, 2 pi) and sorted, in place.
+
+    A non-finite angle stays non-finite; the consumers of the phases
+    (:class:`PhaseVector`, :func:`dominance_from_phases`) reject it.
+    """
     ph %= TWO_PI
     # wrapping a phase an ulp below zero rounds to exactly 2 pi
     ph[ph >= TWO_PI] = 0.0
     ph.sort(axis=-1)
-    _check_phases(ph)
     return ph
 
 
 def _phases(u: np.ndarray) -> np.ndarray:
-    """Sorted eigenphases ``(..., n)`` of a stack ``(..., n, n)`` of unitaries."""
-    if not np.isfinite(u).all():
-        raise ValueError("matrix entries must be finite")
+    """Sorted eigenphases ``(..., n)`` of a stack ``(..., n, n)`` of square
+    float64 or complex128 matrices, checked unitary first.
+
+    A non-finite entry fails the unitarity check too.  A real stack goes
+    to LAPACK's real eigensolver.
+    """
     if not (unitarity_error(u) <= TOL.reconstruction).all():
         raise ValueError(f"matrix is not unitary to tolerance {TOL.reconstruction:g}")
     return _sorted_phases(-np.angle(np.linalg.eigvals(u)))
@@ -157,10 +161,18 @@ def phases_from_levels(levels: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _sorted_phases((levels - levels[..., :1]) * np.asarray(t)[..., None])
 
 
+@functools.lru_cache(maxsize=16)
 def _cyclic_index(n: int) -> np.ndarray:
-    """``idx[j, k] = (j + k) mod n``: row j lists the n slots starting at j."""
+    """``idx[j, k] = j + k``, read-only and built once per n; the 16 most
+    recent n are kept, 8 n^2 bytes each.
+
+    Row j of a length-2n list ``concatenate([a, a])`` lists the n slots
+    of ``a`` starting at slot j.
+    """
     j = np.arange(n)
-    return (j[:, None] + j) % n
+    idx = j[:, None] + j
+    idx.flags.writeable = False
+    return idx
 
 
 def cyclic_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,7 +182,8 @@ def cyclic_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Two computations of one phase multiset can differ by a cyclic shift,
     since a phase near 0 in one may come out near 2 pi in the other.
     """
-    gap = np.abs(b[..., None, :] - a[..., _cyclic_index(a.shape[-1])]) % TWO_PI
+    shifts = np.concatenate([a, a], axis=-1)[..., _cyclic_index(a.shape[-1])]
+    gap = np.abs(b[..., None, :] - shifts) % TWO_PI
     return np.minimum(gap, TWO_PI - gap).max(axis=-1).min(axis=-1)
 
 
@@ -178,16 +191,16 @@ def _windows(ph: np.ndarray):
     """Products of every cyclic window of sorted phases ``(..., n)``.
 
     Window j lifts the phases below phi_j by 2 pi, so all values sit in
-    [phi_j, phi_j + 2 pi).  Returns the products ``(4, ..., n)``, in the
-    order e_t, var_t, width_t, dual_t, and ``start`` ``(..., n)``, which
-    is False where phi_j repeats the phase before it: that window
+    [phi_j, phi_j + 2 pi): it is slots j to j + n - 1 of the phases
+    followed by their 2 pi lift.  Returns the products ``(4, ..., n)``,
+    in the order e_t, var_t, width_t, dual_t, and ``start`` ``(..., n)``,
+    which is False where phi_j repeats the phase before it: that window
     duplicates an earlier one.
     """
-    j = np.arange(ph.shape[-1])
-    idx = _cyclic_index(j.size)
-    theta = ph[..., idx] + TWO_PI * (idx < j[:, None])
-    mean = theta.sum(axis=-1) / j.size
-    var_t = np.sqrt(np.square(theta - mean[..., None]).sum(axis=-1) / j.size)
+    n = ph.shape[-1]
+    theta = np.concatenate([ph, ph + TWO_PI], axis=-1)[..., _cyclic_index(n)]
+    mean = theta.sum(axis=-1) / n
+    var_t = np.sqrt(np.square(theta - mean[..., None]).sum(axis=-1) / n)
     last = theta[..., -1]
     start = np.ones(ph.shape, dtype=bool)
     start[..., 1:] = ph[..., 1:] != ph[..., :-1]
@@ -204,7 +217,7 @@ def _trace_deficit(ph: np.ndarray) -> np.ndarray:
 
 def eigenphases(u) -> PhaseVector:
     """Phases phi_k in [0, 2 pi) with eigenvalues(u) = {e^{-i phi_k}}."""
-    return PhaseVector(_phases(complex_matrix(u)))
+    return PhaseVector(_phases(square_matrix(u)))
 
 
 def enumerate_rotations(p: PhaseVector) -> ExactTimeProfile:
@@ -230,8 +243,10 @@ def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
 
     The MT product takes the trace deficit ``1 - r^2`` from the phases
     rather than from the rounded trace, so a near-identity gate's margin
-    is not lost to cancellation.
+    is not lost to cancellation.  Phases outside [0, 2 pi), NaN included,
+    raise ValueError.
     """
+    _check_phases(ph)
     ratio = TraceInput(ph.shape[-1], trace_abs).ratio
     ml = ml_product(ratio)
     mt = mt_from_deficit(_trace_deficit(ph))
@@ -242,25 +257,27 @@ def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
     return Dominance(ratio, ml, mt, margins)
 
 
-def dominance(u) -> Dominance:
-    """:func:`dominance_from_phases` of the eigenphases and trace of each
-    unitary of a stack ``(..., n, n)``."""
-    u = np.asarray(u, dtype=np.complex128)
+def _dominance(u: np.ndarray) -> Dominance:
+    """:func:`dominance` of a stack already checked square and finite."""
     return dominance_from_phases(_phases(u), np.abs(np.trace(u, axis1=-2, axis2=-1)))
 
 
-def verify_dominance(u, tol: float = DOMINANCE_TOL) -> VerificationRecord:
+def dominance(u) -> Dominance:
+    """:func:`dominance_from_phases` of the eigenphases and trace of each
+    unitary of a stack ``(..., n, n)``."""
+    return _dominance(_square_matrices(u))
+
+
+def verify_dominance(u) -> VerificationRecord:
     """Check every rotation of ``u`` against all five trace bounds.
 
-    The batch of one of :func:`dominance`.  A failed check is reported
-    in the record (negative margin, passed False), never raised.
+    The batch of one of :func:`dominance`, passed when no margin is below
+    ``-DOMINANCE_TOL``.  A failed check is reported in the record
+    (negative margin, passed False), never raised.
     """
-    u = complex_matrix(u)
-    d = dominance(u)
-    margins = dict(zip((name + "_margin" for name in BOUND_NAMES), d.margins.tolist()))
-    return VerificationRecord(
-        n=u.shape[0],
-        trace_ratio=float(d.ratio),
-        passed=min(margins.values()) >= -tol,
-        **margins,
-    )
+    u = square_matrix(u)
+    d = _dominance(u)
+    margins = d.margins.tolist()
+    # the margin fields follow the bound order of d.margins
+    return VerificationRecord(u.shape[0], float(d.ratio), *margins,
+                              passed=min(margins) >= -DOMINANCE_TOL)

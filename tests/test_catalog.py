@@ -41,6 +41,18 @@ class TestFourier:
         for n in range(1, 65):
             assert abs(trace_abs(fourier(n)) - gauss_trace(n)) < 1e-9
 
+    def test_table_matches_exponential_form(self):
+        # entries looked up at (k l) mod n; the exponential form at k l
+        for n in (1, 2, 3, 7, 64, 1024):
+            k = np.arange(n)
+            want = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+            assert np.max(np.abs(fourier(n) - want)) <= 1e-13
+
+    def test_large_trace_accuracy(self):
+        # the exponential form is off by 7.4e-14 here: its exponents
+        # reach (n - 1)^2 turns of 2 pi / n
+        assert abs(trace_abs(fourier(1024)) - gauss_trace(1024)) <= 1e-14
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fourier(0)
@@ -69,6 +81,13 @@ class TestGrover:
             grover(4, 4)
         with pytest.raises(ValueError):
             grover(4, -1)
+
+    def test_matches_reflection_product(self):
+        for n, t in ((2, 1), (5, 0), (16, 9), (64, 63)):
+            s = np.full(n, 1.0 / math.sqrt(n))
+            reflect_t = np.eye(n)
+            reflect_t[t, t] = -1.0
+            assert np.array_equal(grover(n, t), (2.0 * np.outer(s, s) - np.eye(n)) @ reflect_t)
 
 
 class TestPermutation:
@@ -262,6 +281,14 @@ class TestPriorMubBound:
     def test_rejects_below_three(self):
         with pytest.raises(ValueError):
             prior_mub_bound(2)
+
+
+def test_real_families_are_float64():
+    for u in (grover(5, 3), permutation([3, 1, 0, 2]), hadamard_power(3)):
+        assert u.dtype == np.float64
+    for u in (fourier(5), qubit_unitary(QubitParams(0.2, 0.5, -0.8, 1.1)),
+              qutrit_mub(QutritMubParams(MubFamily.ONE, 0.3, 5.5))):
+        assert u.dtype == np.complex128
 
 
 def test_all_catalog_outputs_unitary():

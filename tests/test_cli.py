@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gateqsl import catalog
 from gateqsl.cli import MAX_DIM, main
 
 
@@ -95,6 +96,22 @@ class TestBoundsCommand:
         path = tmp_path / "big_n.json"
         path.write_text('{"n": %d, "re": [[1.0]], "im": [[0.0]]}' % (MAX_DIM + 1))
         code, out, err = run_cli(["bounds", "--file", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flag, value, builder", [
+        ("--fourier", str(MAX_DIM + 1), "fourier"),
+        ("--grover", str(MAX_DIM + 1), "grover"),
+        ("--permutation", ",".join(map(str, range(MAX_DIM + 1))), "permutation"),
+    ], ids=["fourier", "grover", "permutation"])
+    def test_named_gate_above_cap_exits_2(self, flag, value, builder, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("gate built above the cap")
+
+        monkeypatch.setattr(catalog, builder, refuse)
+        code, out, err = run_cli(["bounds", flag, value], capsys)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1

@@ -6,13 +6,13 @@ import pytest
 from gateqsl.linalg import (
     TOL,
     ConvergenceError,
-    complex_matrix,
     eig_hermitian,
     expm_hermitian_scaled,
     is_hermitian,
     is_unitary,
     matmul,
     random_unitary,
+    square_matrix,
     trace_abs,
 )
 from gateqsl.minimal_time import eigenphases
@@ -34,15 +34,15 @@ def fourier4():
 class TestConstruction:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            complex_matrix(np.zeros((2, 3)))
+            square_matrix(np.zeros((2, 3)))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            complex_matrix([[np.nan, 0], [0, 1]])
+            square_matrix([[np.nan, 0], [0, 1]])
 
     def test_rejects_complex_inf(self):
         with pytest.raises(ValueError):
-            complex_matrix([[1j * np.inf, 0], [0, 1]])
+            square_matrix([[1j * np.inf, 0], [0, 1]])
 
     def test_predicates(self):
         assert is_hermitian(PAULI_X)

@@ -9,7 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gateqsl.bounds import bounds_from_products
-from gateqsl.catalog import fourier, hadamard_power, permutation
+from gateqsl.catalog import (
+    MubFamily,
+    QubitParams,
+    QutritMubParams,
+    fourier,
+    grover,
+    hadamard_power,
+    permutation,
+    qubit_unitary,
+    qutrit_mub,
+)
 from gateqsl.linalg import (
     eig_hermitian,
     expm_hermitian_scaled,
@@ -193,15 +203,83 @@ class TestVerifyDominance:
 
     def test_stack_matches_batch_of_one(self):
         # repeated phases (Fourier, Hadamard, permutations) exercise the
-        # masking of windows that start on a repeated phase
-        gates = np.stack([fourier(4), hadamard_power(2), permutation([1, 0, 3, 2]),
+        # masking of windows that start on a repeated phase; the all-real
+        # stack stays float64 and goes through the real eigensolver
+        real = np.stack([hadamard_power(2), permutation([1, 0, 3, 2]), permutation([0, 1, 2, 3]),
+                         grover(4, 1)])
+        mixed = np.stack([fourier(4), hadamard_power(2), permutation([1, 0, 3, 2]),
                           permutation([0, 1, 2, 3]), random_unitary(4, 8)])
-        d = dominance(gates)
-        for u, ratio, margins in zip(gates, d.ratio, d.margins.T):
-            rec = verify_dominance(u)
-            assert rec.trace_ratio == ratio
-            assert [rec.ml_margin, rec.mt_margin, rec.dual_ml_margin, rec.width_ml_margin,
-                    rec.width_mt_margin] == margins.tolist()
+        assert real.dtype == np.float64
+        for gates in (mixed, real):
+            d = dominance(gates)
+            for u, ratio, margins in zip(gates, d.ratio, d.margins.T):
+                rec = verify_dominance(u)
+                assert rec.trace_ratio == ratio
+                assert [rec.ml_margin, rec.mt_margin, rec.dual_ml_margin, rec.width_ml_margin,
+                        rec.width_mt_margin] == margins.tolist()
+
+
+def catalog_gate(family, n):
+    """The gate of one catalog family at dimension n."""
+    if family == "fourier":
+        return fourier(n)
+    if family == "grover":
+        return grover(n, 3 if n == 1024 else n // 2)
+    if family == "permutation":
+        return permutation(np.random.default_rng(n).permutation(n))
+    if family == "identity":
+        return permutation(range(n))
+    if family == "hadamard":
+        return hadamard_power(n.bit_length() - 1)
+    if family == "qubit":
+        return qubit_unitary(QubitParams(0.4, 1.1, -0.3, 0.9))
+    return qutrit_mub(QutritMubParams(MubFamily(int(family[-1])), 0.7, 2.9))
+
+
+def catalog_families(n):
+    """The catalog families that have a gate of dimension n."""
+    families = ["fourier", "grover", "permutation", "identity"]
+    if n & (n - 1) == 0:
+        families.append("hadamard")
+    if n == 2:
+        families.append("qubit")
+    if n == 3:
+        families += ["qutrit1", "qutrit2"]
+    return families
+
+
+CATALOG_CASES = [(family, n) for n in (*range(2, 9), 16, 32, 64)
+                 for family in catalog_families(n)] + [("hadamard", 1024), ("grover", 1024)]
+
+
+class TestRealGates:
+    @pytest.mark.parametrize("family, n", CATALOG_CASES)
+    def test_real_and_complex_verdicts_agree(self, family, n):
+        u = catalog_gate(family, n)
+        real, cplx = verify_dominance(u), verify_dominance(u.astype(complex))
+        assert real.n == cplx.n == n
+        assert real.passed == cplx.passed
+        assert real.trace_ratio == cplx.trace_ratio
+        for name in ("ml", "mt", "dual_ml", "width_ml", "width_mt"):
+            assert abs(getattr(real, name + "_margin") - getattr(cplx, name + "_margin")) <= 1e-12
+
+    @pytest.mark.parametrize("check", [verify_dominance, dominance, eigenphases])
+    @pytest.mark.parametrize("bad", [np.eye(3)[:2], np.diag([1.0, np.nan]),
+                                     np.diag([1.0, np.inf]), np.diag([1.0, -np.inf]),
+                                     2.0 * hadamard_power(1)],
+                             ids=["non-square", "nan", "inf", "-inf", "not-unitary"])
+    def test_bad_real_matrix_raises(self, check, bad):
+        with pytest.raises(ValueError):
+            check(bad)
+
+    def test_real_matrix_is_not_upcast(self, monkeypatch):
+        seen = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a.dtype) or eigvals(a))
+        verify_dominance(grover(5, 2))
+        dominance(np.stack([hadamard_power(2), permutation([1, 2, 3, 0])]))
+        eigenphases(permutation([2, 0, 1]))
+        assert seen == [np.float64] * 3
 
 
 @settings(max_examples=200, deadline=None)
