@@ -13,14 +13,9 @@ from .bounds import (
     UndefinedBoundError,
     bound_set,
     bounds_from_products,
-    dual_ml_bound,
-    ml_bound,
     ml_product,
-    mt_bound,
     mt_from_deficit,
     mt_product,
-    state_pair_bound,
-    width_bounds,
 )
 from .catalog import (
     MubFamily,
@@ -48,14 +43,8 @@ from .harness import (
     run_random_campaign,
 )
 from .linalg import (
-    TOL,
-    ConvergenceError,
-    EigenDecomposition,
-    eig_hermitian,
-    expm_hermitian_scaled,
-    is_hermitian,
+    UNITARY_TOL,
     is_unitary,
-    matmul,
     random_unitaries,
     random_unitary,
     square_matrix,
@@ -64,16 +53,13 @@ from .linalg import (
 )
 from .minimal_time import (
     Dominance,
-    ExactTimeProfile,
-    PhaseVector,
     VerificationRecord,
     dominance,
     dominance_from_phases,
     eigenphases,
-    enumerate_rotations,
     phases_from_levels,
     verify_dominance,
 )
-from .spectrum import EnergySpectrum, EnergyStats, compute_stats, level_stats, shift
+from .spectrum import EnergySpectrum, EnergyStats, compute_stats, level_stats
 
 __version__ = "0.1.0"

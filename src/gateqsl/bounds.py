@@ -130,25 +130,6 @@ def _scaled(raw, denom, what):
     return np.divide(raw, denom, out=np.zeros(positive.shape), where=positive)
 
 
-def ml_bound(t: TraceInput, stats: EnergyStats) -> float:
-    return _scaled([ml_product(t.ratio)], [stats.e_above_ground], [_E])[0]
-
-
-def mt_bound(t: TraceInput, stats: EnergyStats) -> float:
-    return _scaled([mt_product(t.ratio)], [stats.variance_sqrt], [_DE])[0]
-
-
-def dual_ml_bound(t: TraceInput, stats: EnergyStats) -> float:
-    return _scaled([ml_product(t.ratio)], [stats.e_below_top], [_E_TOP])[0]
-
-
-def width_bounds(t: TraceInput, stats: EnergyStats) -> tuple[float, float]:
-    """The two spectrum-width bounds ``(width_ml, width_mt)``."""
-    w_ml, w_mt = _scaled([2.0 * ml_product(t.ratio), 2.0 * mt_product(t.ratio)],
-                         [stats.width, stats.width], [_WIDTH, _WIDTH])
-    return w_ml, w_mt
-
-
 def bound_set(t: TraceInput, stats: EnergyStats) -> BoundSet:
     return bounds_from_products(ml_product(t.ratio), mt_product(t.ratio), stats)
 
@@ -170,10 +151,3 @@ def bounds_from_products(ml, mt, stats: EnergyStats) -> BoundSet:
         width_mt=w_mt,
         combined=np.maximum(b_ml, b_mt),
     )
-
-
-def state_pair_bound(e: float, delta_e: float) -> float:
-    """Classic bound for driving a state to an orthogonal one (reference only)."""
-    if e <= 0.0 or delta_e <= 0.0:
-        raise ValueError("state-pair bound needs positive energy statistics")
-    return max(0.5 * math.pi / delta_e, 0.5 * math.pi / e)

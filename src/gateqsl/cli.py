@@ -141,7 +141,7 @@ def _build_gate(args) -> np.ndarray:
 def cmd_bounds(args) -> int:
     try:
         u = _build_gate(args)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"error: cannot build gate: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.file is not None and not is_unitary(u, FILE_UNITARY_TOL):
@@ -150,7 +150,9 @@ def cmd_bounds(args) -> int:
         return EXIT_NOT_UNITARY
 
     n = u.shape[0]
-    tr = trace_abs(u)
+    # A file matrix is unitary only to FILE_UNITARY_TOL, so its trace can
+    # overshoot n by more than the rounding slack TraceInput absorbs.
+    tr = min(trace_abs(u), float(n))
     ti = bounds.TraceInput(n, tr)
     if args.spectrum is not None:
         try:
@@ -164,7 +166,7 @@ def cmd_bounds(args) -> int:
             return EXIT_BAD_INPUT
         try:
             bs = bounds.bound_set(ti, compute_stats(spectrum))
-        except bounds.UndefinedBoundError as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
         rows = [

@@ -25,11 +25,11 @@ from .catalog import MubFamily, QutritMubParams, qutrit_mub
 from .linalg import random_unitaries, trace_abs
 from .minimal_time import (
     DOMINANCE_TOL,
+    _exact_products,
     _phases,
     cyclic_distance,
     dominance_from_phases,
     eigenphases,
-    enumerate_rotations,
     phases_from_levels,
 )
 from .spectrum import EnergySpectrum, level_stats
@@ -237,26 +237,31 @@ def _checked_point(abscissa: float, exact: float, ml: float, mt: float | None) -
     return CurvePoint(abscissa=abscissa, exact=float(exact), ml=ml, mt=mt)
 
 
-def figure_qubit(points: int) -> list[CurvePoint]:
-    """Exact qubit time arccos(|tr U|/2) vs the two bounds, over |tr U| in [0, 2].
+def _grid(stop: float, points: int) -> np.ndarray:
+    """``points`` evenly spaced abscissae over [0, stop]."""
+    if points < 2:
+        raise ValueError("need at least two grid points")
+    return np.linspace(0.0, stop, points)
+
+
+def _qubit_curve(grid, trace) -> list[CurvePoint]:
+    """Exact qubit E*T, arccos(|tr U|/2), vs the two bounds at each abscissa
+    of ``grid``, where ``trace`` maps an abscissa to |tr U|.
 
     Everything is expressed as E*T with the qubit identity dE = E, so
     both bound columns live on the same axis as the exact curve.
     """
-    if points < 2:
-        raise ValueError("need at least two grid points")
     out = []
-    for a in np.linspace(0.0, 2.0, points):
-        ratio = a / 2.0
-        out.append(
-            _checked_point(
-                abscissa=float(a),
-                exact=math.acos(min(1.0, ratio)),
-                ml=bounds.ml_product(ratio),
-                mt=bounds.mt_product(ratio),
-            )
-        )
+    for a in grid:
+        ratio = trace(a) / 2.0
+        out.append(_checked_point(abscissa=float(a), exact=math.acos(min(1.0, ratio)),
+                                  ml=bounds.ml_product(ratio), mt=bounds.mt_product(ratio)))
     return out
+
+
+def figure_qubit(points: int) -> list[CurvePoint]:
+    """Exact qubit time arccos(|tr U|/2) vs the two bounds, over |tr U| in [0, 2]."""
+    return _qubit_curve(_grid(2.0, points), lambda tr: tr)
 
 
 def figure_qubit_mub(points: int) -> list[CurvePoint]:
@@ -265,21 +270,8 @@ def figure_qubit_mub(points: int) -> list[CurvePoint]:
     The trace modulus is sqrt(2)|cos alpha|; the minimum time pi/4 sits
     at the endpoints and the maximum pi/2 at alpha = pi/2.
     """
-    if points < 2:
-        raise ValueError("need at least two grid points")
-    out = []
-    for alpha in np.linspace(0.0, math.pi, points):
-        tr = math.sqrt(2.0) * abs(math.cos(alpha))
-        ratio = tr / 2.0
-        out.append(
-            _checked_point(
-                abscissa=float(alpha),
-                exact=math.acos(min(1.0, ratio)),
-                ml=bounds.ml_product(ratio),
-                mt=bounds.mt_product(ratio),
-            )
-        )
-    return out
+    return _qubit_curve(_grid(math.pi, points),
+                        lambda alpha: math.sqrt(2.0) * abs(math.cos(alpha)))
 
 
 def figure_qutrit(family: MubFamily, x_values=DEFAULT_QUTRIT_X,
@@ -290,18 +282,16 @@ def figure_qutrit(family: MubFamily, x_values=DEFAULT_QUTRIT_X,
     abscissa column is y.  The exact column takes the smallest E*T over
     all canonical rotations, matching the most favorable energy ordering.
     """
-    if y_points < 2:
-        raise ValueError("need at least two grid points")
+    grid = _grid(2.0 * math.pi, y_points)
     out = []
     for x in x_values:
-        for y in np.linspace(0.0, 2.0 * math.pi, y_points):
+        for y in grid:
             u = qutrit_mub(QutritMubParams(family=family, x=float(x), y=float(y)))
-            profile = enumerate_rotations(eigenphases(u))
             ratio = min(1.0, trace_abs(u) / 3.0)
             out.append(
                 _checked_point(
                     abscissa=float(y),
-                    exact=profile.min_e_t,
+                    exact=_exact_products(eigenphases(u))[0],
                     ml=bounds.ml_product(ratio),
                     mt=None,
                 )

@@ -1,43 +1,20 @@
-"""Dense linear algebra for small unitary and Hermitian problems.
+"""Dense linear algebra for unitary gates.
 
 Everything here is a pure function: matrices go in, matrices come out,
 and the only randomness (Haar sampling) is driven by an explicit seed.
-Eigendecompositions go to LAPACK through ``numpy.linalg``.  Matrices are
-plain numpy arrays, ``float64`` when their entries are real and
-``complex128`` otherwise, so a real gate reaches LAPACK's real solvers
-and real matrix products; :func:`square_matrix` is the validating
-constructor used wherever input may be hostile (files, user code).
+Matrices are plain numpy arrays, ``float64`` when their entries are real
+and ``complex128`` otherwise, so a real gate reaches LAPACK's real
+solvers and real matrix products; :func:`square_matrix` is the
+validating constructor used wherever input may be hostile (files, user
+code).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-
-class Tolerances(NamedTuple):
-    """Package-wide numerical tolerances.
-
-    ``structural`` gates predicate checks (unitarity, Hermiticity) and
-    eigendecomposition residuals; ``reconstruction`` is the looser
-    unitarity limit for a matrix whose eigenphases are taken.
-    """
-
-    structural: float = 1e-10
-    reconstruction: float = 1e-9
-
-
-TOL = Tolerances()
-
-
-class ConvergenceError(RuntimeError):
-    """The eigensolver failed to converge."""
-
-
-class EigenDecomposition(NamedTuple):
-    values: np.ndarray
-    vectors: np.ndarray
+# Default max-abs-entry limit of ``u†u - I`` for :func:`is_unitary`.
+UNITARY_TOL = 1e-10
 
 
 def _square_matrices(entries) -> np.ndarray:
@@ -63,16 +40,6 @@ def square_matrix(entries) -> np.ndarray:
     return a
 
 
-def _maxabs(a) -> float:
-    return float(np.max(np.abs(a)))
-
-
-def is_hermitian(a, tol: float = TOL.structural) -> bool:
-    """Max-abs-entry of ``a - a†`` is at most ``tol``."""
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and _maxabs(a - a.conj().T) <= tol
-
-
 def unitarity_error(u) -> np.ndarray:
     """Max-abs-entry of ``u†u - I`` for each matrix of a stack ``(..., n, n)``.
 
@@ -86,7 +53,7 @@ def unitarity_error(u) -> np.ndarray:
     return np.abs(gram).max(axis=(-2, -1))
 
 
-def is_unitary(u, tol: float = TOL.structural) -> bool:
+def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     """Max-abs-entry of ``u†u - I`` is at most ``tol``."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -94,42 +61,10 @@ def is_unitary(u, tol: float = TOL.structural) -> bool:
     return bool(unitarity_error(u) <= tol)
 
 
-def matmul(a, b) -> np.ndarray:
-    a = square_matrix(a)
-    b = square_matrix(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
 def trace_abs(u) -> float:
     """Modulus of the trace; lies in [0, n] for an n-dimensional unitary."""
     u = square_matrix(u)
     return float(abs(np.trace(u)))
-
-
-def eig_hermitian(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues are real and sorted ascending, eigenvector columns are
-    orthonormal, and ``a ≈ V diag(w) V†`` to the structural tolerance.
-    """
-    a = square_matrix(a)
-    if not is_hermitian(a):
-        raise ValueError(f"matrix is not Hermitian to tolerance {TOL.structural:g}")
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
-    return EigenDecomposition(w, v)
-
-
-def expm_hermitian_scaled(h, t: float) -> np.ndarray:
-    """``exp(-i h t)`` for Hermitian ``h``, via its eigendecomposition."""
-    if not np.isfinite(t):
-        raise ValueError("time parameter must be finite")
-    w, v = eig_hermitian(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def random_unitaries(n: int, seeds) -> np.ndarray:

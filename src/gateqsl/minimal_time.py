@@ -12,16 +12,17 @@ the variance.  Either move stays within the valid assignments, so the
 minimizers of all three products live inside a 2 pi window, and the
 in-window assignments are exactly the n cyclic rotations.
 
-For each rotation this module records the dimensionless products
+For each rotation this module computes the dimensionless products
 ``E*T`` (mean above ground), ``dE*T`` (population std), ``width*T`` and
-the dual gap ``(E_max - mean)*T``, and checks each one against the
-corresponding trace bound.  :func:`dominance_from_phases` does this for
-a stack ``(..., n)`` of sorted phase lists at once, with the n windows
-laid out by an n-by-n cyclic index.  :func:`dominance` feeds it the
-eigenphases of a stack of unitaries, and a campaign feeds it the phases
-``(E_k - E_0) T`` of its drawn spectra; the single-gate functions are
-batches of one.  A real gate stays float64 throughout, so its
-eigenvalues come from LAPACK's real solver.
+the dual gap ``(E_max - mean)*T``, takes the least of each over the
+distinct rotations, and checks it against the corresponding trace
+bound.  :func:`dominance_from_phases` does this for a stack ``(..., n)``
+of sorted phase lists at once, with the n windows laid out by an n-by-n
+cyclic index.  :func:`dominance` feeds it the eigenphases of a stack of
+unitaries, and a campaign feeds it the phases ``(E_k - E_0) T`` of its
+drawn spectra; :func:`verify_dominance` is the batch of one.  A real
+gate stays float64 throughout, so its eigenvalues come from LAPACK's
+real solver.
 """
 
 from __future__ import annotations
@@ -33,59 +34,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import TraceInput, ml_product, mt_from_deficit
-from .linalg import TOL, _square_matrices, square_matrix, unitarity_error
+from .linalg import _square_matrices, square_matrix, unitarity_error
 
 TWO_PI = 2.0 * np.pi
 
 DOMINANCE_TOL = 1e-9
 
-def _check_phases(ph: np.ndarray) -> None:
-    # NaN and infinities fail the range test as well
-    if not ((0.0 <= ph) & (ph < TWO_PI)).all():
-        raise ValueError("phases must be finite and lie in [0, 2*pi)")
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseVector:
-    """Eigenphases of a unitary, sorted ascending within [0, 2 pi)."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        arr = np.sort(np.asarray(self.phases, dtype=np.float64))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("need at least one phase")
-        _check_phases(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "phases", arr)
-
-    def __eq__(self, other):
-        return isinstance(other, PhaseVector) and np.array_equal(self.phases, other.phases)
-
-    def __hash__(self):
-        return hash(self.phases.tobytes())
-
-    @property
-    def n(self) -> int:
-        return self.phases.size
-
-
-@dataclass(frozen=True)
-class RotationProducts:
-    """Dimensionless products of one canonical ground-level choice."""
-
-    e_t: float
-    var_t: float
-    width_t: float
-    dual_t: float
-
-
-@dataclass(frozen=True)
-class ExactTimeProfile:
-    rotations: tuple[RotationProducts, ...]
-    min_e_t: float
-    min_var_t: float
-    min_width_t: float
+# Max-abs-entry limit of ``u†u - I`` for a matrix whose eigenphases are taken.
+EIGENPHASE_UNITARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,8 +84,8 @@ class Dominance(NamedTuple):
 def _sorted_phases(ph: np.ndarray) -> np.ndarray:
     """Angles ``(..., n)`` reduced into [0, 2 pi) and sorted, in place.
 
-    A non-finite angle stays non-finite; the consumers of the phases
-    (:class:`PhaseVector`, :func:`dominance_from_phases`) reject it.
+    A non-finite angle stays non-finite; :func:`dominance_from_phases`
+    rejects it.
     """
     ph %= TWO_PI
     # wrapping a phase an ulp below zero rounds to exactly 2 pi
@@ -145,8 +101,8 @@ def _phases(u: np.ndarray) -> np.ndarray:
     A non-finite entry fails the unitarity check too.  A real stack goes
     to LAPACK's real eigensolver.
     """
-    if not (unitarity_error(u) <= TOL.reconstruction).all():
-        raise ValueError(f"matrix is not unitary to tolerance {TOL.reconstruction:g}")
+    if not (unitarity_error(u) <= EIGENPHASE_UNITARY_TOL).all():
+        raise ValueError(f"matrix is not unitary to tolerance {EIGENPHASE_UNITARY_TOL:g}")
     return _sorted_phases(-np.angle(np.linalg.eigvals(u)))
 
 
@@ -215,26 +171,16 @@ def _trace_deficit(ph: np.ndarray) -> np.ndarray:
     return 2.0 * np.square(s).sum(axis=(-2, -1)) / (n * n)
 
 
-def eigenphases(u) -> PhaseVector:
-    """Phases phi_k in [0, 2 pi) with eigenvalues(u) = {e^{-i phi_k}}."""
-    return PhaseVector(_phases(square_matrix(u)))
+def _exact_products(ph: np.ndarray) -> np.ndarray:
+    """Least products ``(4, ...)`` over the distinct cyclic windows of
+    sorted phases ``(..., n)``, in the order e_t, var_t, width_t, dual_t."""
+    products, start = _windows(ph)
+    return np.where(start, products, np.inf).min(axis=-1)
 
 
-def enumerate_rotations(p: PhaseVector) -> ExactTimeProfile:
-    """Products for every canonical rotation of the phase multiset.
-
-    Rotations starting on a repeated phase duplicate an already
-    enumerated window and are left out.
-    """
-    products, start = _windows(p.phases)
-    products = products[:, start]
-    e_t, var_t, width_t, _ = products.min(axis=-1).tolist()
-    return ExactTimeProfile(
-        rotations=tuple(map(RotationProducts, *products.tolist())),
-        min_e_t=e_t,
-        min_var_t=var_t,
-        min_width_t=width_t,
-    )
+def eigenphases(u) -> np.ndarray:
+    """Sorted phases phi_k in [0, 2 pi) with eigenvalues(u) = {e^{-i phi_k}}."""
+    return _phases(square_matrix(u))
 
 
 def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
@@ -246,12 +192,13 @@ def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
     is not lost to cancellation.  Phases outside [0, 2 pi), NaN included,
     raise ValueError.
     """
-    _check_phases(ph)
+    # NaN and infinities fail the range test as well
+    if not ((0.0 <= ph) & (ph < TWO_PI)).all():
+        raise ValueError("phases must be finite and lie in [0, 2*pi)")
     ratio = TraceInput(ph.shape[-1], trace_abs).ratio
     ml = ml_product(ratio)
     mt = mt_from_deficit(_trace_deficit(ph))
-    products, start = _windows(ph)
-    e_t, var_t, width_t, dual_t = np.where(start, products, np.inf).min(axis=-1)
+    e_t, var_t, width_t, dual_t = _exact_products(ph)
     margins = np.array([e_t - ml, var_t - mt, dual_t - ml, width_t - 2.0 * ml,
                         width_t - 2.0 * mt])
     return Dominance(ratio, ml, mt, margins)

@@ -56,6 +56,8 @@ class EnergyStats:
 
     def __post_init__(self):
         gaps = [self.e_above_ground, self.variance_sqrt, self.width, self.e_below_top]
+        if not np.isfinite([self.mean, *gaps]).all():
+            raise ValueError("energy statistics overflow float64 arithmetic")
         if np.any(np.minimum.reduce(gaps) < 0):
             raise ValueError("energy statistics cannot be negative")
         # Rounding slack scales with the level magnitudes the gaps came from.
@@ -72,21 +74,19 @@ def compute_stats(s: EnergySpectrum) -> EnergyStats:
 
 
 def level_stats(levels) -> EnergyStats:
-    """:func:`compute_stats` of every row of sorted levels ``(..., n)``."""
-    mean = levels.mean(axis=-1)
-    # The mean of identical large levels can round an ulp past the
-    # extremes; the gap statistics are nonnegative by definition.
-    return EnergyStats(
-        mean=mean,
-        e_above_ground=np.maximum(0.0, mean - levels[..., 0]),
-        variance_sqrt=levels.std(axis=-1),
-        width=levels[..., -1] - levels[..., 0],
-        e_below_top=np.maximum(0.0, levels[..., -1] - mean),
-    )
+    """:func:`compute_stats` of every row of sorted levels ``(..., n)``.
 
-
-def shift(s: EnergySpectrum, c: float) -> EnergySpectrum:
-    """Add ``c`` to every level; all statistics except the mean are unchanged."""
-    if not np.isfinite(c):
-        raise ValueError("shift must be finite")
-    return EnergySpectrum(s.levels + c)
+    A statistic whose computation overflows float64 comes out non-finite,
+    and :class:`EnergyStats` rejects it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = levels.mean(axis=-1)
+        # The mean of identical large levels can round an ulp past the
+        # extremes; the gap statistics are nonnegative by definition.
+        return EnergyStats(
+            mean=mean,
+            e_above_ground=np.maximum(0.0, mean - levels[..., 0]),
+            variance_sqrt=levels.std(axis=-1),
+            width=levels[..., -1] - levels[..., 0],
+            e_below_top=np.maximum(0.0, levels[..., -1] - mean),
+        )

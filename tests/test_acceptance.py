@@ -22,7 +22,7 @@ from gateqsl.catalog import (
 from gateqsl.cli import main as cli_main
 from gateqsl.harness import DEFAULT_QUTRIT_X, _draws, figure_qubit, figure_qutrit
 from gateqsl.linalg import random_unitary, trace_abs
-from gateqsl.minimal_time import TWO_PI, PhaseVector, eigenphases, enumerate_rotations
+from gateqsl.minimal_time import TWO_PI, _exact_products, _windows, eigenphases
 from gateqsl.spectrum import EnergySpectrum, compute_stats, level_stats
 
 CAMPAIGN_SEED = 20240
@@ -139,8 +139,8 @@ def test_criterion_7_mub_comparison():
 def test_criterion_8_tightness_witness():
     hits = []
     for q in (1, 2, 3):
-        profile = enumerate_rotations(eigenphases(hadamard_power(q)))
-        hits.append(any(abs(r.e_t - math.pi / 2.0) <= 1e-9 for r in profile.rotations))
+        (e_t, _, _, _), start = _windows(eigenphases(hadamard_power(q)))
+        hits.append(bool((np.abs(e_t[start] - math.pi / 2.0) <= 1e-9).any()))
     # gap between pi/2 and the MUB ML bound at dimension 8: (pi/2) k / sqrt(8)
     gap = math.pi / 2.0 - ml_product(math.sqrt(8.0) / 8.0)
     gap_err = abs(gap - 0.65835031520767305)
@@ -189,7 +189,7 @@ def test_criterion_11_branch_enumeration_soundness():
     for n in (2, 3, 4):
         for _ in range(60):
             phases = np.sort(rng.uniform(0.0, TWO_PI, n))
-            profile = enumerate_rotations(PhaseVector(phases))
+            min_e, min_var, min_width, _ = _exact_products(phases)
             best_e = best_var = best_width = math.inf
             for assignment in itertools.product((0, 1, 2), repeat=n):
                 theta = phases + TWO_PI * np.asarray(assignment)
@@ -198,9 +198,9 @@ def test_criterion_11_branch_enumeration_soundness():
                 best_width = min(best_width, theta.max() - theta.min())
             worst = min(
                 worst,
-                best_e - profile.min_e_t,
-                best_var - profile.min_var_t,
-                best_width - profile.min_width_t,
+                best_e - min_e,
+                best_var - min_var,
+                best_width - min_width,
             )
     report(11, "no branch assignment beats the canonical rotations", worst >= -1e-12,
            f"n<=4, offsets {{0,1,2}}^n, worst_gap={worst:.3e}")

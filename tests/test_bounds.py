@@ -13,13 +13,8 @@ from gateqsl.bounds import (
     TraceInput,
     UndefinedBoundError,
     bound_set,
-    dual_ml_bound,
-    ml_bound,
     ml_product,
-    mt_bound,
     mt_product,
-    state_pair_bound,
-    width_bounds,
 )
 from gateqsl.catalog import prior_mub_bound
 from gateqsl.linalg import random_unitary, trace_abs
@@ -50,82 +45,83 @@ class TestTraceInput:
 class TestMlBound:
     def test_vanishing_trace(self):
         # half-pi over E at zero trace
-        assert abs(ml_bound(TraceInput(2, 0.0), stats_of([0.0, 2.0])) - HALF_PI) < 1e-15
+        assert abs(bound_set(TraceInput(2, 0.0), stats_of([0.0, 2.0])).ml - HALF_PI) < 1e-15
 
     def test_full_trace_clamps_to_zero(self):
-        assert ml_bound(TraceInput(2, 2.0), stats_of([0.0, 1.0])) == 0.0
+        assert bound_set(TraceInput(2, 2.0), stats_of([0.0, 1.0])).ml == 0.0
 
     def test_mub_case_n4(self):
         # frozen high-precision value of (pi/2)(1 - k/2), k = sqrt(1+4/pi^2)
-        got = ml_bound(TraceInput(4, 2.0), stats_of([0.0, 4.0 / 3, 4.0 / 3, 4.0 / 3]))
+        got = bound_set(TraceInput(4, 2.0), stats_of([0.0, 4.0 / 3, 4.0 / 3, 4.0 / 3])).ml
         assert abs(got - 0.63974838223560331) < 1e-14
 
     def test_degenerate_spectrum_identity_gate(self):
-        assert ml_bound(TraceInput(2, 2.0), stats_of([1.0, 1.0])) == 0.0
+        assert bound_set(TraceInput(2, 2.0), stats_of([1.0, 1.0])).ml == 0.0
 
     def test_degenerate_spectrum_trace_deficit_undefined(self):
         with pytest.raises(UndefinedBoundError):
-            ml_bound(TraceInput(2, 0.0), stats_of([1.0, 1.0]))
+            bound_set(TraceInput(2, 0.0), stats_of([1.0, 1.0]))
 
 
 class TestMtBound:
     def test_plug_in(self):
-        assert mt_bound(TraceInput(2, 0.0), stats_of([0.0, 1.0])) == 2.0
+        assert bound_set(TraceInput(2, 0.0), stats_of([0.0, 1.0])).mt == 2.0
 
     def test_full_trace(self):
-        assert mt_bound(TraceInput(3, 3.0), stats_of([0.0, 1.0, 2.0])) == 0.0
+        assert bound_set(TraceInput(3, 3.0), stats_of([0.0, 1.0, 2.0])).mt == 0.0
 
     def test_fourier3_value(self):
         # sqrt(1 - 1/9) = sqrt(8)/3 at unit std; {-c, 0, c} with c = sqrt(3/2) has std 1
         c = math.sqrt(1.5)
-        got = mt_bound(TraceInput(3, 1.0), stats_of([-c, 0.0, c]))
+        got = bound_set(TraceInput(3, 1.0), stats_of([-c, 0.0, c])).mt
         assert abs(got - 0.94280904158206337) < 1e-12
 
     def test_degenerate_undefined(self):
         with pytest.raises(UndefinedBoundError):
-            mt_bound(TraceInput(2, 1.0), stats_of([3.0, 3.0]))
+            bound_set(TraceInput(2, 1.0), stats_of([3.0, 3.0]))
 
 
 class TestDualMlBound:
     def test_symmetric_two_level_matches_ml(self):
         stats = stats_of([0.0, 2.0])
         for tr in (0.0, 0.7, 1.9):
-            ti = TraceInput(2, tr)
-            assert dual_ml_bound(ti, stats) == ml_bound(ti, stats)
+            bs = bound_set(TraceInput(2, tr), stats)
+            assert bs.dual_ml == bs.ml
 
     def test_full_trace(self):
-        assert dual_ml_bound(TraceInput(2, 2.0), stats_of([0.0, 1.0])) == 0.0
+        assert bound_set(TraceInput(2, 2.0), stats_of([0.0, 1.0])).dual_ml == 0.0
 
     def test_skewed_spectrum_evaluation(self):
         stats = stats_of([0.0, 1.0, 2.0, 9.0])
         assert abs(stats.e_below_top - 6.0) < 1e-12
-        got = dual_ml_bound(TraceInput(4, 0.0), stats)
+        got = bound_set(TraceInput(4, 0.0), stats).dual_ml
         assert abs(got - HALF_PI / 6.0) < 1e-14
 
     def test_pi_over_four(self):
         # two-level spectrum with E_max - mean = 2 gives pi/4 at zero trace
         stats = stats_of([-2.0, 2.0])
         assert stats.e_below_top == 2.0
-        assert abs(dual_ml_bound(TraceInput(2, 0.0), stats) - math.pi / 4.0) < 1e-15
+        assert abs(bound_set(TraceInput(2, 0.0), stats).dual_ml - math.pi / 4.0) < 1e-15
 
 
 class TestWidthBounds:
     def test_plug_in(self):
-        w_ml, w_mt = width_bounds(TraceInput(2, 0.0), stats_of([0.0, 2.0]))
-        assert abs(w_ml - HALF_PI) < 1e-15
-        assert w_mt == 1.0
+        bs = bound_set(TraceInput(2, 0.0), stats_of([0.0, 2.0]))
+        assert abs(bs.width_ml - HALF_PI) < 1e-15
+        assert bs.width_mt == 1.0
 
     def test_full_trace(self):
-        assert width_bounds(TraceInput(2, 2.0), stats_of([0.0, 5.0])) == (0.0, 0.0)
+        bs = bound_set(TraceInput(2, 2.0), stats_of([0.0, 5.0]))
+        assert (bs.width_ml, bs.width_mt) == (0.0, 0.0)
 
     def test_fourier4_width_mt(self):
         # 2 sqrt(1 - 2/16) = 2 sqrt(7/8) at unit width
-        _, w_mt = width_bounds(TraceInput(4, math.sqrt(2.0)), stats_of([0.0, 0.3, 0.8, 1.0]))
+        w_mt = bound_set(TraceInput(4, math.sqrt(2.0)), stats_of([0.0, 0.3, 0.8, 1.0])).width_mt
         assert abs(w_mt - 1.87082869338697069) < 1e-14
 
     def test_zero_width_undefined(self):
         with pytest.raises(UndefinedBoundError):
-            width_bounds(TraceInput(2, 0.0), stats_of([1.0, 1.0]))
+            bound_set(TraceInput(2, 0.0), stats_of([1.0, 1.0]))
 
 
 class TestBoundSet:
@@ -162,23 +158,6 @@ class TestBoundSet:
                                   "no finite bound exists")
 
 
-class TestStatePairBound:
-    def test_balanced(self):
-        assert state_pair_bound(1.0, 1.0) == HALF_PI
-
-    def test_variance_dominates(self):
-        assert state_pair_bound(2.0, 1.0) == HALF_PI
-
-    def test_energy_dominates(self):
-        assert abs(state_pair_bound(0.5, 1.0) - math.pi) < 1e-15
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            state_pair_bound(0.0, 1.0)
-        with pytest.raises(ValueError):
-            state_pair_bound(1.0, -2.0)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=64),
@@ -189,11 +168,10 @@ def test_monotone_in_trace(n, data):
     t2 = data.draw(st.floats(min_value=0.0, max_value=float(n)))
     lo, hi = sorted((t1, t2))
     stats = stats_of([0.0, 1.0] + [0.5] * (n - 2))
-    for fn in (ml_bound, mt_bound, dual_ml_bound):
-        assert fn(TraceInput(n, lo), stats) >= fn(TraceInput(n, hi), stats) - 1e-12
-    for a, b in zip(width_bounds(TraceInput(n, lo), stats),
-                    width_bounds(TraceInput(n, hi), stats)):
-        assert a >= b - 1e-12
+    a = bound_set(TraceInput(n, lo), stats)
+    b = bound_set(TraceInput(n, hi), stats)
+    for name in ("ml", "mt", "dual_ml", "width_ml", "width_mt"):
+        assert getattr(a, name) >= getattr(b, name) - 1e-12
 
 
 def test_phase_and_basis_invariance():
@@ -242,8 +220,8 @@ def test_width_mt_below_mt_on_random_spectra():
         ti = TraceInput(n, float(rng.uniform(0, n)))
         if stats.variance_sqrt == 0.0:
             continue
-        _, w_mt = width_bounds(ti, stats)
-        assert w_mt <= mt_bound(ti, stats) + 1e-12
+        bs = bound_set(ti, stats)
+        assert bs.width_mt <= bs.mt + 1e-12
 
 
 def test_mub_ml_beats_prior_bound():

@@ -74,10 +74,34 @@ class TestBoundsCommand:
         code, _, _ = run_cli(["bounds", "--fourier", "4", "--spectrum", "0,1"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("spectrum", ["1,1", "1,2,3"])
-    def test_spectrum_error_prints_nothing_on_stdout(self, spectrum, capsys):
-        # "1,1" leaves the bounds undefined; "1,2,3" has the wrong length
+    @pytest.mark.parametrize("spectrum", ["1,1", "1,2,3", "0,1e200", "1e308,-1e308"])
+    def test_spectrum_error_prints_nothing_on_stdout(self, spectrum, capsys, recwarn):
+        # "1,1" leaves the bounds undefined; "1,2,3" has the wrong length;
+        # the spread, or the width and the spread, of the last two overflow
         code, out, err = run_cli(["bounds", "--fourier", "2", "--spectrum", spectrum], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert not recwarn.list
+
+    def test_file_trace_overshoot_clamped(self, tmp_path, capsys):
+        # unitary to the file tolerance, yet |tr U| exceeds n by 8e-7
+        path = tmp_path / "overshoot.json"
+        write_matrix(path, 1.0000004 * np.eye(2))
+        code, out, err = run_cli(["bounds", "--file", str(path)], capsys)
+        assert code == 0
+        assert err == ""
+        rows = {line[:11].strip(): line[11:].split()[0] for line in out.splitlines()}
+        assert rows["|tr U|"] == "2"
+        assert rows["r=|trU|/n"] == "1"
+
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        depth = 200_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 2, "re": %s, "im": [[0, 0], [0, 0]]}'
+                        % ("[" * depth + "]" * depth))
+        code, out, err = run_cli(["bounds", "--file", str(path)], capsys)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1

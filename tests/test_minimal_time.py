@@ -20,20 +20,15 @@ from gateqsl.catalog import (
     qubit_unitary,
     qutrit_mub,
 )
-from gateqsl.linalg import (
-    eig_hermitian,
-    expm_hermitian_scaled,
-    random_unitary,
-)
+from gateqsl.linalg import random_unitaries, random_unitary
 from gateqsl.minimal_time import (
     DOMINANCE_TOL,
     TWO_PI,
-    ExactTimeProfile,
-    PhaseVector,
+    _exact_products,
+    _windows,
     dominance,
     dominance_from_phases,
     eigenphases,
-    enumerate_rotations,
     phases_from_levels,
     verify_dominance,
 )
@@ -51,38 +46,48 @@ def brute_force_minima(phases, offsets=(0, 1, 2)):
     return best_e, best_var, best_width
 
 
-class TestPhaseVector:
-    def test_sorts(self):
-        p = PhaseVector([3.0, 1.0, 2.0])
-        assert np.array_equal(p.phases, [1.0, 2.0, 3.0])
+def rotations(phases):
+    """Products ``(4, m)`` of the m distinct cyclic windows of ``phases``, in
+    the order e_t, var_t, width_t, dual_t."""
+    products, start = _windows(np.sort(np.asarray(phases, dtype=np.float64)))
+    return products[:, start]
 
-    def test_rejects_out_of_window(self):
-        with pytest.raises(ValueError):
-            PhaseVector([0.0, TWO_PI])
-        with pytest.raises(ValueError):
-            PhaseVector([-0.1])
+
+def exact_minima(phases):
+    """Least e_t, var_t and width_t over the distinct windows of ``phases``."""
+    e_t, var_t, width_t, _ = _exact_products(np.sort(np.asarray(phases, dtype=np.float64)))
+    return e_t, var_t, width_t
+
+
+class TestDominanceFromPhases:
+    @pytest.mark.parametrize("phases", [[0.0, TWO_PI], [-0.1], [0.0, np.nan], [0.0, np.inf],
+                                        [-np.inf, 0.0]], ids=["2pi", "-0.1", "nan", "inf", "-inf"])
+    def test_rejects_out_of_window(self, phases):
+        ph = np.array([phases])
+        with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
+            dominance_from_phases(ph, np.ones(1))
 
 
 class TestEigenphases:
     def test_identity(self):
-        p = eigenphases(np.eye(4))
-        assert np.max(np.abs(p.phases)) < 1e-12
+        ph = eigenphases(np.eye(4))
+        assert np.max(np.abs(ph)) < 1e-12
 
     def test_diag_signs(self):
-        p = eigenphases(np.diag([1.0, -1.0]).astype(complex))
-        assert np.max(np.abs(p.phases - [0.0, np.pi])) < 1e-12
+        ph = eigenphases(np.diag([1.0, -1.0]).astype(complex))
+        assert np.max(np.abs(ph - [0.0, np.pi])) < 1e-12
 
     def test_diagonal_phase_recovery(self):
         want = np.array([0.3, 2.0, 5.0])
         u = np.diag(np.exp(-1j * want))
-        p = eigenphases(u)
-        assert np.max(np.abs(p.phases - want)) < 1e-10
+        ph = eigenphases(u)
+        assert np.max(np.abs(ph - want)) < 1e-10
 
     def test_fourier4_determinant(self):
         # independent oracle: the product of the eigenvalues is det(F)
         f = fourier(4)
-        p = eigenphases(f)
-        assert abs(np.prod(np.exp(-1j * p.phases)) - np.linalg.det(f)) < 1e-9
+        ph = eigenphases(f)
+        assert abs(np.prod(np.exp(-1j * ph)) - np.linalg.det(f)) < 1e-9
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -90,55 +95,54 @@ class TestEigenphases:
 
     def test_matches_eigenvalue_multiset(self):
         u = random_unitary(6, seed=3)
-        p = eigenphases(u)
-        got = np.sort(np.angle(np.exp(-1j * p.phases)))
+        ph = eigenphases(u)
+        got = np.sort(np.angle(np.exp(-1j * ph)))
         want = np.sort(np.angle(np.linalg.eigvals(u)))
         assert np.max(np.abs(got - want)) < 1e-8
 
 
 class TestEnumerateRotations:
+    """The distinct cyclic windows (canonical rotations) of a phase list."""
+
     def test_two_opposite_phases(self):
-        profile = enumerate_rotations(PhaseVector([0.0, np.pi]))
-        assert len(profile.rotations) == 2
-        for r in profile.rotations:
-            assert abs(r.e_t - np.pi / 2.0) < 1e-15
-        assert abs(profile.min_e_t - np.pi / 2.0) < 1e-15
+        e_t, _, _, _ = rots = rotations([0.0, np.pi])
+        assert rots.shape[1] == 2
+        for value in e_t:
+            assert abs(value - np.pi / 2.0) < 1e-15
+        assert abs(exact_minima([0.0, np.pi])[0] - np.pi / 2.0) < 1e-15
 
     def test_all_zero(self):
-        profile = enumerate_rotations(PhaseVector([0.0, 0.0, 0.0]))
-        assert profile.rotations == profile.rotations[:1]
-        r = profile.rotations[0]
-        assert (r.e_t, r.var_t, r.width_t, r.dual_t) == (0.0, 0.0, 0.0, 0.0)
+        rots = rotations([0.0, 0.0, 0.0])
+        assert rots.shape == (4, 1)
+        assert rots[:, 0].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_symmetric_qutrit_phases(self):
         third = TWO_PI / 3.0
-        profile = enumerate_rotations(PhaseVector([0.0, third, 2 * third]))
-        for r in profile.rotations:
-            assert abs(r.e_t - third) < 1e-14
+        e_t, var_t, _, _ = rotations([0.0, third, 2 * third])
+        for e, var in zip(e_t, var_t):
+            assert abs(e - third) < 1e-14
             # population std of {0, t, 2t} is t sqrt(2/3)
-            assert abs(r.var_t - third * 0.81649658092772603) < 1e-14
-        assert abs(profile.min_e_t - third) < 1e-14
+            assert abs(var - third * 0.81649658092772603) < 1e-14
+        assert abs(exact_minima([0.0, third, 2 * third])[0] - third) < 1e-14
 
     def test_window_strictly_inside_two_pi(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(2, 12))
-            profile = enumerate_rotations(PhaseVector(rng.uniform(0, TWO_PI, n)))
-            for r in profile.rotations:
-                assert r.width_t < TWO_PI
-                assert abs((r.e_t + r.dual_t) - r.width_t) <= 1e-12 * (1 + r.width_t)
+            for e_t, _, width_t, dual_t in rotations(rng.uniform(0, TWO_PI, n)).T:
+                assert width_t < TWO_PI
+                assert abs((e_t + dual_t) - width_t) <= 1e-12 * (1 + width_t)
 
     def test_duplicate_phases_deduplicated(self):
-        profile = enumerate_rotations(PhaseVector([1.0, 1.0, 4.0]))
-        assert len(profile.rotations) == 2
-        for r in profile.rotations:
-            assert r.width_t < TWO_PI
+        _, _, width_t, _ = rotations([1.0, 1.0, 4.0])
+        assert len(width_t) == 2
+        for value in width_t:
+            assert value < TWO_PI
 
     def test_minima_match_record_minima(self):
-        profile = enumerate_rotations(PhaseVector([0.1, 2.0, 2.7, 5.5]))
-        assert profile.min_e_t == min(r.e_t for r in profile.rotations)
-        assert profile.min_var_t == min(r.var_t for r in profile.rotations)
-        assert profile.min_width_t == min(r.width_t for r in profile.rotations)
+        phases = [0.1, 2.0, 2.7, 5.5]
+        e_t, var_t, width_t, _ = rotations(phases)
+        assert exact_minima(phases) == (min(e_t), min(var_t), min(width_t))
 
 
 class TestBranchBruteForce:
@@ -149,11 +153,11 @@ class TestBranchBruteForce:
         rng = np.random.default_rng(40 + n)
         for _ in range(40):
             phases = np.sort(rng.uniform(0.0, TWO_PI, n))
-            profile = enumerate_rotations(PhaseVector(phases))
+            min_e, min_var, min_width = exact_minima(phases)
             brute_e, brute_var, brute_width = brute_force_minima(phases)
-            assert brute_e >= profile.min_e_t - 1e-12
-            assert brute_var >= profile.min_var_t - 1e-12
-            assert brute_width >= profile.min_width_t - 1e-12
+            assert brute_e >= min_e - 1e-12
+            assert brute_var >= min_var - 1e-12
+            assert brute_width >= min_width - 1e-12
 
     def test_structured_phase_sets(self):
         cases = [
@@ -163,11 +167,11 @@ class TestBranchBruteForce:
             [0.0, TWO_PI / 3, 2 * TWO_PI / 3],
         ]
         for phases in cases:
-            profile = enumerate_rotations(PhaseVector(phases))
+            min_e, min_var, min_width = exact_minima(phases)
             brute_e, brute_var, brute_width = brute_force_minima(phases)
-            assert brute_e >= profile.min_e_t - 1e-12
-            assert brute_var >= profile.min_var_t - 1e-12
-            assert brute_width >= profile.min_width_t - 1e-12
+            assert brute_e >= min_e - 1e-12
+            assert brute_var >= min_var - 1e-12
+            assert brute_width >= min_width - 1e-12
 
 
 class TestVerifyDominance:
@@ -192,13 +196,16 @@ class TestVerifyDominance:
     def test_haar_random_bulk(self):
         # the dominance property, sampled over sizes 2..16
         rng = np.random.default_rng(77)
-        worst = math.inf
+        seeds = {}
         for _ in range(10_000):
             n = int(rng.integers(2, 17))
-            u = random_unitary(n, int(rng.integers(2**63)))
-            rec = verify_dominance(u)
-            worst = min(worst, rec.worst)
-            assert rec.passed
+            seeds.setdefault(n, []).append(int(rng.integers(2**63)))
+        worst = math.inf
+        for n, stack in seeds.items():
+            # the verdict of each gate, as verify_dominance passes it
+            margins = dominance(random_unitaries(n, stack)).margins
+            assert (margins.min(axis=0) >= -DOMINANCE_TOL).all()
+            worst = min(worst, margins.min())
         assert worst >= -1e-9
 
     def test_stack_matches_batch_of_one(self):
@@ -340,16 +347,14 @@ class TestRoundTrip:
             t = float(rng.uniform(0.4, 2.0))
             levels = np.sort(rng.uniform(0.0, 0.95 * TWO_PI / t, n))
             basis = random_unitary(n, int(rng.integers(2**63)))
-            h = (basis * levels) @ basis.conj().T
-            u = expm_hermitian_scaled(h, t)
-            profile = enumerate_rotations(eigenphases(u))
+            u = (basis * np.exp(-1j * levels * t)) @ basis.conj().T
             stats = compute_stats(EnergySpectrum(levels))
             hits = [
                 r
-                for r in profile.rotations
-                if abs(r.e_t - stats.e_above_ground * t) < 1e-8
-                and abs(r.var_t - stats.variance_sqrt * t) < 1e-8
-                and abs(r.width_t - stats.width * t) < 1e-8
+                for r in rotations(eigenphases(u)).T
+                if abs(r[0] - stats.e_above_ground * t) < 1e-8
+                and abs(r[1] - stats.variance_sqrt * t) < 1e-8
+                and abs(r[2] - stats.width * t) < 1e-8
             ]
             assert hits
 
@@ -358,13 +363,8 @@ class TestRoundTrip:
         for _ in range(20):
             u = random_unitary(5, int(rng.integers(2**63)))
             phi = rng.uniform(0, TWO_PI)
-            a = enumerate_rotations(eigenphases(u))
-            b = enumerate_rotations(eigenphases(np.exp(1j * phi) * u))
-            assert abs(a.min_var_t - b.min_var_t) < 1e-9
-            assert abs(a.min_width_t - b.min_width_t) < 1e-9
+            _, a_var, a_width = exact_minima(eigenphases(u))
+            _, b_var, b_width = exact_minima(eigenphases(np.exp(1j * phi) * u))
+            assert abs(a_var - b_var) < 1e-9
+            assert abs(a_width - b_width) < 1e-9
 
-
-def test_profile_is_plain_data():
-    profile = enumerate_rotations(PhaseVector([0.0, 1.0]))
-    assert isinstance(profile, ExactTimeProfile)
-    assert isinstance(profile.rotations, tuple)

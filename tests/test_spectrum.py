@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gateqsl.spectrum import EnergySpectrum, EnergyStats, compute_stats, shift
+from gateqsl.spectrum import EnergySpectrum, EnergyStats, compute_stats
 
 levels_strategy = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -62,11 +62,11 @@ def test_rejects_empty_and_nonfinite():
 
 def test_shift_examples():
     s = EnergySpectrum([0.0, 1.0])
-    shifted = shift(s, 5.0)
+    shifted = EnergySpectrum(s.levels + 5.0)
     assert np.array_equal(shifted.levels, [5.0, 6.0])
     assert compute_stats(shifted).variance_sqrt == compute_stats(s).variance_sqrt
-    assert shift(s, 0.0) == s
-    moved = shift(EnergySpectrum([0.0, 1.0, 2.0]), -1.0)
+    assert EnergySpectrum(s.levels + 0.0) == s
+    moved = EnergySpectrum(np.array([0.0, 1.0, 2.0]) - 1.0)
     assert np.array_equal(moved.levels, [-1.0, 0.0, 1.0])
     assert abs(compute_stats(moved).variance_sqrt - 0.81649658092772603) < 1e-15
 
@@ -75,7 +75,7 @@ def test_shift_examples():
 @given(levels=levels_strategy, c=st.floats(min_value=-1e3, max_value=1e3))
 def test_shift_invariance_property(levels, c):
     base = compute_stats(EnergySpectrum(levels))
-    moved = compute_stats(shift(EnergySpectrum(levels), c))
+    moved = compute_stats(EnergySpectrum(np.asarray(levels) + c))
     scale = 1.0 + abs(base.mean) + abs(c) + base.width
     assert abs(moved.e_above_ground - base.e_above_ground) <= 1e-12 * scale
     assert abs(moved.variance_sqrt - base.variance_sqrt) <= 1e-12 * scale
@@ -108,3 +108,11 @@ def test_stats_validation_rejects_inconsistency():
     with pytest.raises(ValueError):
         # 2*std beyond the width breaks Popoviciu
         EnergyStats(mean=0.0, e_above_ground=0.5, variance_sqrt=2.0, width=1.0, e_below_top=0.5)
+
+
+@pytest.mark.parametrize("levels", [[0.0, 1e200], [1e308, -1e308], [1e308, 1.5e308]])
+def test_overflowing_statistics_rejected(levels, recwarn):
+    # the spread, the width and the mean overflow float64 in turn
+    with pytest.raises(ValueError, match="overflow"):
+        compute_stats(EnergySpectrum(levels))
+    assert not recwarn.list
