@@ -38,21 +38,22 @@ class TraceInput:
     """Gate dimension and trace modulus, the only gate data the bounds use.
 
     ``trace_abs`` is a float, or an array with one entry per gate of a
-    stack of n-dimensional gates.
+    stack; ``n`` is an int, or an array giving each gate's dimension.
     """
 
     n: int
     trace_abs: float
 
     def __post_init__(self):
-        if self.n < 1:
+        if np.less(self.n, 1).any():
             raise ValueError("dimension must be at least 1")
         t = np.asarray(self.trace_abs, dtype=np.float64)
-        clamped = np.minimum(np.maximum(t, 0.0), float(self.n))
+        clamped = np.minimum(np.maximum(t, 0.0), self.n)
         # Absorb numerical overshoot from computed traces.
         outside = ~(np.abs(t - clamped) <= 1e-9 * self.n)
         if outside.any():
-            raise ValueError(f"|tr U| = {t[outside].flat[0]} outside [0, {self.n}]")
+            n = np.broadcast_to(self.n, t.shape)[outside].flat[0]
+            raise ValueError(f"|tr U| = {t[outside].flat[0]} outside [0, {n}]")
         object.__setattr__(self, "trace_abs", clamped[()])
 
     @property
@@ -116,7 +117,8 @@ def _scaled(raw, denom, what):
 
     ``raw`` and ``denom`` share a shape whose leading axis runs over the
     statistics named by ``what``; the first statistic that is zero where
-    its numerator is not names the :class:`UndefinedBoundError`.
+    its numerator is not names the :class:`UndefinedBoundError`.  A
+    quotient beyond float64 range raises ValueError.
     """
     raw = np.asarray(raw, dtype=np.float64)
     denom = np.asarray(denom, dtype=np.float64)
@@ -127,7 +129,11 @@ def _scaled(raw, denom, what):
         raise UndefinedBoundError(
             f"{what[first]} is zero but the gate has a trace deficit; no finite bound exists"
         )
-    return np.divide(raw, denom, out=np.zeros(positive.shape), where=positive)
+    with np.errstate(over="ignore"):
+        out = np.divide(raw, denom, out=np.zeros(positive.shape), where=positive)
+    if np.isinf(out).any():
+        raise ValueError("a time bound overflows float64: the spectrum is too narrow")
+    return out
 
 
 def bound_set(t: TraceInput, stats: EnergyStats) -> BoundSet:

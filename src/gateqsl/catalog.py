@@ -108,10 +108,14 @@ def hadamard_power(q: int) -> np.ndarray:
         raise ValueError("need at least one qubit")
     if q > _MAX_HADAMARD_QUBITS:
         raise ValueError(f"q = {q} exceeds the size guard ({_MAX_HADAMARD_QUBITS})")
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    out = h
-    for _ in range(q - 1):
-        out = np.kron(out, h)
+    # Entry (i, j) is (-1)^popcount(i & j) (1/sqrt 2)^q, the power rounded
+    # one factor at a time as np.kron would; Sylvester doubling fills the signs.
+    out = np.empty((2**q, 2**q))
+    out[0, 0] = math.prod([1.0 / math.sqrt(2.0)] * q)
+    for k in range(q):
+        s = 2**k
+        out[:s, s:2 * s] = out[s:2 * s, :s] = out[:s, :s]
+        np.negative(out[:s, :s], out=out[s:2 * s, s:2 * s])
     return out
 
 

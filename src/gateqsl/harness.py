@@ -3,13 +3,14 @@
 A campaign draws (spectrum, time) pairs and judges each one from its
 phases ``(E_k - E_0) T``: every trace bound and every exact product
 depends on the gate only through ``|tr U|`` and its eigenphases, which
-no basis change moves.  Each dimension runs as stacked arrays through
-one draw, phase and window path.  One draw in ``CROSS_CHECK_EVERY`` also
-goes the long way round, through a Haar basis, the gate built on it and
-the gate's ``eigvals``; its phases and product margins must agree with
-the spectral ones, or the campaign raises :class:`CrossCheckError`.
-Figure helpers emit the curve data behind the qubit exact-time plot, the
-qubit MUB-time plot and the two qutrit MUB family plots.
+no basis change moves.  The draws run as stacked arrays in passes that
+span dimensions, with only the n-by-n work done once per dimension.  One
+draw in ``CROSS_CHECK_EVERY`` also goes the long way round, through a
+Haar basis, the gate built on it and the gate's ``eigvals``; its phases
+and product margins must agree with the spectral ones, or the campaign
+raises :class:`CrossCheckError`.  Figure helpers emit the curve data
+behind the qubit exact-time plot, the qubit MUB-time plot and the two
+qutrit MUB family plots.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .linalg import random_unitaries, trace_abs
 from .minimal_time import (
     DOMINANCE_TOL,
     _exact_products,
+    _margins,
+    _phase_products,
     _phases,
     cyclic_distance,
-    dominance_from_phases,
     eigenphases,
     phases_from_levels,
 )
-from .spectrum import EnergySpectrum, level_stats
+from .spectrum import EnergySpectrum, EnergyStats, _level_moments
 
 DEFAULT_QUTRIT_X = (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi)
 
@@ -141,61 +143,95 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
     return EnergySpectrum(levels[0]), float(t[0]), u[0]
 
 
-def _judge(n: int, seed: int, indices: range) -> tuple[np.ndarray, int]:
-    """Worst margin of each draw of a stack, over the five time bounds
+def _passes(dims, samples_per_dim: int):
+    """The campaign's draws as passes, lists of ``(n, indices)`` pieces:
+    consecutive pieces share a pass while it holds at most
+    ``CHUNK_ENTRIES`` matrix entries."""
+    batch, entries = [], 0
+    for n in dims:
+        chunk = max(1, CHUNK_ENTRIES // (n * n))
+        for first in range(0, samples_per_dim, chunk):
+            indices = range(first, min(first + chunk, samples_per_dim))
+            if batch and entries + len(indices) * n * n > CHUNK_ENTRIES:
+                yield batch
+                batch, entries = [], 0
+            batch.append((n, indices))
+            entries += len(indices) * n * n
+    yield batch
+
+
+def _judge(seed: int, pieces) -> tuple[np.ndarray, int]:
+    """Worst margin of each draw of a pass, over the five time bounds
     and the five rotation-product bounds, and the number of draws
     cross-checked.
 
-    Every draw is judged from its phases ``(E_k - E_0) T``.  Draws whose
-    index is a multiple of ``CROSS_CHECK_EVERY`` also draw a Haar basis
-    and have their gate ``basis diag(e^{-i (E_k - E_0) T}) basis†``
-    built and diagonalised; the gate phases go through the same window
-    kernel call, stacked after the spectral ones.
+    Each ``(n, indices)`` piece draws its levels, takes the phases
+    ``(E_k - E_0) T``, the window kernel and the level moments.  Draws
+    whose index is a multiple of ``CROSS_CHECK_EVERY`` also have a gate
+    ``basis diag(e^{-i (E_k - E_0) T}) basis†`` built on a Haar basis and
+    diagonalised, its phases stacked after the spectral ones in the same
+    kernel call.  The margin step, the statistics and bound checks and
+    the cross-check then run once over the rows of the whole pass.
     """
-    k = len(indices)
-    levels, t, basis_seeds = _spectra(n, seed, indices, CROSS_CHECK_EVERY)
-    ph = phases_from_levels(levels, t)
-    tr = np.abs(np.exp(-1j * ph).sum(axis=-1))
-    if basis_seeds:
-        checked = slice(-indices.start % CROSS_CHECK_EVERY, k, CROSS_CHECK_EVERY)
-        lv, tc = levels[checked], t[checked]
-        # built from the unreduced products, so the gate shares no step
-        # with the phase reduction it checks
-        u = _gates(random_unitaries(n, basis_seeds), np.exp(-1j * (lv - lv[:, :1]) * tc[:, None]))
-        gate_ph = _phases(u)
-        d = dominance_from_phases(np.concatenate([ph, gate_ph]),
-                                  np.concatenate([tr, np.abs(np.trace(u, axis1=-2, axis2=-1))]))
-        _cross_check(n, seed, indices[checked], lv, tc, ph[checked], gate_ph,
-                     d.margins[:, checked], d.margins[:, k:])
-    else:
-        d = dominance_from_phases(ph, tr)
-    bs = bounds.bounds_from_products(d.ml[:k], d.mt[:k], level_stats(levels))
+    spectral, gate, moments, times, checked_rows, labels, distance = ([] for _ in range(7))
+    k = 0
+    for n, indices in pieces:
+        levels, t, basis_seeds = _spectra(n, seed, indices, CROSS_CHECK_EVERY)
+        ph = phases_from_levels(levels, t)
+        tr = np.abs(np.exp(-1j * ph).sum(axis=-1))
+        if basis_seeds:
+            checked = slice(-indices.start % CROSS_CHECK_EVERY, len(indices), CROSS_CHECK_EVERY)
+            lv, tc = levels[checked], t[checked]
+            # built from the unreduced products, so the gate shares no step
+            # with the phase reduction it checks
+            u = _gates(random_unitaries(n, basis_seeds),
+                       np.exp(-1j * (lv - lv[:, :1]) * tc[:, None]))
+            gate_ph = _phases(u)
+            products, deficit = _phase_products(np.concatenate([ph, gate_ph]))
+            gate.append((n, np.abs(np.trace(u, axis1=-2, axis2=-1)),
+                         products[:, len(t):], deficit[len(t):]))
+            products, deficit = products[:, :len(t)], deficit[:len(t)]
+            checked_rows += range(k, k + len(t))[checked]
+            labels += [(n, index) for index in indices[checked]]
+            distance.append(cyclic_distance(ph[checked], gate_ph))
+        else:
+            products, deficit = _phase_products(ph)
+        spectral.append((n, tr, products, deficit))
+        moments.append(_level_moments(levels))
+        times.append(t)
+        k += len(t)
+    ns, traces, products, deficits = zip(*spectral, *gate)
+    d = _margins(np.repeat(ns, [len(tr) for tr in traces]), np.concatenate(traces),
+                 np.concatenate(products, axis=-1), np.concatenate(deficits))
+    moments = np.concatenate(moments, axis=-1)
+    t = np.concatenate(times)
+    if labels:
+        # raise at the first draw whose gate phases or product margins
+        # disagree with its spectral ones
+        distance = np.concatenate(distance)
+        tol = CROSS_CHECK_PHASE_TOL * (1.0 + moments[3, checked_rows] * t[checked_rows])
+        margin_gap = np.abs(d.margins[:, k:] - d.margins[:, checked_rows]).max(axis=0)
+        bad = ~((distance <= tol) & (margin_gap <= CROSS_CHECK_MARGIN_TOL))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise CrossCheckError(
+                f"draw (seed {seed}, n {labels[i][0]}, index {labels[i][1]}): gate phases "
+                f"differ from the spectral phases by {distance[i]:.3g} (tolerance "
+                f"{tol[i]:.3g}) and product margins by {margin_gap[i]:.3g} (tolerance "
+                f"{CROSS_CHECK_MARGIN_TOL:g})"
+            )
+    bs = bounds.bounds_from_products(d.ml[:k], d.mt[:k], EnergyStats(*moments))
     worst_bound = np.maximum.reduce([bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt])
-    return np.minimum(t - worst_bound, d.margins[:, :k].min(axis=0)), len(basis_seeds)
-
-
-def _cross_check(n, seed, indices, levels, t, ph, gate_ph, margins, gate_margins) -> None:
-    """Raise :class:`CrossCheckError` at the first draw whose gate phases or
-    product margins disagree with its spectral ones."""
-    distance = cyclic_distance(ph, gate_ph)
-    margin_gap = np.abs(gate_margins - margins).max(axis=0)
-    tol = CROSS_CHECK_PHASE_TOL * (1.0 + (levels[:, -1] - levels[:, 0]) * t)
-    bad = ~((distance <= tol) & (margin_gap <= CROSS_CHECK_MARGIN_TOL))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise CrossCheckError(
-            f"draw (seed {seed}, n {n}, index {indices[i]}): gate phases differ from "
-            f"the spectral phases by {distance[i]:.3g} (tolerance {tol[i]:.3g}) and "
-            f"product margins by {margin_gap[i]:.3g} (tolerance {CROSS_CHECK_MARGIN_TOL:g})"
-        )
+    return np.minimum(t - worst_bound, d.margins[:, :k].min(axis=0)), len(labels)
 
 
 def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationReport:
     """Dominance campaign; failures are counted, never raised.
 
-    Each dimension runs as stacks of at most ``CHUNK_ENTRIES`` matrix
-    entries, so memory stays flat whatever the sample count.  A
-    cross-check mismatch raises :class:`CrossCheckError`.
+    The draws run as passes of at most ``CHUNK_ENTRIES`` matrix entries
+    (one draw, if n^2 alone exceeds it), so memory stays flat whatever
+    the sample count.  A cross-check mismatch raises
+    :class:`CrossCheckError`.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 2:
@@ -208,13 +244,11 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
     failures = 0
     cross_checked = 0
     worst = math.inf
-    for n in dims:
-        chunk = max(1, CHUNK_ENTRIES // (n * n))
-        for first in range(0, samples_per_dim, chunk):
-            margin, checked = _judge(n, seed, range(first, min(first + chunk, samples_per_dim)))
-            worst = min(worst, float(margin.min()))
-            failures += int(np.count_nonzero(margin < -DOMINANCE_TOL))
-            cross_checked += checked
+    for pieces in _passes(dims, samples_per_dim):
+        margin, checked = _judge(seed, pieces)
+        worst = min(worst, float(margin.min()))
+        failures += int(np.count_nonzero(margin < -DOMINANCE_TOL))
+        cross_checked += checked
     return VerificationReport(
         samples=len(dims) * samples_per_dim,
         failures=failures,

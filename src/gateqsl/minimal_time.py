@@ -17,12 +17,12 @@ For each rotation this module computes the dimensionless products
 the dual gap ``(E_max - mean)*T``, takes the least of each over the
 distinct rotations, and checks it against the corresponding trace
 bound.  :func:`dominance_from_phases` does this for a stack ``(..., n)``
-of sorted phase lists at once, with the n windows laid out by an n-by-n
-cyclic index.  :func:`dominance` feeds it the eigenphases of a stack of
-unitaries, and a campaign feeds it the phases ``(E_k - E_0) T`` of its
-drawn spectra; :func:`verify_dominance` is the batch of one.  A real
-gate stays float64 throughout, so its eigenvalues come from LAPACK's
-real solver.
+of sorted phase lists at once: a window kernel over an n-by-n cyclic
+index, then a margin step that needs no n-by-n shape.  :func:`dominance`
+and :func:`verify_dominance` run both on the eigenphases of unitaries; a
+campaign runs the kernel on each dimension's phases ``(E_k - E_0) T``
+and the margin step once over several dimensions.  A real gate stays
+float64 throughout, so its eigenvalues come from LAPACK's real solver.
 """
 
 from __future__ import annotations
@@ -163,14 +163,6 @@ def _windows(ph: np.ndarray):
     return np.array([mean - ph, var_t, last - ph, last - mean]), start
 
 
-def _trace_deficit(ph: np.ndarray) -> np.ndarray:
-    """``1 - r^2`` for phases ``(..., n)``, free of cancellation near r = 1:
-    ``n^2 - |tr U|^2 = sum_{j,k} 2 sin^2((phi_j - phi_k) / 2)``."""
-    n = ph.shape[-1]
-    s = np.sin(0.5 * (ph[..., :, None] - ph[..., None, :]))
-    return 2.0 * np.square(s).sum(axis=(-2, -1)) / (n * n)
-
-
 def _exact_products(ph: np.ndarray) -> np.ndarray:
     """Least products ``(4, ...)`` over the distinct cyclic windows of
     sorted phases ``(..., n)``, in the order e_t, var_t, width_t, dual_t."""
@@ -178,9 +170,31 @@ def _exact_products(ph: np.ndarray) -> np.ndarray:
     return np.where(start, products, np.inf).min(axis=-1)
 
 
+def _phase_products(ph: np.ndarray):
+    """The per-n kernel: least window products ``(4, ...)`` of sorted
+    phases ``(..., n)`` in [0, 2 pi), and their trace deficit ``1 - r^2``,
+    free of cancellation near r = 1:
+    ``n^2 - |tr U|^2 = sum_{j,k} 2 sin^2((phi_j - phi_k) / 2)``."""
+    n = ph.shape[-1]
+    s = np.sin(0.5 * (ph[..., :, None] - ph[..., None, :]))
+    return _exact_products(ph), 2.0 * np.square(s).sum(axis=(-2, -1)) / (n * n)
+
+
 def eigenphases(u) -> np.ndarray:
     """Sorted phases phi_k in [0, 2 pi) with eigenvalues(u) = {e^{-i phi_k}}."""
     return _phases(square_matrix(u))
+
+
+def _margins(n, trace_abs, products, deficit) -> Dominance:
+    """The margin step after :func:`_phase_products`, elementwise over
+    rows whose dimension ``n`` may differ from row to row."""
+    ratio = TraceInput(n, trace_abs).ratio
+    ml = ml_product(ratio)
+    mt = mt_from_deficit(deficit)
+    e_t, var_t, width_t, dual_t = products
+    margins = np.array([e_t - ml, var_t - mt, dual_t - ml, width_t - 2.0 * ml,
+                        width_t - 2.0 * mt])
+    return Dominance(ratio, ml, mt, margins)
 
 
 def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
@@ -195,18 +209,13 @@ def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
     # NaN and infinities fail the range test as well
     if not ((0.0 <= ph) & (ph < TWO_PI)).all():
         raise ValueError("phases must be finite and lie in [0, 2*pi)")
-    ratio = TraceInput(ph.shape[-1], trace_abs).ratio
-    ml = ml_product(ratio)
-    mt = mt_from_deficit(_trace_deficit(ph))
-    e_t, var_t, width_t, dual_t = _exact_products(ph)
-    margins = np.array([e_t - ml, var_t - mt, dual_t - ml, width_t - 2.0 * ml,
-                        width_t - 2.0 * mt])
-    return Dominance(ratio, ml, mt, margins)
+    return _margins(ph.shape[-1], trace_abs, *_phase_products(ph))
 
 
 def _dominance(u: np.ndarray) -> Dominance:
     """:func:`dominance` of a stack already checked square and finite."""
-    return dominance_from_phases(_phases(u), np.abs(np.trace(u, axis1=-2, axis2=-1)))
+    trace = np.abs(np.trace(u, axis1=-2, axis2=-1))
+    return _margins(u.shape[-1], trace, *_phase_products(_phases(u)))
 
 
 def dominance(u) -> Dominance:
@@ -218,8 +227,9 @@ def dominance(u) -> Dominance:
 def verify_dominance(u) -> VerificationRecord:
     """Check every rotation of ``u`` against all five trace bounds.
 
-    The batch of one of :func:`dominance`, passed when no margin is below
-    ``-DOMINANCE_TOL``.  A failed check is reported in the record
+    The batch of one of :func:`dominance`: the campaign's window kernel
+    and margin step, run as a one-piece pass.  Passed when no margin is
+    below ``-DOMINANCE_TOL``.  A failed check is reported in the record
     (negative margin, passed False), never raised.
     """
     u = square_matrix(u)

@@ -60,12 +60,14 @@ class EnergyStats:
             raise ValueError("energy statistics overflow float64 arithmetic")
         if np.any(np.minimum.reduce(gaps) < 0):
             raise ValueError("energy statistics cannot be negative")
-        # Rounding slack scales with the level magnitudes the gaps came from.
-        slack = 1e-12 * (1.0 + self.width + np.abs(self.mean))
-        if np.any(np.abs((self.e_above_ground + self.e_below_top) - self.width) > slack):
-            raise ValueError("e_above_ground + e_below_top must equal width")
-        if np.any(2.0 * self.variance_sqrt > self.width + slack):
-            raise ValueError("Popoviciu violated: 2*variance_sqrt exceeds width")
+        # Rounding slack scales with the level magnitudes the gaps came from;
+        # it is infinite, waiving both checks, where width + |mean| overflows.
+        with np.errstate(over="ignore"):
+            slack = 1e-12 * (1.0 + self.width + np.abs(self.mean))
+            if np.any(np.abs((self.e_above_ground + self.e_below_top) - self.width) > slack):
+                raise ValueError("e_above_ground + e_below_top must equal width")
+            if np.any(2.0 * self.variance_sqrt > self.width + slack):
+                raise ValueError("Popoviciu violated: 2*variance_sqrt exceeds width")
 
 
 def compute_stats(s: EnergySpectrum) -> EnergyStats:
@@ -76,17 +78,26 @@ def compute_stats(s: EnergySpectrum) -> EnergyStats:
 def level_stats(levels) -> EnergyStats:
     """:func:`compute_stats` of every row of sorted levels ``(..., n)``.
 
-    A statistic whose computation overflows float64 comes out non-finite,
-    and :class:`EnergyStats` rejects it.
+    A width beyond float64 range, or a non-finite level, gives a
+    non-finite statistic, and :class:`EnergyStats` rejects it.
     """
+    return EnergyStats(*_level_moments(levels))
+
+
+def _level_moments(levels) -> np.ndarray:
+    """Unchecked :class:`EnergyStats` fields ``(5, ...)`` of sorted levels
+    ``(..., n)``, taken with each row scaled by the power of two that
+    brings its largest ``|level|`` into [0.5, 1): exact, and the squared
+    deviations that set the spread neither overflow nor underflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = levels.mean(axis=-1)
-        # The mean of identical large levels can round an ulp past the
-        # extremes; the gap statistics are nonnegative by definition.
-        return EnergyStats(
-            mean=mean,
-            e_above_ground=np.maximum(0.0, mean - levels[..., 0]),
-            variance_sqrt=levels.std(axis=-1),
-            width=levels[..., -1] - levels[..., 0],
-            e_below_top=np.maximum(0.0, levels[..., -1] - mean),
-        )
+        _, exp = np.frexp(np.maximum(-levels[..., 0], levels[..., -1]))
+        x = np.ldexp(levels, -exp[..., None])
+        first, last = x[..., 0], x[..., -1]
+        # bitwise numpy's mean and std, with less call overhead
+        mean = x.sum(axis=-1) / x.shape[-1]
+        std = np.sqrt(np.square(x - mean[..., None]).sum(axis=-1) / x.shape[-1])
+        # The mean of identical levels can round an ulp past the extremes;
+        # the gap statistics are nonnegative by definition.
+        moments = np.array([mean, np.maximum(0.0, mean - first), std, last - first,
+                            np.maximum(0.0, last - mean)])
+        return np.ldexp(moments, exp)

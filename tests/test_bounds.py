@@ -41,6 +41,15 @@ class TestTraceInput:
         with pytest.raises(ValueError):
             TraceInput(0, 0.0)
 
+    def test_per_row_dimension(self):
+        ti = TraceInput(np.array([2, 3, 64]), np.array([2.0 + 1e-10, 1.5, -1e-12]))
+        assert ti.trace_abs.tolist() == [2.0, 1.5, 0.0]
+        assert ti.ratio.tolist() == [1.0, 0.5, 0.0]
+        with pytest.raises(ValueError, match=r"\|tr U\| = 2.5 outside \[0, 2\]"):
+            TraceInput(np.array([3, 2]), np.array([2.5, 2.5]))
+        with pytest.raises(ValueError):
+            TraceInput(np.array([2, 0]), np.zeros(2))
+
 
 class TestMlBound:
     def test_vanishing_trace(self):

@@ -125,6 +125,16 @@ class TestHadamardPower:
             # every overlap with the standard basis has squared modulus 1/2^q
             assert np.max(np.abs(np.abs(h) ** 2 - 2.0**-q)) < 1e-12
 
+    def test_bitwise_the_kronecker_power(self):
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        kron = h
+        for q in range(1, 11):
+            got = hadamard_power(q)
+            assert got.dtype == np.float64
+            assert got.shape == kron.shape
+            assert got.tobytes() == kron.tobytes()
+            kron = np.kron(kron, h)
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             hadamard_power(11)

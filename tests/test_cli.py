@@ -74,16 +74,30 @@ class TestBoundsCommand:
         code, _, _ = run_cli(["bounds", "--fourier", "4", "--spectrum", "0,1"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("spectrum", ["1,1", "1,2,3", "0,1e200", "1e308,-1e308"])
+    @pytest.mark.parametrize("spectrum", ["1,1", "1,2,3", "1.5e308,-1.5e308", "1e308,-1e308",
+                                          "0,1e-310"])
     def test_spectrum_error_prints_nothing_on_stdout(self, spectrum, capsys, recwarn):
         # "1,1" leaves the bounds undefined; "1,2,3" has the wrong length;
-        # the spread, or the width and the spread, of the last two overflow
+        # the width of the next two overflows, and so do the bounds of the
+        # last, whose mean energy is 5e-311
         code, out, err = run_cli(["bounds", "--fourier", "2", "--spectrum", spectrum], capsys)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
         assert not recwarn.list
+
+    def test_wide_spectrum_within_float64(self, capsys, recwarn):
+        # squaring the deviations of these levels would overflow
+        code, out, err = run_cli(["bounds", "--fourier", "2", "--spectrum", "0,1e200"], capsys)
+        assert code == 0
+        assert err == ""
+        assert not recwarn.list
+        rows = {line[:11].strip(): float(line[11:].split()[0]) for line in out.splitlines()}
+        # r = 4.3e-17 rounds out of both products: ml = (pi/2) / 5e199, mt = 1 / 5e199
+        assert rows["ml"] == pytest.approx(math.pi * 1e-200, rel=1e-11)
+        assert rows["mt"] == pytest.approx(2e-200, rel=1e-11)
+        assert rows["width_mt"] == pytest.approx(2e-200, rel=1e-11)
 
     def test_file_trace_overshoot_clamped(self, tmp_path, capsys):
         # unitary to the file tolerance, yet |tr U| exceeds n by 8e-7

@@ -139,6 +139,76 @@ class TestBatchedEngine:
         assert report.worst_margin >= -DOMINANCE_TOL
 
 
+def judged_by_pass(dims, samples, seed):
+    """Per-draw margins and cross-checked count of the campaign's passes."""
+    judged = [harness._judge(seed, pieces) for pieces in harness._passes(dims, samples)]
+    return np.concatenate([m for m, _ in judged]), sum(c for _, c in judged)
+
+
+def judged_by_dimension(dims, samples, seed):
+    """The same, judging one dimension's stack of at most ``CHUNK_ENTRIES``
+    matrix entries at a time, as campaigns ran before passes."""
+    judged = []
+    for n in dims:
+        chunk = max(1, CHUNK_ENTRIES // (n * n))
+        judged += [harness._judge(seed, [(n, range(first, min(first + chunk, samples)))])
+                   for first in range(0, samples, chunk)]
+    return np.concatenate([m for m, _ in judged]), sum(c for _, c in judged)
+
+
+def pass_entries(pieces):
+    return sum(len(indices) * n * n for n, indices in pieces)
+
+
+class TestPasses:
+    @pytest.mark.parametrize("dims, samples", [(range(2, 9), 40), ((2, 16, 64), 70),
+                                               ((64, 3), 20)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_margins_bitwise_the_per_dimension_judge(self, dims, samples, seed):
+        margins, checked = judged_by_pass(dims, samples, seed)
+        reference, ref_checked = judged_by_dimension(dims, samples, seed)
+        assert margins.shape == (len(dims) * samples,)
+        assert margins.tobytes() == reference.tobytes()
+        assert checked == ref_checked
+
+    def test_pieces_pack_across_dimensions(self):
+        # campaign-small and the default verify each run as one pass
+        assert len(list(harness._passes(range(3, 9), 3))) == 1
+        assert len(list(harness._passes(range(2, 9), 200))) == 1
+        # n = 64 splits 16 + 4, and the short piece packs with n = 3
+        assert list(harness._passes((64, 3), 20)) == [
+            [(64, range(0, 16))], [(64, range(16, 20)), (3, range(0, 20))]]
+
+    @pytest.mark.parametrize("dims, samples", [(range(2, 9), 200), ((2, 16, 64), 70),
+                                               ((64, 3), 20), ((256, 2, 255), 3),
+                                               ((300, 2), 2), ((5,) * 4, 1000)])
+    def test_no_pass_exceeds_chunk_entries(self, dims, samples):
+        passes = list(harness._passes(dims, samples))
+        for pieces in passes:
+            # a draw larger than a chunk is a pass of its own
+            entries = pass_entries(pieces)
+            assert entries <= CHUNK_ENTRIES or entries == pieces[0][0] ** 2
+        # every draw once, in campaign order
+        draws = [(n, i) for pieces in passes for n, indices in pieces for i in indices]
+        assert draws == [(n, i) for n in dims for i in range(samples)]
+
+    def test_mismatch_in_second_dimension_names_its_draw(self, monkeypatch):
+        # draw 64 of n = 5 is cross-checked, in the second piece of one pass
+        assert len(list(harness._passes((2, 5), 130))) == 1
+        exact = harness.phases_from_levels
+
+        def perturbed(levels, t):
+            ph = exact(levels, t)
+            if levels.shape[-1] == 5:
+                ph[64, -1] += 1e-6
+            return ph
+
+        monkeypatch.setattr(harness, "phases_from_levels", perturbed)
+        with pytest.raises(CrossCheckError, match=r"seed 7, n 5, index 64\)") as exc:
+            run_random_campaign((2, 5), 130, 7)
+        assert "differ from the spectral phases by 1e-06" in str(exc.value)
+
+
 def perturb_last_draw(monkeypatch, offset=1e-6):
     """Make the spectral phases of every stack's last draw wrong by ``offset``."""
     exact = harness.phases_from_levels
@@ -177,6 +247,15 @@ class TestSpectralVerdict:
         with pytest.raises(CrossCheckError, match=r"seed 7, n 3, index 0\)") as exc:
             run_random_campaign([3], 1, 7)
         assert "differ from the spectral phases by 1e-06" in str(exc.value)
+
+    def test_margin_mismatch_raises(self, monkeypatch):
+        # a 1e-10 phase error is within the phase tolerance, but moves the
+        # product margins by more than CROSS_CHECK_MARGIN_TOL
+        perturb_last_draw(monkeypatch, offset=1e-10)
+        with pytest.raises(CrossCheckError, match=r"seed 7, n 3, index 0\)") as exc:
+            run_random_campaign([3], 1, 7)
+        assert ("by 1e-10 (tolerance 4.99e-09) and product margins by 8.07e-11 (tolerance 1e-12)"
+                in str(exc.value))
 
     def test_unchecked_draws_are_judged_spectrally(self, monkeypatch):
         # draw 4 is not cross-checked, so its wrong phases go into the

@@ -110,9 +110,42 @@ def test_stats_validation_rejects_inconsistency():
         EnergyStats(mean=0.0, e_above_ground=0.5, variance_sqrt=2.0, width=1.0, e_below_top=0.5)
 
 
-@pytest.mark.parametrize("levels", [[0.0, 1e200], [1e308, -1e308], [1e308, 1.5e308]])
+@pytest.mark.parametrize("levels", [[1.5e308, -1.5e308], [1e308, -1e308], [-1e308, 0.0, 9e307]])
 def test_overflowing_statistics_rejected(levels, recwarn):
-    # the spread, the width and the mean overflow float64 in turn
+    # only the width can overflow: the mean lies between the extremes,
+    # and the spread and both gaps are at most the width
     with pytest.raises(ValueError, match="overflow"):
         compute_stats(EnergySpectrum(levels))
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("levels, mean, gap, width", [
+    ([0.0, 2e154], 1e154, 1e154, 2e154),
+    ([0.0, 1e200], 5e199, 5e199, 1e200),
+    ([1e308, 1.5e308], 1.25e308, 2.5e307, 5e307),
+    ([0.0, 1.7e308], 8.5e307, 8.5e307, 1.7e308),
+])
+def test_wide_statistics_fit_float64(levels, mean, gap, width, recwarn):
+    # squaring these deviations overflows, and for the last so does the
+    # rounding slack of the EnergyStats checks; the statistics fit
+    stats = compute_stats(EnergySpectrum(levels))
+    assert stats.mean == mean
+    assert stats.e_above_ground == stats.variance_sqrt == stats.e_below_top == gap
+    assert stats.width == width
+    assert not recwarn.list
+
+
+def test_narrow_spread_does_not_underflow():
+    # the squared deviations, 2.5e-601, underflow unless scaled first
+    assert compute_stats(EnergySpectrum([0.0, 1e-300])).variance_sqrt == 5e-301
+
+
+@pytest.mark.parametrize("power", [-1000, -600, -1, 1, 600, 1000])
+def test_power_of_two_scaling_is_exact(power):
+    rng = np.random.default_rng(power + 2000)
+    for n in (1, 2, 3, 8, 64):
+        levels = rng.uniform(-10.0, 10.0, n)
+        base = compute_stats(EnergySpectrum(levels))
+        scaled = compute_stats(EnergySpectrum(np.ldexp(levels, power)))
+        for name in ("mean", "e_above_ground", "variance_sqrt", "width", "e_below_top"):
+            assert getattr(scaled, name) == np.ldexp(getattr(base, name), power)
