@@ -20,7 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Size guard of hadamard_power, in qubits, and the dimension it allows.
 _MAX_HADAMARD_QUBITS = 10
+_MAX_HADAMARD_DIM = 2**_MAX_HADAMARD_QUBITS
 
 
 class MubFamily(enum.Enum):

@@ -38,8 +38,8 @@ DEFAULT_SEED = 12345
 FILE_UNITARY_TOL = 1e-6
 
 # Largest gate dimension accepted from --dims, a matrix file or a named
-# gate: that of hadamard_power(10), the largest Hadamard power.
-MAX_DIM = 1024
+# gate: that of the largest Hadamard power.
+MAX_DIM = catalog._MAX_HADAMARD_DIM
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -70,7 +70,10 @@ def _qubit_params(text: str) -> catalog.QubitParams:
     vals = _floats_csv(text)
     if len(vals) != 4:
         raise argparse.ArgumentTypeError("expected phi,alpha,beta,theta")
-    return catalog.QubitParams(*vals)
+    try:
+        return catalog.QubitParams(*vals)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 _FAMILY_NAMES = {"1": catalog.MubFamily.ONE, "one": catalog.MubFamily.ONE,
@@ -86,7 +89,10 @@ def _qutrit_params(text: str) -> catalog.QutritMubParams:
         x, y = float(parts[1]), float(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad qutrit angles in {text!r}")
-    return catalog.QutritMubParams(_FAMILY_NAMES[parts[0].strip().lower()], x, y)
+    try:
+        return catalog.QutritMubParams(_FAMILY_NAMES[parts[0].strip().lower()], x, y)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def load_matrix_file(path: str) -> np.ndarray:
@@ -228,7 +234,11 @@ _FIGURES = {
 
 
 def cmd_figure(args) -> int:
-    points = _FIGURES[args.name](args.resolution + 1)
+    try:
+        points = _FIGURES[args.name](args.resolution + 1)
+    except harness._FigureCheckError as exc:
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return EXIT_FAILED_CHECK
     try:
         out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
         try:
@@ -331,6 +341,9 @@ def main(argv=None) -> int:
             parser.error("--dims must be integers >= 2")
         if max(args.dims) > MAX_DIM:
             print(f"error: --dims entries must be at most {MAX_DIM}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        if len(set(args.dims)) < len(args.dims):
+            print("error: --dims entries must be distinct", file=sys.stderr)
             return EXIT_BAD_INPUT
         if args.seed < 0:
             parser.error("--seed must be nonnegative")

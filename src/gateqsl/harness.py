@@ -10,7 +10,9 @@ Haar basis, the gate built on it and the gate's ``eigvals``; its phases
 and product margins must agree with the spectral ones, or the campaign
 raises :class:`CrossCheckError`.  Figure helpers emit the curve data
 behind the qubit exact-time plot, the qubit MUB-time plot and the two
-qutrit MUB family plots.
+qutrit MUB family plots, each as one stack: the qutrit gates go through
+the campaign's window kernel and margin step, and one array check
+raises at the first point whose exact column is below its bound.
 """
 
 from __future__ import annotations
@@ -23,15 +25,13 @@ import numpy as np
 
 from . import bounds
 from .catalog import MubFamily, QutritMubParams, qutrit_mub
-from .linalg import random_unitaries, trace_abs
+from .linalg import random_unitaries
 from .minimal_time import (
     DOMINANCE_TOL,
-    _exact_products,
     _margins,
     _phase_products,
     _phases,
     cyclic_distance,
-    eigenphases,
     phases_from_levels,
 )
 from .spectrum import EnergySpectrum, EnergyStats, _level_moments
@@ -57,6 +57,10 @@ CROSS_CHECK_MARGIN_TOL = 1e-12
 
 class CrossCheckError(RuntimeError):
     """A cross-checked draw's gate disagrees with its spectral verdict."""
+
+
+class _FigureCheckError(RuntimeError):
+    """A figure point's exact column is below its bound."""
 
 
 @dataclass(frozen=True)
@@ -92,26 +96,30 @@ class CurvePoint:
     mt: float | None
 
 
-def _spectra(n: int, seed: int, indices, basis_every: int):
+def _spectra(n: int, seed: int, indices):
     """Sorted levels ``(k, n)`` and times ``(k,)`` of campaign draws
-    ``indices`` at dimension ``n``, and the basis seeds of the draws whose
-    index is a multiple of ``basis_every``.
+    ``indices`` at dimension ``n``, and each draw's RNG, positioned to draw
+    its basis next.
 
     Each draw has its own RNG stream keyed by ``(seed, n, index)``, with
-    its levels and time first and its basis seed next, so a draw is the
-    same whatever stack it is made in.
+    its levels and time first, so a draw is the same whatever stack it is
+    made in.
     """
     levels = np.empty((len(indices), n))
     t = np.empty(len(indices))
-    basis_seeds = []
+    rngs = []
     for i, index in enumerate(indices):
         rng = np.random.default_rng((seed, n, index))
         levels[i] = rng.uniform(0.0, SPECTRUM_HIGH, n)
         t[i] = TIME_HIGH * (1.0 - rng.uniform())
-        if index % basis_every == 0:
-            basis_seeds.append(int(rng.integers(0, 2**63 - 1)))
+        rngs.append(rng)
     levels.sort(axis=-1)
-    return levels, t, basis_seeds
+    return levels, t, rngs
+
+
+def _bases(n: int, rngs) -> np.ndarray:
+    """Haar bases ``(k, n, n)`` seeded from draw RNGs positioned by :func:`_spectra`."""
+    return random_unitaries(n, [int(rng.integers(0, 2**63 - 1)) for rng in rngs])
 
 
 def _draws(n: int, seed: int, indices):
@@ -120,8 +128,8 @@ def _draws(n: int, seed: int, indices):
     Returns sorted levels ``(k, n)``, times ``(k,)`` and gates
     ``basis diag(e^{-i E_k T}) basis†`` ``(k, n, n)``.
     """
-    levels, t, basis_seeds = _spectra(n, seed, indices, 1)
-    u = _gates(random_unitaries(n, basis_seeds), np.exp(-1j * levels * t[:, None]))
+    levels, t, rngs = _spectra(n, seed, indices)
+    u = _gates(_bases(n, rngs), np.exp(-1j * levels * t[:, None]))
     return levels, t, u
 
 
@@ -176,16 +184,15 @@ def _judge(seed: int, pieces) -> tuple[np.ndarray, int]:
     spectral, gate, moments, times, checked_rows, labels, distance = ([] for _ in range(7))
     k = 0
     for n, indices in pieces:
-        levels, t, basis_seeds = _spectra(n, seed, indices, CROSS_CHECK_EVERY)
+        levels, t, rngs = _spectra(n, seed, indices)
         ph = phases_from_levels(levels, t)
         tr = np.abs(np.exp(-1j * ph).sum(axis=-1))
-        if basis_seeds:
-            checked = slice(-indices.start % CROSS_CHECK_EVERY, len(indices), CROSS_CHECK_EVERY)
+        checked = slice(-indices.start % CROSS_CHECK_EVERY, len(indices), CROSS_CHECK_EVERY)
+        if indices[checked]:
             lv, tc = levels[checked], t[checked]
             # built from the unreduced products, so the gate shares no step
             # with the phase reduction it checks
-            u = _gates(random_unitaries(n, basis_seeds),
-                       np.exp(-1j * (lv - lv[:, :1]) * tc[:, None]))
+            u = _gates(_bases(n, rngs[checked]), np.exp(-1j * (lv - lv[:, :1]) * tc[:, None]))
             gate_ph = _phases(u)
             products, deficit = _phase_products(np.concatenate([ph, gate_ph]))
             gate.append((n, np.abs(np.trace(u, axis1=-2, axis2=-1)),
@@ -236,6 +243,8 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 2:
         raise ValueError("dims must be a nonempty list of integers >= 2")
+    if len(set(dims)) < len(dims):
+        raise ValueError("dims must be distinct")
     if samples_per_dim < 1:
         raise ValueError("need at least one sample per dimension")
     if seed < 0:
@@ -260,15 +269,18 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
     )
 
 
-def _checked_point(abscissa: float, exact: float, ml: float, mt: float | None) -> CurvePoint:
-    ml = float(ml)
-    mt = None if mt is None else float(mt)
-    limit = ml if mt is None else max(ml, mt)
-    if exact < limit - DOMINANCE_TOL:
-        raise RuntimeError(
-            f"dominance violated at abscissa {abscissa}: exact {exact} < bound {limit}"
-        )
-    return CurvePoint(abscissa=abscissa, exact=float(exact), ml=ml, mt=mt)
+def _curve(abscissa, exact, ml, mt=None) -> list[CurvePoint]:
+    """Figure rows from their columns, after one check over all of them:
+    the exact column may not fall more than ``DOMINANCE_TOL`` below the
+    bound, ml or max(ml, mt).  The first abscissa where it does raises."""
+    limit = ml if mt is None else np.maximum(ml, mt)
+    bad = exact < limit - DOMINANCE_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _FigureCheckError(f"dominance violated at abscissa {abscissa[i]}: "
+                                f"exact {exact[i]} < bound {limit[i]}")
+    mt = [None] * len(ml) if mt is None else mt.tolist()
+    return [CurvePoint(*row) for row in zip(abscissa.tolist(), exact.tolist(), ml.tolist(), mt)]
 
 
 def _grid(stop: float, points: int) -> np.ndarray:
@@ -280,17 +292,14 @@ def _grid(stop: float, points: int) -> np.ndarray:
 
 def _qubit_curve(grid, trace) -> list[CurvePoint]:
     """Exact qubit E*T, arccos(|tr U|/2), vs the two bounds at each abscissa
-    of ``grid``, where ``trace`` maps an abscissa to |tr U|.
+    of ``grid``, where ``trace`` maps the abscissae to |tr U|.
 
     Everything is expressed as E*T with the qubit identity dE = E, so
     both bound columns live on the same axis as the exact curve.
     """
-    out = []
-    for a in grid:
-        ratio = trace(a) / 2.0
-        out.append(_checked_point(abscissa=float(a), exact=math.acos(min(1.0, ratio)),
-                                  ml=bounds.ml_product(ratio), mt=bounds.mt_product(ratio)))
-    return out
+    ratio = trace(grid) / 2.0
+    exact = np.array([math.acos(min(1.0, r)) for r in ratio.tolist()])
+    return _curve(grid, exact, bounds.ml_product(ratio), bounds.mt_product(ratio))
 
 
 def figure_qubit(points: int) -> list[CurvePoint]:
@@ -305,7 +314,7 @@ def figure_qubit_mub(points: int) -> list[CurvePoint]:
     at the endpoints and the maximum pi/2 at alpha = pi/2.
     """
     return _qubit_curve(_grid(math.pi, points),
-                        lambda alpha: math.sqrt(2.0) * abs(math.cos(alpha)))
+                        lambda alpha: math.sqrt(2.0) * np.abs(np.cos(alpha)))
 
 
 def figure_qutrit(family: MubFamily, x_values=DEFAULT_QUTRIT_X,
@@ -315,19 +324,13 @@ def figure_qutrit(family: MubFamily, x_values=DEFAULT_QUTRIT_X,
     One block of rows per x value, each sweeping y over [0, 2 pi]; the
     abscissa column is y.  The exact column takes the smallest E*T over
     all canonical rotations, matching the most favorable energy ordering.
+    The gates are judged as one stack, through the campaign's kernel.
     """
     grid = _grid(2.0 * math.pi, y_points)
-    out = []
-    for x in x_values:
-        for y in grid:
-            u = qutrit_mub(QutritMubParams(family=family, x=float(x), y=float(y)))
-            ratio = min(1.0, trace_abs(u) / 3.0)
-            out.append(
-                _checked_point(
-                    abscissa=float(y),
-                    exact=_exact_products(eigenphases(u))[0],
-                    ml=bounds.ml_product(ratio),
-                    mt=None,
-                )
-            )
-    return out
+    u = np.array([qutrit_mub(QutritMubParams(family=family, x=float(x), y=float(y)))
+                  for x in x_values for y in grid]).reshape(-1, 3, 3)
+    tr = np.trace(u, axis1=-2, axis2=-1)
+    products, deficit = _phase_products(_phases(u))
+    # hypot rounds as trace_abs does; np.abs of a complex array may not
+    d = _margins(3, np.hypot(tr.real, tr.imag), products, deficit)
+    return _curve(np.tile(grid, len(x_values)), products[0], d.ml)

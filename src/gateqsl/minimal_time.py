@@ -163,21 +163,17 @@ def _windows(ph: np.ndarray):
     return np.array([mean - ph, var_t, last - ph, last - mean]), start
 
 
-def _exact_products(ph: np.ndarray) -> np.ndarray:
-    """Least products ``(4, ...)`` over the distinct cyclic windows of
-    sorted phases ``(..., n)``, in the order e_t, var_t, width_t, dual_t."""
-    products, start = _windows(ph)
-    return np.where(start, products, np.inf).min(axis=-1)
-
-
 def _phase_products(ph: np.ndarray):
-    """The per-n kernel: least window products ``(4, ...)`` of sorted
-    phases ``(..., n)`` in [0, 2 pi), and their trace deficit ``1 - r^2``,
-    free of cancellation near r = 1:
-    ``n^2 - |tr U|^2 = sum_{j,k} 2 sin^2((phi_j - phi_k) / 2)``."""
+    """The per-n kernel of the campaign, :func:`dominance` and the qutrit
+    figures: the least products ``(4, ...)``, e_t, var_t, width_t and dual_t,
+    over the distinct cyclic windows of sorted phases ``(..., n)`` in
+    [0, 2 pi), and their trace deficit ``1 - r^2``, free of cancellation
+    near r = 1: ``n^2 - |tr U|^2 = sum_{j,k} 2 sin^2((phi_j - phi_k) / 2)``."""
     n = ph.shape[-1]
+    products, start = _windows(ph)
     s = np.sin(0.5 * (ph[..., :, None] - ph[..., None, :]))
-    return _exact_products(ph), 2.0 * np.square(s).sum(axis=(-2, -1)) / (n * n)
+    return (np.where(start, products, np.inf).min(axis=-1),
+            2.0 * np.square(s).sum(axis=(-2, -1)) / (n * n))
 
 
 def eigenphases(u) -> np.ndarray:

@@ -22,7 +22,7 @@ from gateqsl.catalog import (
 from gateqsl.cli import main as cli_main
 from gateqsl.harness import DEFAULT_QUTRIT_X, _draws, figure_qubit, figure_qutrit
 from gateqsl.linalg import random_unitary, trace_abs
-from gateqsl.minimal_time import TWO_PI, _exact_products, _windows, eigenphases
+from gateqsl.minimal_time import TWO_PI, _phase_products, _windows, eigenphases
 from gateqsl.spectrum import EnergySpectrum, compute_stats, level_stats
 
 CAMPAIGN_SEED = 20240
@@ -189,7 +189,7 @@ def test_criterion_11_branch_enumeration_soundness():
     for n in (2, 3, 4):
         for _ in range(60):
             phases = np.sort(rng.uniform(0.0, TWO_PI, n))
-            min_e, min_var, min_width, _ = _exact_products(phases)
+            min_e, min_var, min_width, _ = _phase_products(phases)[0]
             best_e = best_var = best_width = math.inf
             for assignment in itertools.product((0, 1, 2), repeat=n):
                 theta = phases + TWO_PI * np.asarray(assignment)

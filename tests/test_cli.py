@@ -165,6 +165,26 @@ class TestBoundsCommand:
         row = next(line for line in out.splitlines() if line.startswith("ml"))
         assert float(row.split()[1]) == pytest.approx(0.608297341058149, abs=1e-12)
 
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--qubit", "nan,0,0,0", "qubit parameters must be finite"),
+        ("--qutrit-mub", "1,inf,0", "qutrit parameters must be finite"),
+    ])
+    def test_non_finite_parameters_name_the_reason(self, flag, value, reason, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"argument {flag}: {reason}")
+        assert "_params" not in err
+
+    @pytest.mark.parametrize("q", ["11", "1000000000"])
+    def test_hadamard_power_above_cap_exits_2(self, q, capsys):
+        code, out, err = run_cli(["bounds", f"--hadamard-power={q}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
     def test_requires_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--fourier", "4", "--grover", "2"])
@@ -219,6 +239,12 @@ class TestVerifyCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
+
+    def test_repeated_dims_exit_2(self, capsys):
+        code, out, err = run_cli(["verify", "--dims=2,2", "--samples", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --dims entries must be distinct\n"
 
     def test_pinned_near_identity_seed_passes(self, capsys):
         # r = 1 - 1e-8: a false FAIL at -2.07e-8 when 1 - r^2 came from the rounded trace
@@ -370,6 +396,21 @@ class TestFigureCommand:
                                capsys)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_broken_bound_exits_1(self, to_file, tmp_path, capsys, monkeypatch):
+        from gateqsl import bounds
+
+        ml = bounds.ml_product
+        monkeypatch.setattr(bounds, "ml_product", lambda r: ml(r) + 2.0)
+        out_path = tmp_path / "broken.csv"
+        code, out, err = run_cli(["figure", "qubit", "-r", "4"]
+                                 + (["-o", str(out_path)] if to_file else []), capsys)
+        assert code == 1
+        assert out == ""
+        assert not out_path.exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("FAILED: dominance violated at abscissa 0.0: ")
 
     def test_bad_resolution_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,13 +1,14 @@
 """Campaign behavior and figure-data invariants."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gateqsl import harness
-from gateqsl.bounds import TraceInput, bound_set
-from gateqsl.catalog import MubFamily
+from gateqsl import bounds, harness, minimal_time
+from gateqsl.bounds import TraceInput, bound_set, ml_product
+from gateqsl.catalog import MubFamily, QutritMubParams, qutrit_mub
 from gateqsl.harness import (
     CHUNK_ENTRIES,
     CROSS_CHECK_EVERY,
@@ -25,6 +26,7 @@ from gateqsl.harness import (
 from gateqsl.linalg import is_unitary, trace_abs
 from gateqsl.minimal_time import (
     DOMINANCE_TOL,
+    _phase_products,
     cyclic_distance,
     eigenphases,
     phases_from_levels,
@@ -64,6 +66,11 @@ class TestCampaign:
             run_random_campaign([2], 0, 0)
         with pytest.raises(ValueError):
             run_random_campaign([2], 5, -3)
+
+    def test_repeated_dimension_rejected(self):
+        # a repeat would judge the same draws twice
+        with pytest.raises(ValueError, match="distinct"):
+            run_random_campaign([2, 3, 2], 2, 0)
 
     def test_degenerate_spectrum_sample_passes_trivially(self):
         # all bounds vanish for an identity-like gate from a flat spectrum
@@ -346,6 +353,51 @@ class TestFigureQutrit:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             figure_qutrit(MubFamily.ONE, y_points=1)
+
+    @pytest.mark.parametrize("family", list(MubFamily))
+    @pytest.mark.parametrize("xs", [DEFAULT_QUTRIT_X, (0.3, -1.2, 2.5, 7.0)])
+    def test_rows_bitwise_the_per_gate_computation(self, family, xs):
+        ys = np.linspace(0.0, 2.0 * math.pi, 17)
+        rows = figure_qutrit(family, x_values=xs, y_points=len(ys))
+        assert len(rows) == len(xs) * len(ys)
+        for row, (x, y) in zip(rows, itertools.product(xs, ys)):
+            u = qutrit_mub(QutritMubParams(family=family, x=x, y=float(y)))
+            assert row.abscissa == y
+            assert row.exact == _phase_products(eigenphases(u))[0][0]
+            assert row.ml == ml_product(min(1.0, trace_abs(u) / 3.0))
+            assert row.mt is None
+
+
+class TestFigureCheck:
+    """A figure whose exact column falls below its bound raises, naming the
+    first abscissa where it does."""
+
+    def test_qubit_names_first_failing_abscissa(self, monkeypatch):
+        ml = bounds.ml_product
+        # ratios 0, 0.25, 0.5, 0.75, 1: the bound breaks from |tr U| = 1 on
+        monkeypatch.setattr(bounds, "ml_product", lambda r: ml(r) + np.where(r >= 0.5, 2.0, 0.0))
+        with pytest.raises(RuntimeError, match=r"^dominance violated at abscissa 1\.0: exact "):
+            figure_qubit(5)
+
+    def test_qubit_mub_checks_the_mt_column(self, monkeypatch):
+        mt = bounds.mt_product
+        monkeypatch.setattr(bounds, "mt_product", lambda r: mt(r) + 2.0)
+        with pytest.raises(RuntimeError, match=r"abscissa 0\.0: "):
+            figure_qubit_mub(3)
+
+    def test_qutrit_names_first_failing_abscissa(self, monkeypatch):
+        ml = minimal_time.ml_product
+        # rows 0-4 are the block x = 0; row 6 is y = pi/2 of the block x = 1
+        monkeypatch.setattr(minimal_time, "ml_product",
+                            lambda r: ml(r) + np.where(np.arange(r.size) >= 6, 10.0, 0.0))
+        with pytest.raises(RuntimeError, match=rf"abscissa {math.pi / 2}: exact "):
+            figure_qutrit(MubFamily.ONE, x_values=(0.0, 1.0), y_points=5)
+
+    def test_bound_within_tolerance_passes(self, monkeypatch):
+        ml = bounds.ml_product
+        # the exact column at |tr U| = 2 is 0; a bound DOMINANCE_TOL above it passes
+        monkeypatch.setattr(bounds, "ml_product", lambda r: ml(r) + DOMINANCE_TOL)
+        assert figure_qubit(3)[-1].exact == 0.0
 
 
 def test_curve_point_is_plain_record():

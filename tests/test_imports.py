@@ -1,0 +1,42 @@
+"""Every module of the package reads each name it imports.
+
+No linter ships with the toolchain, so this parses each module with the
+standard library's ``ast``.  ``__init__.py`` is left out: its imports are
+re-exports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gateqsl"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; ``__future__`` imports are exempt."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    # an attribute chain such as np.linalg.eigvals starts with a read of np
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"harness.py", "minimal_time.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_import(path):
+    assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unread_import_is_caught():
+    source = "from __future__ import annotations\nimport math\nfrom os import path, sep\nsep\n"
+    assert unread_imports(source) == ["math", "path"]

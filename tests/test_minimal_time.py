@@ -24,7 +24,7 @@ from gateqsl.linalg import random_unitaries, random_unitary
 from gateqsl.minimal_time import (
     DOMINANCE_TOL,
     TWO_PI,
-    _exact_products,
+    _phase_products,
     _windows,
     dominance,
     dominance_from_phases,
@@ -55,7 +55,7 @@ def rotations(phases):
 
 def exact_minima(phases):
     """Least e_t, var_t and width_t over the distinct windows of ``phases``."""
-    e_t, var_t, width_t, _ = _exact_products(np.sort(np.asarray(phases, dtype=np.float64)))
+    e_t, var_t, width_t, _ = _phase_products(np.sort(np.asarray(phases, dtype=np.float64)))[0]
     return e_t, var_t, width_t
 
 
