@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds
 from .catalog import MubFamily, QutritMubParams, qutrit_mub
-from .linalg import random_unitaries
+from .linalg import _modulus, random_unitaries
 from .minimal_time import (
     DOMINANCE_TOL,
     _margins,
@@ -96,40 +96,35 @@ class CurvePoint:
     mt: float | None
 
 
-def _spectra(n: int, seed: int, indices):
+def _spectra(n: int, seed: int, indices: range):
     """Sorted levels ``(k, n)`` and times ``(k,)`` of campaign draws
-    ``indices`` at dimension ``n``, and each draw's RNG, positioned to draw
-    its basis next.
+    ``indices`` at dimension ``n``.
 
-    Each draw has its own RNG stream keyed by ``(seed, n, index)``, with
-    its levels and time first, so a draw is the same whatever stack it is
-    made in.
+    Draw i reads words ``[i s, (i + 1) s)`` of one Philox stream keyed by
+    ``(seed, n)``: its n levels, then its time.  The stride s is n + 1
+    rounded up to whole 4-word blocks, so one ``advance`` reaches any draw,
+    and a draw is the same whatever stack it is made in.
     """
-    levels = np.empty((len(indices), n))
-    t = np.empty(len(indices))
-    rngs = []
-    for i, index in enumerate(indices):
-        rng = np.random.default_rng((seed, n, index))
-        levels[i] = rng.uniform(0.0, SPECTRUM_HIGH, n)
-        t[i] = TIME_HIGH * (1.0 - rng.uniform())
-        rngs.append(rng)
-    levels.sort(axis=-1)
-    return levels, t, rngs
+    stride = 4 * (n // 4 + 1)
+    bits = np.random.Philox((seed, n))
+    bits.advance(indices.start * stride // 4)
+    u = np.random.Generator(bits).random((len(indices), stride))
+    return np.sort(SPECTRUM_HIGH * u[:, :n], axis=-1), TIME_HIGH * (1.0 - u[:, n])
 
 
-def _bases(n: int, rngs) -> np.ndarray:
-    """Haar bases ``(k, n, n)`` seeded from draw RNGs positioned by :func:`_spectra`."""
-    return random_unitaries(n, [int(rng.integers(0, 2**63 - 1)) for rng in rngs])
+def _bases(n: int, seed: int, indices) -> np.ndarray:
+    """Haar bases ``(k, n, n)`` of draws ``indices``, keyed by ``(seed, n, index)``."""
+    return random_unitaries(n, [(seed, n, index) for index in indices])
 
 
-def _draws(n: int, seed: int, indices):
+def _draws(n: int, seed: int, indices: range):
     """Campaign draws ``indices`` at dimension ``n``, with their gates, as stacks.
 
     Returns sorted levels ``(k, n)``, times ``(k,)`` and gates
     ``basis diag(e^{-i E_k T}) basis†`` ``(k, n, n)``.
     """
-    levels, t, rngs = _spectra(n, seed, indices)
-    u = _gates(_bases(n, rngs), np.exp(-1j * levels * t[:, None]))
+    levels, t = _spectra(n, seed, indices)
+    u = _gates(_bases(n, seed, indices), np.exp(-1j * levels * t[:, None]))
     return levels, t, u
 
 
@@ -147,7 +142,7 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
     basis†`` is built from the drawn basis directly.  Returns
     (spectrum, T, U); the campaign draws the same levels and time.
     """
-    levels, t, u = _draws(n, seed, [index])
+    levels, t, u = _draws(n, seed, range(index, index + 1))
     return EnergySpectrum(levels[0]), float(t[0]), u[0]
 
 
@@ -184,18 +179,19 @@ def _judge(seed: int, pieces) -> tuple[np.ndarray, int]:
     spectral, gate, moments, times, checked_rows, labels, distance = ([] for _ in range(7))
     k = 0
     for n, indices in pieces:
-        levels, t, rngs = _spectra(n, seed, indices)
+        levels, t = _spectra(n, seed, indices)
         ph = phases_from_levels(levels, t)
-        tr = np.abs(np.exp(-1j * ph).sum(axis=-1))
+        tr = _modulus(np.exp(-1j * ph).sum(axis=-1))
         checked = slice(-indices.start % CROSS_CHECK_EVERY, len(indices), CROSS_CHECK_EVERY)
         if indices[checked]:
             lv, tc = levels[checked], t[checked]
             # built from the unreduced products, so the gate shares no step
             # with the phase reduction it checks
-            u = _gates(_bases(n, rngs[checked]), np.exp(-1j * (lv - lv[:, :1]) * tc[:, None]))
+            u = _gates(_bases(n, seed, indices[checked]),
+                       np.exp(-1j * (lv - lv[:, :1]) * tc[:, None]))
             gate_ph = _phases(u)
             products, deficit = _phase_products(np.concatenate([ph, gate_ph]))
-            gate.append((n, np.abs(np.trace(u, axis1=-2, axis2=-1)),
+            gate.append((n, _modulus(np.trace(u, axis1=-2, axis2=-1)),
                          products[:, len(t):], deficit[len(t):]))
             products, deficit = products[:, :len(t)], deficit[:len(t)]
             checked_rows += range(k, k + len(t))[checked]
@@ -329,8 +325,6 @@ def figure_qutrit(family: MubFamily, x_values=DEFAULT_QUTRIT_X,
     grid = _grid(2.0 * math.pi, y_points)
     u = np.array([qutrit_mub(QutritMubParams(family=family, x=float(x), y=float(y)))
                   for x in x_values for y in grid]).reshape(-1, 3, 3)
-    tr = np.trace(u, axis1=-2, axis2=-1)
     products, deficit = _phase_products(_phases(u))
-    # hypot rounds as trace_abs does; np.abs of a complex array may not
-    d = _margins(3, np.hypot(tr.real, tr.imag), products, deficit)
+    d = _margins(3, _modulus(np.trace(u, axis1=-2, axis2=-1)), products, deficit)
     return _curve(np.tile(grid, len(x_values)), products[0], d.ml)

@@ -61,6 +61,11 @@ def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     return bool(unitarity_error(u) <= tol)
 
 
+def _modulus(z) -> np.ndarray:
+    """``|z|`` as ``hypot(re, im)``: rounds as scalar ``abs()``, which ``np.abs`` may not."""
+    return np.hypot(z.real, z.imag)
+
+
 def trace_abs(u) -> float:
     """Modulus of the trace; lies in [0, n] for an n-dimensional unitary."""
     u = square_matrix(u)
@@ -71,9 +76,10 @@ def random_unitaries(n: int, seeds) -> np.ndarray:
     """Stack of Haar-distributed n-by-n unitaries, one per seed.
 
     Each seed drives its own complex Ginibre matrix, so a unitary does
-    not depend on the other seeds of the stack.  One stacked QR
-    factorization follows, with each R diagonal's phases absorbed into
-    its Q so the distribution is exactly Haar.
+    not depend on the other seeds of the stack.  A seed may be any
+    ``SeedSequence`` entropy, such as a ``(seed, n, index)`` tuple.  One
+    stacked QR factorization follows, with each R diagonal's phases
+    absorbed into its Q so the distribution is exactly Haar.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import TraceInput, ml_product, mt_from_deficit
-from .linalg import _square_matrices, square_matrix, unitarity_error
+from .linalg import _modulus, _square_matrices, square_matrix, unitarity_error
 
 TWO_PI = 2.0 * np.pi
 
@@ -210,7 +210,7 @@ def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
 
 def _dominance(u: np.ndarray) -> Dominance:
     """:func:`dominance` of a stack already checked square and finite."""
-    trace = np.abs(np.trace(u, axis1=-2, axis2=-1))
+    trace = _modulus(np.trace(u, axis1=-2, axis2=-1))
     return _margins(u.shape[-1], trace, *_phase_products(_phases(u)))
 
 

@@ -247,11 +247,21 @@ class TestVerifyCommand:
         assert err == "error: --dims entries must be distinct\n"
 
     def test_pinned_near_identity_seed_passes(self, capsys):
-        # r = 1 - 1e-8: a false FAIL at -2.07e-8 when 1 - r^2 came from the rounded trace
+        # levels 9.009095474041372 and 9.009192045146664, T = 0.7595 and
+        # r = 1 - 6.7e-10: a false FAIL at -1.9e-8 when 1 - r^2 comes from
+        # the rounded trace
         code, out, _ = run_cli(["verify", "--dims", "2", "--samples", "1",
-                                "--seed", "119294153"], capsys)
+                                "--seed", "42348"], capsys)
         assert code == 0
         assert json.loads(out)["failures"] == 0
+
+    def test_seed_above_64_bits(self, capsys):
+        # the draw streams take any nonnegative seed, here 2^70
+        argv = ["verify", "--dims", "2,3", "--samples", "3", "--seed", str(2**70)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["seed"] == 2**70
+        assert run_cli(argv, capsys) == (0, out, "")
 
     def test_failure_exits_1_report_still_written(self, tmp_path, capsys, monkeypatch):
         from gateqsl import cli

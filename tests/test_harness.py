@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gateqsl import bounds, harness, minimal_time
-from gateqsl.bounds import TraceInput, bound_set, ml_product
+from gateqsl.bounds import TraceInput, bound_set, bounds_from_products, ml_product
 from gateqsl.catalog import MubFamily, QutritMubParams, qutrit_mub
 from gateqsl.harness import (
     CHUNK_ENTRIES,
@@ -28,6 +28,7 @@ from gateqsl.minimal_time import (
     DOMINANCE_TOL,
     _phase_products,
     cyclic_distance,
+    dominance,
     eigenphases,
     phases_from_levels,
     verify_dominance,
@@ -105,7 +106,9 @@ def reference_campaign(dims, samples_per_dim, seed):
     for n in dims:
         for index in range(samples_per_dim):
             spectrum, t, u = sample_spectrum_gate(n, seed, index)
-            bs = bound_set(TraceInput(n, trace_abs(u)), compute_stats(spectrum))
+            # the deficit 1 - r^2 from the gate's eigenphases, not its rounded trace
+            d = dominance(u)
+            bs = bounds_from_products(d.ml, d.mt, compute_stats(spectrum))
             margin = min(t - bs.ml, t - bs.mt, t - bs.dual_ml, t - bs.width_ml,
                          t - bs.width_mt, verify_dominance(u).worst)
             worst = min(worst, margin)
@@ -129,19 +132,36 @@ class TestBatchedEngine:
         assert report.failures == failures
         assert abs(report.worst_margin - worst) <= 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    # n + 1 fills whole 4-word blocks at n = 3 and 7, and leaves spare
+    # words at n = 2, 4, 8 and 64
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 64])
     def test_stacked_draw_is_bitwise_the_single_draw(self, n):
-        levels, t, u = _draws(n, 9, range(12))
-        for index in range(12):
-            spectrum, t1, u1 = sample_spectrum_gate(n, 9, index)
-            assert np.array_equal(levels[index], spectrum.levels)
-            assert t[index] == t1
-            assert np.array_equal(u[index], u1)
+        for first in (0, 40):
+            levels, t, u = _draws(n, 9, range(first, first + 12))
+            for i in range(12):
+                spectrum, t1, u1 = sample_spectrum_gate(n, 9, first + i)
+                assert np.array_equal(levels[i], spectrum.levels)
+                assert t[i] == t1
+                assert np.array_equal(u[i], u1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8])
+    def test_draw_reads_its_words_of_the_stream(self, n):
+        # draw i takes words [i s, (i + 1) s) of the (seed, n) Philox
+        # stream, s being n + 1 rounded up to a multiple of 4: its levels,
+        # then its time
+        stride = -(-(n + 1) // 4) * 4
+        words = np.random.Generator(np.random.Philox((9, n))).random((20, stride))
+        levels, t = harness._spectra(n, 9, range(5, 20))
+        assert np.array_equal(levels, np.sort(harness.SPECTRUM_HIGH * words[5:, :n], axis=-1))
+        assert np.array_equal(t, harness.TIME_HIGH * (1.0 - words[5:, n]))
 
     def test_pinned_near_identity_draw_passes(self):
-        # draw (seed 1, n 2, index 570) has r = 1 - 1e-8; taking 1 - r^2
-        # from its rounded trace made it a false FAIL at -4.42e-9
-        report = run_random_campaign([2], 571, 1)
+        # draw (seed 236, n 2, index 15) has r = 1 - 2.9e-10; taking 1 - r^2
+        # from its rounded trace makes it a false FAIL at -5.7e-8
+        spectrum, t, _ = sample_spectrum_gate(2, 236, 15)
+        assert spectrum.levels.tolist() == [1.9478560316781401, 1.9478901544668548]
+        assert t == 1.4167153081748352
+        report = run_random_campaign([2], 16, 236)
         assert report.failures == 0
         assert report.worst_margin >= -DOMINANCE_TOL
 
@@ -261,7 +281,7 @@ class TestSpectralVerdict:
         perturb_last_draw(monkeypatch, offset=1e-10)
         with pytest.raises(CrossCheckError, match=r"seed 7, n 3, index 0\)") as exc:
             run_random_campaign([3], 1, 7)
-        assert ("by 1e-10 (tolerance 4.99e-09) and product margins by 8.07e-11 (tolerance 1e-12)"
+        assert ("by 1e-10 (tolerance 2.42e-09) and product margins by 3.26e-11 (tolerance 1e-12)"
                 in str(exc.value))
 
     def test_unchecked_draws_are_judged_spectrally(self, monkeypatch):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from gateqsl.harness import _gates
-from gateqsl.linalg import UNITARY_TOL, is_unitary, random_unitary, square_matrix, trace_abs
+from gateqsl.linalg import (
+    UNITARY_TOL,
+    _modulus,
+    is_unitary,
+    random_unitary,
+    square_matrix,
+    trace_abs,
+)
 from gateqsl.minimal_time import EIGENPHASE_UNITARY_TOL, eigenphases
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -123,6 +130,14 @@ class TestTraceAbs:
         for seed in range(5):
             u = random_unitary(6, seed)
             assert trace_abs(u) <= 6.0 + 1e-12
+
+
+def test_modulus_rounds_as_scalar_abs():
+    # numpy's np.abs of complex128 rounds about a third of these moduli an
+    # ulp away from scalar abs() where it takes an AVX-512 loop
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
+    assert _modulus(z).tobytes() == np.array([abs(v) for v in z.tolist()]).tobytes()
 
 
 def test_tolerances_exposed():

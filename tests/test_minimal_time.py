@@ -20,7 +20,7 @@ from gateqsl.catalog import (
     qubit_unitary,
     qutrit_mub,
 )
-from gateqsl.linalg import random_unitaries, random_unitary
+from gateqsl.linalg import _modulus, random_unitaries, random_unitary, trace_abs
 from gateqsl.minimal_time import (
     DOMINANCE_TOL,
     TWO_PI,
@@ -289,6 +289,13 @@ class TestRealGates:
         assert seen == [np.float64] * 3
 
 
+def test_stacked_trace_rounds_as_trace_abs():
+    # np.abs of the stacked traces rounds some of these an ulp away from
+    # the scalar modulus where it takes an AVX-512 loop
+    u = random_unitaries(4, range(200))
+    assert (4.0 * dominance(u).ratio).tolist() == [trace_abs(g) for g in u]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     e0=st.floats(min_value=0.0, max_value=10.0),
@@ -296,10 +303,18 @@ class TestRealGates:
     t=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
     basis_seed=st.integers(min_value=0, max_value=2**63 - 2),
 )
-# campaign draw (seed 1, n 2, index 570): a false FAIL at -4.42e-9 when
-# 1 - r^2 was taken from the rounded trace
+# Draws of the former per-draw campaign streams, by value, with the basis
+# seeds they were built on.  Draw (seed 1, n 2, index 570) was a false FAIL
+# at -4.42e-9 when 1 - r^2 was taken from the rounded trace, and the draw of
+# `verify --dims 2 --samples 1 --seed 119294153` one at -2.07e-8.
 @example(e0=7.836222152965291, gap=0.00038122545140772957, t=0.3306931847501886,
          basis_seed=50127387383993703)
+@example(e0=3.990042406598824, gap=0.00029509199826582844, t=0.939852246685136,
+         basis_seed=2558479038625146849)
+# acceptance criterion 1's worst draw, (seed 20240, n 2, index 27): r = 1 - 7e-11
+# at T = 2.7e-4, with a trace-based margin of -1.970e-10
+@example(e0=2.7225220261634284, gap=0.08625402240583213, t=2.740844940984921e-4,
+         basis_seed=4495955697287347687)
 def test_near_identity_qubit_dominance(e0, gap, t, basis_seed):
     levels = np.array([e0, e0 + gap])
     basis = random_unitary(2, basis_seed)
@@ -324,14 +339,16 @@ def test_near_identity_qubit_dominance(e0, gap, t, basis_seed):
 # built as a gate, this pair had an MT time margin of -1.1e-9: the gate
 # carries its phases only to about eps * (1 + E*T)
 @example(e0=0.0, gap=1e-7, t=5e-324)
-# campaign draw (seed 1, n 2, index 570)
+# the three former campaign draws of test_near_identity_qubit_dominance
 @example(e0=7.836222152965291, gap=0.00038122545140772957, t=0.3306931847501886)
+@example(e0=3.990042406598824, gap=0.00029509199826582844, t=0.939852246685136)
+@example(e0=2.7225220261634284, gap=0.08625402240583213, t=2.740844940984921e-4)
 def test_near_identity_spectral_dominance(e0, gap, t):
     # the campaign's verdict from the drawn phases: no gate is built, so
     # time margins have no build floor and are judged everywhere
     levels = np.array([[e0, e0 + gap]])
     ph = phases_from_levels(levels, np.array([t]))
-    d = dominance_from_phases(ph, np.abs(np.exp(-1j * ph).sum(axis=-1)))
+    d = dominance_from_phases(ph, _modulus(np.exp(-1j * ph).sum(axis=-1)))
     assert d.margins.min() >= -DOMINANCE_TOL
     bs = bounds_from_products(d.ml, d.mt, level_stats(levels))
     assert t - max(bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt) >= -DOMINANCE_TOL
