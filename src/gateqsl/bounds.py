@@ -73,14 +73,15 @@ class BoundSet:
     dual_ml: float
     width_ml: float
     width_mt: float
-    combined: float
 
     def __post_init__(self):
         if np.any(np.minimum.reduce([self.ml, self.mt, self.dual_ml,
                                      self.width_ml, self.width_mt]) < 0):
             raise ValueError("bounds cannot be negative")
-        if np.any(self.combined != np.maximum(self.ml, self.mt)):
-            raise ValueError("combined must equal max(ml, mt)")
+
+    @property
+    def combined(self) -> float:
+        return np.maximum(self.ml, self.mt)
 
 
 def ml_product(ratio: float) -> float:
@@ -149,11 +150,4 @@ def bounds_from_products(ml, mt, stats: EnergyStats) -> BoundSet:
          stats.e_below_top],
         [_E, _DE, _WIDTH, _WIDTH, _E_TOP],
     )
-    return BoundSet(
-        ml=b_ml,
-        mt=b_mt,
-        dual_ml=dual,
-        width_ml=w_ml,
-        width_mt=w_mt,
-        combined=np.maximum(b_ml, b_mt),
-    )
+    return BoundSet(ml=b_ml, mt=b_mt, dual_ml=dual, width_ml=w_ml, width_mt=w_mt)

@@ -13,9 +13,10 @@ are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 a bound was broken, 2 bad input or unwritable
 output, 3 a file-supplied matrix is not unitary, 4 a campaign's internal
-cross-check failed.  Gate dimensions from ``--dims``, from a matrix
-file's ``"n"`` and from ``--fourier``, ``--grover`` and ``--permutation``
-are capped at ``MAX_DIM``.
+cross-check failed.  Gate dimensions from ``--dims``, a matrix file's
+``"n"``, ``--fourier``, ``--grover`` and ``--permutation`` are capped at
+``MAX_DIM``; ``figure --resolution`` at ``MAX_RESOLUTION``.  ``verify``
+otherwise takes the input rules of the campaign it runs.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ FILE_UNITARY_TOL = 1e-6
 # Largest gate dimension accepted from --dims, a matrix file or a named
 # gate: that of the largest Hadamard power.
 MAX_DIM = catalog._MAX_HADAMARD_DIM
+
+# Largest ``figure --resolution``: grid intervals per block of rows.
+MAX_RESOLUTION = 10**5
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -205,6 +209,9 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     try:
         report = harness.run_random_campaign(args.dims, args.samples, args.seed)
+    except harness.CampaignInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except harness.CrossCheckError as exc:
         print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
@@ -335,20 +342,15 @@ def main(argv=None) -> int:
             except ValueError:
                 print(f"error: QSL_SEED is not an integer: {raw!r}", file=sys.stderr)
                 return EXIT_BAD_INPUT
-        if args.samples < 1:
-            parser.error("--samples must be at least 1")
-        if not args.dims or min(args.dims) < 2:
-            parser.error("--dims must be integers >= 2")
         if max(args.dims) > MAX_DIM:
             print(f"error: --dims entries must be at most {MAX_DIM}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        if len(set(args.dims)) < len(args.dims):
-            print("error: --dims entries must be distinct", file=sys.stderr)
+    if args.command == "figure":
+        if args.resolution < 1:
+            parser.error("--resolution must be at least 1")
+        if args.resolution > MAX_RESOLUTION:
+            print(f"error: --resolution must be at most {MAX_RESOLUTION}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        if args.seed < 0:
-            parser.error("--seed must be nonnegative")
-    if args.command == "figure" and args.resolution < 1:
-        parser.error("--resolution must be at least 1")
     return args.func(args)
 
 

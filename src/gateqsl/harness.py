@@ -10,9 +10,9 @@ Haar basis, the gate built on it and the gate's ``eigvals``; its phases
 and product margins must agree with the spectral ones, or the campaign
 raises :class:`CrossCheckError`.  Figure helpers emit the curve data
 behind the qubit exact-time plot, the qubit MUB-time plot and the two
-qutrit MUB family plots, each as one stack: the qutrit gates go through
-the campaign's window kernel and margin step, and one array check
-raises at the first point whose exact column is below its bound.
+qutrit MUB family plots, each as one stack: the qutrit gates are judged
+as by :func:`gateqsl.minimal_time.dominance`, and one array check raises
+at the first point whose exact column is below its bound.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .catalog import MubFamily, QutritMubParams, qutrit_mub
 from .linalg import _modulus, random_unitaries
 from .minimal_time import (
     DOMINANCE_TOL,
+    _dominance,
     _margins,
     _phase_products,
     _phases,
@@ -53,6 +54,10 @@ CROSS_CHECK_EVERY = 64
 # within CROSS_CHECK_MARGIN_TOL of the spectral margins.
 CROSS_CHECK_PHASE_TOL = 1e-9
 CROSS_CHECK_MARGIN_TOL = 1e-12
+
+
+class CampaignInputError(ValueError):
+    """A campaign's dims, sample count or seed break its input rules."""
 
 
 class CrossCheckError(RuntimeError):
@@ -233,18 +238,19 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
 
     The draws run as passes of at most ``CHUNK_ENTRIES`` matrix entries
     (one draw, if n^2 alone exceeds it), so memory stays flat whatever
-    the sample count.  A cross-check mismatch raises
-    :class:`CrossCheckError`.
+    the sample count.  Bad dims, sample count or seed raise
+    :class:`CampaignInputError` before the first draw; a cross-check
+    mismatch raises :class:`CrossCheckError`.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 2:
-        raise ValueError("dims must be a nonempty list of integers >= 2")
+        raise CampaignInputError("dims must be a nonempty list of integers >= 2")
     if len(set(dims)) < len(dims):
-        raise ValueError("dims must be distinct")
+        raise CampaignInputError("dims must be distinct")
     if samples_per_dim < 1:
-        raise ValueError("need at least one sample per dimension")
+        raise CampaignInputError("need at least one sample per dimension")
     if seed < 0:
-        raise ValueError("seed must be nonnegative")
+        raise CampaignInputError("seed must be nonnegative")
     started = time.perf_counter()
     failures = 0
     cross_checked = 0
@@ -320,11 +326,10 @@ def figure_qutrit(family: MubFamily, x_values=DEFAULT_QUTRIT_X,
     One block of rows per x value, each sweeping y over [0, 2 pi]; the
     abscissa column is y.  The exact column takes the smallest E*T over
     all canonical rotations, matching the most favorable energy ordering.
-    The gates are judged as one stack, through the campaign's kernel.
+    The gates are judged as one stack, as ``dominance`` judges them.
     """
     grid = _grid(2.0 * math.pi, y_points)
     u = np.array([qutrit_mub(QutritMubParams(family=family, x=float(x), y=float(y)))
                   for x in x_values for y in grid]).reshape(-1, 3, 3)
-    products, deficit = _phase_products(_phases(u))
-    d = _margins(3, _modulus(np.trace(u, axis1=-2, axis2=-1)), products, deficit)
-    return _curve(np.tile(grid, len(x_values)), products[0], d.ml)
+    d = _dominance(u)
+    return _curve(np.tile(grid, len(x_values)), d.products[0], d.ml)

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Default max-abs-entry limit of ``u†u - I`` for :func:`is_unitary`.
-UNITARY_TOL = 1e-10
-
 
 def _square_matrices(entries) -> np.ndarray:
     """Coerce ``entries`` to a stack ``(..., n, n)`` of square matrices with
@@ -53,7 +50,7 @@ def unitarity_error(u) -> np.ndarray:
     return np.abs(gram).max(axis=(-2, -1))
 
 
-def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(u, tol: float) -> bool:
     """Max-abs-entry of ``u†u - I`` is at most ``tol``."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -68,8 +65,7 @@ def _modulus(z) -> np.ndarray:
 
 def trace_abs(u) -> float:
     """Modulus of the trace; lies in [0, n] for an n-dimensional unitary."""
-    u = square_matrix(u)
-    return float(abs(np.trace(u)))
+    return float(_modulus(np.trace(square_matrix(u))))
 
 
 def random_unitaries(n: int, seeds) -> np.ndarray:

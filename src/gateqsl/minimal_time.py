@@ -71,13 +71,15 @@ class VerificationRecord:
 class Dominance(NamedTuple):
     """Dominance data of a stack of unitaries; each field has one entry per gate.
 
-    ``margins`` holds the worst product minus bound over the rotations,
-    one row per bound in the order ml, mt, dual_ml, width_ml, width_mt.
+    ``products`` holds the least e_t, var_t, width_t and dual_t over the
+    rotations; ``margins`` the worst product minus bound, one row per
+    bound in the order ml, mt, dual_ml, width_ml, width_mt.
     """
 
     ratio: np.ndarray
     ml: np.ndarray
     mt: np.ndarray
+    products: np.ndarray
     margins: np.ndarray
 
 
@@ -190,7 +192,7 @@ def _margins(n, trace_abs, products, deficit) -> Dominance:
     e_t, var_t, width_t, dual_t = products
     margins = np.array([e_t - ml, var_t - mt, dual_t - ml, width_t - 2.0 * ml,
                         width_t - 2.0 * mt])
-    return Dominance(ratio, ml, mt, margins)
+    return Dominance(ratio, ml, mt, products, margins)
 
 
 def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gateqsl.bounds import TraceInput, bound_set, ml_product, mt_product
+from gateqsl.bounds import TraceInput, bound_set, bounds_from_products, ml_product
 from gateqsl.catalog import (
     MubFamily,
     fourier,
@@ -22,7 +22,7 @@ from gateqsl.catalog import (
 from gateqsl.cli import main as cli_main
 from gateqsl.harness import DEFAULT_QUTRIT_X, _draws, figure_qubit, figure_qutrit
 from gateqsl.linalg import random_unitary, trace_abs
-from gateqsl.minimal_time import TWO_PI, _phase_products, _windows, eigenphases
+from gateqsl.minimal_time import TWO_PI, _phase_products, _windows, dominance, eigenphases
 from gateqsl.spectrum import EnergySpectrum, compute_stats, level_stats
 
 CAMPAIGN_SEED = 20240
@@ -42,8 +42,9 @@ def campaign_samples():
     stacks = []
     for n in CAMPAIGN_DIMS:
         levels, t, u = _draws(n, CAMPAIGN_SEED, range(CAMPAIGN_SAMPLES_PER_DIM))
-        trace = np.abs(np.trace(u, axis1=-2, axis2=-1))
-        stacks.append((t, bound_set(TraceInput(n, trace), level_stats(levels))))
+        # the deficit 1 - r^2 from the gates' eigenphases, not their rounded traces
+        d = dominance(u)
+        stacks.append((t, bounds_from_products(d.ml, d.mt, level_stats(levels))))
     return stacks
 
 

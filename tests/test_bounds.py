@@ -153,8 +153,8 @@ class TestBoundSet:
             assert bs.combined == max(bs.ml, bs.mt)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BoundSet(ml=1.0, mt=2.0, dual_ml=0.0, width_ml=0.0, width_mt=0.0, combined=1.0)
+        with pytest.raises(ValueError, match="bounds cannot be negative"):
+            BoundSet(ml=1.0, mt=2.0, dual_ml=-1e-300, width_ml=0.0, width_mt=0.0)
 
     @pytest.mark.parametrize("trace, statistic", [(0.0, "mean energy above ground"),
                                                   (1.9, "energy spread (std)")])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gateqsl import catalog
-from gateqsl.cli import MAX_DIM, main
+from gateqsl.cli import MAX_DIM, MAX_RESOLUTION, main
 
 
 def run_cli(argv, capsys):
@@ -223,14 +223,32 @@ class TestVerifyCommand:
         assert paths[0] == paths[1]
 
     def test_zero_samples_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--samples", "0"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(["verify", "--samples", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: need at least one sample per dimension\n"
 
     def test_bad_dims_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--dims", "1,2", "--samples", "5"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(["verify", "--dims", "1,2", "--samples", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: dims must be a nonempty list of integers >= 2\n"
+
+    def test_negative_seed_exits_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(["verify", "--dims", "2", "--samples", "1", "--seed", "-1"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be nonnegative\n"
+        monkeypatch.setenv("QSL_SEED", "-3")
+        assert run_cli(["verify", "--dims", "2", "--samples", "1"], capsys) == (2, "", err)
+
+    def test_value_error_in_a_pass_is_not_bad_input(self, monkeypatch):
+        from gateqsl import harness
+
+        def broken(seed, pieces):
+            raise ValueError("a bug inside a pass")
+
+        monkeypatch.setattr(harness, "_judge", broken)
+        with pytest.raises(ValueError, match="a bug inside a pass"):
+            main(["verify", "--dims", "2", "--samples", "1", "--seed", "1"])
 
     @pytest.mark.parametrize("dims", [str(MAX_DIM + 1), f"2,{4 * MAX_DIM}"])
     def test_dims_above_cap_exits_2(self, dims, capsys):
@@ -244,7 +262,7 @@ class TestVerifyCommand:
         code, out, err = run_cli(["verify", "--dims=2,2", "--samples", "2"], capsys)
         assert code == 2
         assert out == ""
-        assert err == "error: --dims entries must be distinct\n"
+        assert err == "error: dims must be distinct\n"
 
     def test_pinned_near_identity_seed_passes(self, capsys):
         # levels 9.009095474041372 and 9.009192045146664, T = 0.7595 and
@@ -426,6 +444,16 @@ class TestFigureCommand:
         with pytest.raises(SystemExit) as exc:
             main(["figure", "qubit", "-r", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 1, 10**12])
+    def test_resolution_above_cap_exits_2(self, resolution, capsys, monkeypatch):
+        from gateqsl import harness
+
+        # the cap is checked before any grid is built
+        monkeypatch.setattr(harness, "_grid", None)
+        code, out, err = run_cli(["figure", "qutrit-u1", "-r", str(resolution)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --resolution must be at most {MAX_RESOLUTION}\n"
 
     def test_unknown_name_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

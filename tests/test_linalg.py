@@ -5,7 +5,6 @@ import pytest
 
 from gateqsl.harness import _gates
 from gateqsl.linalg import (
-    UNITARY_TOL,
     _modulus,
     is_unitary,
     random_unitary,
@@ -47,8 +46,8 @@ class TestConstruction:
             square_matrix([[1j * np.inf, 0], [0, 1]])
 
     def test_predicates(self):
-        assert is_unitary(HADAMARD)
-        assert not is_unitary(2 * HADAMARD)
+        assert is_unitary(HADAMARD, 1e-10)
+        assert not is_unitary(2 * HADAMARD, 1e-10)
 
 
 class TestExpm:
@@ -141,5 +140,4 @@ def test_modulus_rounds_as_scalar_abs():
 
 
 def test_tolerances_exposed():
-    assert UNITARY_TOL == 1e-10
     assert EIGENPHASE_UNITARY_TOL == 1e-9
