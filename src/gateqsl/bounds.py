@@ -29,6 +29,12 @@ from .spectrum import EnergyStats
 ML_TRACE_FACTOR = math.sqrt(1.0 + 4.0 / math.pi**2)
 
 
+# The five bounds, in the order of BoundSet's fields, the margin rows of
+# minimal_time.Dominance, the margin fields of VerificationRecord and the
+# rows the ``bounds`` command prints.
+BOUND_NAMES = ("ml", "mt", "dual_ml", "width_ml", "width_mt")
+
+
 class UndefinedBoundError(ValueError):
     """Degenerate energy statistics make the requested bound undefined."""
 
@@ -75,8 +81,7 @@ class BoundSet:
     width_mt: float
 
     def __post_init__(self):
-        if np.any(np.minimum.reduce([self.ml, self.mt, self.dual_ml,
-                                     self.width_ml, self.width_mt]) < 0):
+        if np.any(np.minimum.reduce([getattr(self, name) for name in BOUND_NAMES]) < 0):
             raise ValueError("bounds cannot be negative")
 
     @property
@@ -105,6 +110,12 @@ def mt_from_deficit(deficit: float) -> float:
     it from the eigenphases.
     """
     return np.sqrt(np.maximum(0.0, deficit))
+
+
+def bound_forms(ml, mt) -> list:
+    """The five dimensionless bound forms, in ``BOUND_NAMES`` order, from
+    the ML and MT products: each bound times its statistic."""
+    return [ml, mt, ml, 2.0 * ml, 2.0 * mt]
 
 
 _E = "mean energy above ground"
@@ -144,10 +155,9 @@ def bound_set(t: TraceInput, stats: EnergyStats) -> BoundSet:
 def bounds_from_products(ml, mt, stats: EnergyStats) -> BoundSet:
     """The five time bounds from the dimensionless ML and MT products,
     by one divide over the stacked numerators and denominators."""
-    b_ml, b_mt, w_ml, w_mt, dual = _scaled(
-        [ml, mt, 2.0 * ml, 2.0 * mt, ml],
-        [stats.e_above_ground, stats.variance_sqrt, stats.width, stats.width,
-         stats.e_below_top],
-        [_E, _DE, _WIDTH, _WIDTH, _E_TOP],
-    )
-    return BoundSet(ml=b_ml, mt=b_mt, dual_ml=dual, width_ml=w_ml, width_mt=w_mt)
+    return BoundSet(*_scaled(
+        bound_forms(ml, mt),
+        [stats.e_above_ground, stats.variance_sqrt, stats.e_below_top, stats.width,
+         stats.width],
+        [_E, _DE, _E_TOP, _WIDTH, _WIDTH],
+    ))

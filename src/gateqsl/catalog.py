@@ -149,15 +149,22 @@ def qutrit_mub(p: QutritMubParams) -> np.ndarray:
     over sqrt(3) with w = e^{2 pi i / 3}; family TWO swaps w and w~.
     Every entry has modulus 1/sqrt(3).
     """
+    return _qutrit_mubs(p.family, p.x, p.y)
+
+
+def _qutrit_mubs(family: MubFamily, x, y) -> np.ndarray:
+    """:func:`qutrit_mub` of each pair of ``x`` and ``y``, floats or arrays
+    that broadcast together: a stack ``(..., 3, 3)``, filled in place."""
     w = np.exp(2j * np.pi / 3.0)
-    if p.family is MubFamily.ONE:
+    if family is MubFamily.ONE:
         c1, c2 = _omega_column(np.conj(w)), _omega_column(w)
     else:
         c1, c2 = _omega_column(w), _omega_column(np.conj(w))
-    cols = np.stack(
-        [np.ones(3, dtype=np.complex128), np.exp(1j * p.x) * c1, np.exp(1j * p.y) * c2],
-        axis=1,
-    )
+    ex, ey = np.exp(1j * x), np.exp(1j * y)
+    cols = np.empty(np.broadcast(ex, ey).shape + (3, 3), np.complex128)
+    cols[..., 0] = 1.0
+    cols[..., 1] = ex[..., None] * c1
+    cols[..., 2] = ey[..., None] * c2
     return cols / math.sqrt(3.0)
 
 

@@ -13,10 +13,13 @@ are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 a bound was broken, 2 bad input or unwritable
 output, 3 a file-supplied matrix is not unitary, 4 a campaign's internal
-cross-check failed.  Gate dimensions from ``--dims``, a matrix file's
-``"n"``, ``--fourier``, ``--grover`` and ``--permutation`` are capped at
-``MAX_DIM``; ``figure --resolution`` at ``MAX_RESOLUTION``.  ``verify``
-otherwise takes the input rules of the campaign it runs.
+cross-check failed.  A command that exits nonzero prints one ``error:``
+or ``FAILED:`` line on stderr; only argparse's own usage errors print a
+usage line before theirs.  Gate dimensions from ``--dims``, a matrix
+file's ``"n"``, ``--fourier``, ``--grover`` and ``--permutation`` are
+capped at ``MAX_DIM``; ``figure --resolution`` runs from 1 to
+``MAX_RESOLUTION``.  ``verify`` otherwise takes the input rules of the
+campaign it runs.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import functools
 import json
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -54,6 +58,24 @@ EXIT_CROSS_CHECK = 4
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _end(code: int, message: str) -> NoReturn:
+    """End the command with exit ``code`` and ``message`` as its one stderr line."""
+    _parser().exit(code, message + "\n")
+
+
+def _write(path, what: str, write) -> None:
+    """``write(fh)`` to the file ``path``, or to stdout when ``path`` is None;
+    an OSError ends the command with exit 2."""
+    try:
+        if path is None:
+            write(sys.stdout)
+        else:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                write(fh)
+    except OSError as exc:
+        _end(EXIT_BAD_INPUT, f"error: cannot write {what}: {exc}")
 
 
 def _ints_csv(text: str) -> list[int]:
@@ -152,12 +174,10 @@ def cmd_bounds(args) -> int:
     try:
         u = _build_gate(args)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        print(f"error: cannot build gate: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        _end(EXIT_BAD_INPUT, f"error: cannot build gate: {exc}")
     if args.file is not None and not is_unitary(u, FILE_UNITARY_TOL):
-        print(f"error: matrix in {args.file} is not unitary to {FILE_UNITARY_TOL:g}",
-              file=sys.stderr)
-        return EXIT_NOT_UNITARY
+        _end(EXIT_NOT_UNITARY,
+              f"error: matrix in {args.file} is not unitary to {FILE_UNITARY_TOL:g}")
 
     n = u.shape[0]
     # A file matrix is unitary only to FILE_UNITARY_TOL, so its trace can
@@ -168,67 +188,50 @@ def cmd_bounds(args) -> int:
         try:
             spectrum = _parse_spectrum(args.spectrum)
         except (OSError, ValueError) as exc:
-            print(f"error: bad spectrum: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            _end(EXIT_BAD_INPUT, f"error: bad spectrum: {exc}")
         if spectrum.n != n:
-            print(f"error: spectrum has {spectrum.n} levels, gate has dimension {n}",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
+            _end(EXIT_BAD_INPUT,
+                  f"error: spectrum has {spectrum.n} levels, gate has dimension {n}")
         try:
             bs = bounds.bound_set(ti, compute_stats(spectrum))
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        rows = [
-            ("ml", bs.ml, "[time]"),
-            ("mt", bs.mt, "[time]"),
-            ("dual_ml", bs.dual_ml, "[time]"),
-            ("width_ml", bs.width_ml, "[time]"),
-            ("width_mt", bs.width_mt, "[time]"),
-            ("combined", bs.combined, "[time, max(ml, mt)]"),
-        ]
+            _end(EXIT_BAD_INPUT, f"error: {exc}")
+        values = [getattr(bs, name) for name in bounds.BOUND_NAMES] + [bs.combined]
+        units = ("[time]",) * len(bounds.BOUND_NAMES) + ("[time, max(ml, mt)]",)
     else:
         ml = bounds.ml_product(ti.ratio)
         mt = bounds.mt_product(ti.ratio)
-        rows = [
-            ("ml", ml, "[units 1/E]"),
-            ("mt", mt, "[units 1/dE]"),
-            ("dual_ml", ml, "[units 1/(Emax-mean)]"),
-            ("width_ml", 2.0 * ml, "[units 1/width]"),
-            ("width_mt", 2.0 * mt, "[units 1/width]"),
-            ("combined", max(ml, mt), "[max(ml, mt) at E = dE = 1]"),
-        ]
+        values = bounds.bound_forms(ml, mt) + [max(ml, mt)]
+        units = ("[units 1/E]", "[units 1/dE]", "[units 1/(Emax-mean)]", "[units 1/width]",
+                 "[units 1/width]", "[max(ml, mt) at E = dE = 1]")
     print(f"n          {n}")
     print(f"|tr U|     {_fmt(tr)}")
     print(f"r=|trU|/n  {_fmt(ti.ratio)}")
-    for name, value, unit in rows:
+    for name, value, unit in zip(bounds.BOUND_NAMES + ("combined",), values, units):
         print(f"{name:<11}{_fmt(value)}  {unit}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.seed is None:
+        raw = os.environ.get("QSL_SEED", "")
+        try:
+            args.seed = int(raw) if raw else DEFAULT_SEED
+        except ValueError:
+            _end(EXIT_BAD_INPUT, f"error: QSL_SEED is not an integer: {raw!r}")
+    if max(args.dims) > MAX_DIM:
+        _end(EXIT_BAD_INPUT, f"error: --dims entries must be at most {MAX_DIM}")
     try:
         report = harness.run_random_campaign(args.dims, args.samples, args.seed)
     except harness.CampaignInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        _end(EXIT_BAD_INPUT, f"error: {exc}")
     except harness.CrossCheckError as exc:
-        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
-        return EXIT_CROSS_CHECK
+        _end(EXIT_CROSS_CHECK, f"error: internal cross-check failed: {exc}")
     payload = json.dumps(report.as_json_dict(), indent=2, sort_keys=True) + "\n"
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    else:
-        sys.stdout.write(payload)
+    _write(args.out, "report", lambda fh: fh.write(payload))
     if report.failures:
-        print(f"FAILED: {report.failures} of {report.samples} samples broke a bound",
-              file=sys.stderr)
-        return EXIT_FAILED_CHECK
+        _end(EXIT_FAILED_CHECK,
+              f"FAILED: {report.failures} of {report.samples} samples broke a bound")
     return EXIT_OK
 
 
@@ -241,27 +244,25 @@ _FIGURES = {
 
 
 def cmd_figure(args) -> int:
+    if args.resolution < 1:
+        _end(EXIT_BAD_INPUT, "error: --resolution must be at least 1")
+    if args.resolution > MAX_RESOLUTION:
+        _end(EXIT_BAD_INPUT, f"error: --resolution must be at most {MAX_RESOLUTION}")
     try:
         points = _FIGURES[args.name](args.resolution + 1)
     except harness._FigureCheckError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return EXIT_FAILED_CHECK
-    try:
-        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-        try:
-            writer = csv.writer(out)
-            writer.writerow(["abscissa", "exact", "ml", "mt"])
-            for p in points:
-                writer.writerow(
-                    [_fmt(p.abscissa), _fmt(p.exact), _fmt(p.ml),
-                     "" if p.mt is None else _fmt(p.mt)]
-                )
-        finally:
-            if args.out:
-                out.close()
-    except OSError as exc:
-        print(f"error: cannot write figure data: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        _end(EXIT_FAILED_CHECK, f"FAILED: {exc}")
+
+    def write_rows(fh):
+        writer = csv.writer(fh)
+        writer.writerow(["abscissa", "exact", "ml", "mt"])
+        for p in points:
+            writer.writerow(
+                [_fmt(p.abscissa), _fmt(p.exact), _fmt(p.ml),
+                 "" if p.mt is None else _fmt(p.mt)]
+            )
+
+    _write(args.out, "figure data", write_rows)
     return EXIT_OK
 
 
@@ -332,26 +333,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        if args.seed is None:
-            raw = os.environ.get("QSL_SEED", "")
-            try:
-                args.seed = int(raw) if raw else DEFAULT_SEED
-            except ValueError:
-                print(f"error: QSL_SEED is not an integer: {raw!r}", file=sys.stderr)
-                return EXIT_BAD_INPUT
-        if max(args.dims) > MAX_DIM:
-            print(f"error: --dims entries must be at most {MAX_DIM}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    if args.command == "figure":
-        if args.resolution < 1:
-            parser.error("--resolution must be at least 1")
-        if args.resolution > MAX_RESOLUTION:
-            print(f"error: --resolution must be at most {MAX_RESOLUTION}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    return args.func(args)
+    """Run one command and return its exit code.  An argparse usage error
+    raises ``SystemExit(2)`` from parsing, after a usage line."""
+    args = _parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except SystemExit as exc:
+        # a command ends early only through _end
+        return exc.code
 
 
 def entry() -> None:

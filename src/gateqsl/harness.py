@@ -18,13 +18,12 @@ at the first point whose exact column is below its bound.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import bounds
-from .catalog import MubFamily, QutritMubParams, qutrit_mub
+from .catalog import MubFamily, _qutrit_mubs
 from .linalg import _modulus, random_unitaries
 from .minimal_time import (
     DOMINANCE_TOL,
@@ -76,19 +75,11 @@ class VerificationReport:
     worst_margin: float
     seed: int
     dims: tuple[int, ...]
-    elapsed: float
 
     def as_json_dict(self) -> dict:
-        """Deterministic payload: wall-clock time is deliberately excluded
-        so identical runs serialize identically."""
-        return {
-            "samples": self.samples,
-            "failures": self.failures,
-            "cross_checked": self.cross_checked,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-            "dims": list(self.dims),
-        }
+        """Deterministic payload: the report holds no wall-clock time, so
+        identical runs serialize identically."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -125,12 +116,21 @@ def _bases(n: int, seed: int, indices) -> np.ndarray:
 def _draws(n: int, seed: int, indices: range):
     """Campaign draws ``indices`` at dimension ``n``, with their gates, as stacks.
 
-    Returns sorted levels ``(k, n)``, times ``(k,)`` and gates
-    ``basis diag(e^{-i E_k T}) basis†`` ``(k, n, n)``.
+    Returns sorted levels ``(k, n)``, times ``(k,)`` and gates ``(k, n, n)``
+    from :func:`_draw_gates`.
     """
     levels, t = _spectra(n, seed, indices)
-    u = _gates(_bases(n, seed, indices), np.exp(-1j * levels * t[:, None]))
-    return levels, t, u
+    return levels, t, _draw_gates(n, seed, indices, levels, t)
+
+
+def _draw_gates(n: int, seed: int, indices, levels: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gates ``basis diag(e^{-i (E_k - E_0) T}) basis†`` ``(k, n, n)`` of
+    draws ``indices`` with sorted levels ``(k, n)`` and times ``(k,)``.
+
+    Built from the unreduced products ``(E_k - E_0) T``, so a gate shares
+    no step with the phase reduction its cross-check tests.
+    """
+    return _gates(_bases(n, seed, indices), np.exp(-1j * (levels - levels[:, :1]) * t[:, None]))
 
 
 def _gates(basis: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
@@ -143,9 +143,10 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
 
     Levels are uniform on [0, 10], the time uniform on (0, 2] (so the
     products E_k*T regularly exceed 2 pi and exercise branch wrapping),
-    and the eigenbasis is Haar.  The gate ``basis diag(e^{-i E_k T})
+    and the eigenbasis is Haar.  The gate ``basis diag(e^{-i (E_k - E_0) T})
     basis†`` is built from the drawn basis directly.  Returns
-    (spectrum, T, U); the campaign draws the same levels and time.
+    (spectrum, T, U); the campaign draws the same levels and time, and a
+    cross-checked draw's gate is this U.
     """
     levels, t, u = _draws(n, seed, range(index, index + 1))
     return EnergySpectrum(levels[0]), float(t[0]), u[0]
@@ -189,11 +190,7 @@ def _judge(seed: int, pieces) -> tuple[np.ndarray, int]:
         tr = _modulus(np.exp(-1j * ph).sum(axis=-1))
         checked = slice(-indices.start % CROSS_CHECK_EVERY, len(indices), CROSS_CHECK_EVERY)
         if indices[checked]:
-            lv, tc = levels[checked], t[checked]
-            # built from the unreduced products, so the gate shares no step
-            # with the phase reduction it checks
-            u = _gates(_bases(n, seed, indices[checked]),
-                       np.exp(-1j * (lv - lv[:, :1]) * tc[:, None]))
+            u = _draw_gates(n, seed, indices[checked], levels[checked], t[checked])
             gate_ph = _phases(u)
             products, deficit = _phase_products(np.concatenate([ph, gate_ph]))
             gate.append((n, _modulus(np.trace(u, axis1=-2, axis2=-1)),
@@ -229,7 +226,7 @@ def _judge(seed: int, pieces) -> tuple[np.ndarray, int]:
                 f"{CROSS_CHECK_MARGIN_TOL:g})"
             )
     bs = bounds.bounds_from_products(d.ml[:k], d.mt[:k], EnergyStats(*moments))
-    worst_bound = np.maximum.reduce([bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt])
+    worst_bound = np.maximum.reduce([getattr(bs, name) for name in bounds.BOUND_NAMES])
     return np.minimum(t - worst_bound, d.margins[:, :k].min(axis=0)), len(labels)
 
 
@@ -251,7 +248,6 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
         raise CampaignInputError("need at least one sample per dimension")
     if seed < 0:
         raise CampaignInputError("seed must be nonnegative")
-    started = time.perf_counter()
     failures = 0
     cross_checked = 0
     worst = math.inf
@@ -267,7 +263,6 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
         worst_margin=worst,
         seed=seed,
         dims=dims,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -326,10 +321,9 @@ def figure_qutrit(family: MubFamily, x_values=DEFAULT_QUTRIT_X,
     One block of rows per x value, each sweeping y over [0, 2 pi]; the
     abscissa column is y.  The exact column takes the smallest E*T over
     all canonical rotations, matching the most favorable energy ordering.
-    The gates are judged as one stack, as ``dominance`` judges them.
+    The gates are built as one stack and judged as ``dominance`` judges them.
     """
     grid = _grid(2.0 * math.pi, y_points)
-    u = np.array([qutrit_mub(QutritMubParams(family=family, x=float(x), y=float(y)))
-                  for x in x_values for y in grid]).reshape(-1, 3, 3)
-    d = _dominance(u)
+    u = _qutrit_mubs(family, np.asarray(x_values, dtype=np.float64)[:, None], grid)
+    d = _dominance(u.reshape(-1, 3, 3))
     return _curve(np.tile(grid, len(x_values)), d.products[0], d.ml)

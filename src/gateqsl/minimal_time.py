@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import TraceInput, ml_product, mt_from_deficit
+from .bounds import BOUND_NAMES, TraceInput, bound_forms, ml_product, mt_from_deficit
 from .linalg import _modulus, _square_matrices, square_matrix, unitarity_error
 
 TWO_PI = 2.0 * np.pi
@@ -59,13 +59,7 @@ class VerificationRecord:
 
     @property
     def worst(self) -> float:
-        return min(
-            self.ml_margin,
-            self.mt_margin,
-            self.dual_ml_margin,
-            self.width_ml_margin,
-            self.width_mt_margin,
-        )
+        return min(getattr(self, f"{name}_margin") for name in BOUND_NAMES)
 
 
 class Dominance(NamedTuple):
@@ -73,7 +67,7 @@ class Dominance(NamedTuple):
 
     ``products`` holds the least e_t, var_t, width_t and dual_t over the
     rotations; ``margins`` the worst product minus bound, one row per
-    bound in the order ml, mt, dual_ml, width_ml, width_mt.
+    bound in ``BOUND_NAMES`` order.
     """
 
     ratio: np.ndarray
@@ -190,14 +184,15 @@ def _margins(n, trace_abs, products, deficit) -> Dominance:
     ml = ml_product(ratio)
     mt = mt_from_deficit(deficit)
     e_t, var_t, width_t, dual_t = products
-    margins = np.array([e_t - ml, var_t - mt, dual_t - ml, width_t - 2.0 * ml,
-                        width_t - 2.0 * mt])
+    # each least product less its bound form, in BOUND_NAMES order
+    margins = np.array([e_t, var_t, dual_t, width_t, width_t]) - np.array(bound_forms(ml, mt))
     return Dominance(ratio, ml, mt, products, margins)
 
 
 def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
     """Check every rotation of each sorted phase list of a stack ``(..., n)``
-    against all five trace bounds; ``trace_abs`` is the matching ``|tr U|``.
+    against all five trace bounds; ``trace_abs`` is the matching ``|tr U|``,
+    one per phase list or one for them all.
 
     The MT product takes the trace deficit ``1 - r^2`` from the phases
     rather than from the rounded trace, so a near-identity gate's margin
@@ -207,6 +202,8 @@ def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
     # NaN and infinities fail the range test as well
     if not ((0.0 <= ph) & (ph < TWO_PI)).all():
         raise ValueError("phases must be finite and lie in [0, 2*pi)")
+    # the margin step stacks its bound forms, so one trace per phase list
+    trace_abs = np.broadcast_to(trace_abs, ph.shape[:-1])
     return _margins(ph.shape[-1], trace_abs, *_phase_products(ph))
 
 
@@ -233,6 +230,6 @@ def verify_dominance(u) -> VerificationRecord:
     u = square_matrix(u)
     d = _dominance(u)
     margins = d.margins.tolist()
-    # the margin fields follow the bound order of d.margins
+    # the rows of d.margins and the record's margin fields both follow BOUND_NAMES
     return VerificationRecord(u.shape[0], float(d.ratio), *margins,
                               passed=min(margins) >= -DOMINANCE_TOL)

@@ -1,5 +1,6 @@
 """Bound formulas, their degenerate cases, and the proof-identity suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gateqsl.bounds import (
+    BOUND_NAMES,
     ML_TRACE_FACTOR,
     BoundSet,
     TraceInput,
@@ -151,6 +153,9 @@ class TestBoundSet:
             ti = TraceInput(n, float(rng.uniform(0, n)))
             bs = bound_set(ti, stats_of(rng.uniform(0, 10, n)))
             assert bs.combined == max(bs.ml, bs.mt)
+
+    def test_fields_follow_bound_names(self):
+        assert [f.name for f in dataclasses.fields(BoundSet)] == list(BOUND_NAMES)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="bounds cannot be negative"):

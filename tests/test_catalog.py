@@ -1,5 +1,6 @@
 """Gate constructors and their closed-form traces."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from gateqsl.catalog import (
     PhaseReduction,
     QubitParams,
     QutritMubParams,
+    _qutrit_mubs,
     fourier,
     gauss_trace,
     grover,
@@ -203,6 +205,17 @@ class TestQutritMub:
             t1 = trace_abs(qutrit_mub(QutritMubParams(MubFamily.ONE, x, y)))
             t2 = trace_abs(qutrit_mub(QutritMubParams(MubFamily.TWO, -x, -y)))
             assert abs(t1 - t2) < 1e-12
+
+    @pytest.mark.parametrize("family", list(MubFamily))
+    def test_stack_is_bitwise_the_scalar_gates(self, family):
+        rng = np.random.default_rng(5)
+        x = np.append(rng.uniform(-20.0, 20.0, 7), [0.0, -0.0, math.pi])
+        y = np.append(rng.uniform(-20.0, 20.0, 50), [0.0, -0.0, 2.0 * math.pi])
+        stack = _qutrit_mubs(family, x[:, None], y)
+        assert stack.shape == (len(x), len(y), 3, 3)
+        for i, j in itertools.product(range(len(x)), range(len(y))):
+            u = qutrit_mub(QutritMubParams(family, float(x[i]), float(y[j])))
+            assert stack[i, j].tobytes() == u.tobytes()
 
     def test_diagonal_closed_form(self):
         rng = np.random.default_rng(2)

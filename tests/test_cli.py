@@ -22,7 +22,88 @@ def write_matrix(path, u):
     path.write_text(json.dumps(payload))
 
 
+# Files the bad-input routes below read, by name.
+BAD_FILES = {
+    "schema.json": '{"n": 2, "re": [[1, 0], [0, 1]]}',
+    "bool_n.json": '{"n": true, "re": [[1.0]], "im": [[0.0]]}',
+    "big_n.json": '{"n": %d, "re": [[1.0]], "im": [[0.0]]}' % (MAX_DIM + 1),
+    "garbled.json": '{"n": 2, "re": [[1, 0], [0, 1]], "im": ',
+    "scaled.json": '{"n": 2, "re": [[2, 0], [0, 2]], "im": [[0, 0], [0, 0]]}',
+}
+
+# Every bounds, verify and figure input that parses but is refused,
+# with its exit code.
+BAD_INPUT_ROUTES = [
+    (["bounds", "--file", "{tmp}/missing.json"], {}, 2),
+    (["bounds", "--file", "{tmp}/schema.json"], {}, 2),
+    (["bounds", "--file", "{tmp}/bool_n.json"], {}, 2),
+    (["bounds", "--file", "{tmp}/big_n.json"], {}, 2),
+    (["bounds", "--file", "{tmp}/garbled.json"], {}, 2),
+    (["bounds", "--file", "{tmp}/scaled.json"], {}, 3),
+    (["bounds", "--fourier", "0"], {}, 2),
+    (["bounds", "--fourier", str(MAX_DIM + 1)], {}, 2),
+    (["bounds", "--grover", "1"], {}, 2),
+    (["bounds", "--grover", "4", "--target", "9"], {}, 2),
+    (["bounds", "--permutation", "0,0,1"], {}, 2),
+    (["bounds", "--hadamard-power", "11"], {}, 2),
+    (["bounds", "--fourier", "2", "--spectrum", "a,b"], {}, 2),
+    (["bounds", "--fourier", "2", "--spectrum", "@{tmp}/missing.txt"], {}, 2),
+    (["bounds", "--fourier", "2", "--spectrum", "1,2,3"], {}, 2),
+    (["bounds", "--fourier", "2", "--spectrum", "1,1"], {}, 2),
+    (["bounds", "--fourier", "2", "--spectrum", "0,1e-310"], {}, 2),
+    (["verify", "--dims", "2", "--samples", "1"], {"QSL_SEED": "abc"}, 2),
+    (["verify", "--dims", str(MAX_DIM + 1), "--samples", "1"], {}, 2),
+    (["verify", "--dims", "1,2", "--samples", "1"], {}, 2),
+    (["verify", "--dims", "2,2", "--samples", "1"], {}, 2),
+    (["verify", "--dims", "2", "--samples", "0"], {}, 2),
+    (["verify", "--dims", "2", "--samples", "1", "--seed", "-1"], {}, 2),
+    (["verify", "--dims", "2", "--samples", "1", "-o", "{tmp}/no/dir/r.json"], {}, 2),
+    (["verify", "--dims", "2", "--samples", "1", "-o", ""], {}, 2),
+    (["figure", "qubit", "-r", "0"], {}, 2),
+    (["figure", "qubit", "-r", "-5"], {}, 2),
+    (["figure", "qubit", "-r", str(MAX_RESOLUTION + 1)], {}, 2),
+    (["figure", "qubit", "-r", "2", "-o", "{tmp}/no/dir/f.csv"], {}, 2),
+    (["figure", "qubit", "-r", "2", "-o", ""], {}, 2),
+]
+
+
+@pytest.mark.parametrize("argv, env, code", BAD_INPUT_ROUTES,
+                         ids=[" ".join(argv) for argv, _, _ in BAD_INPUT_ROUTES])
+def test_bad_input_ends_with_one_line(argv, env, code, tmp_path, capsys, monkeypatch):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.delenv("QSL_SEED", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    got, out, err = run_cli([arg.format(tmp=tmp_path) for arg in argv], capsys)
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and err.endswith("\n")
+
+
 class TestBoundsCommand:
+    @pytest.mark.parametrize("spectrum, rows", [
+        (None, ["ml         0.912446011587  [units 1/E]",
+                "mt         0.935414346693  [units 1/dE]",
+                "dual_ml    0.912446011587  [units 1/(Emax-mean)]",
+                "width_ml   1.82489202317  [units 1/width]",
+                "width_mt   1.87082869339  [units 1/width]",
+                "combined   0.935414346693  [max(ml, mt) at E = dE = 1]"]),
+        ("0,1,2,3", ["ml         0.608297341058  [time]",
+                     "mt         0.836660026534  [time]",
+                     "dual_ml    0.608297341058  [time]",
+                     "width_ml   0.608297341058  [time]",
+                     "width_mt   0.623609564462  [time]",
+                     "combined   0.836660026534  [time, max(ml, mt)]"]),
+    ], ids=["products", "times"])
+    def test_fourier4_golden_stdout(self, spectrum, rows, capsys):
+        argv = ["bounds", "--fourier", "4"] + ([] if spectrum is None else ["--spectrum", spectrum])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["n          4", "|tr U|     1.41421356237",
+                                    "r=|trU|/n  0.353553390593", *rows]
+        assert out.endswith("\n")
+
     def test_fourier_with_spectrum(self, capsys):
         code, out, _ = run_cli(["bounds", "--fourier", "4", "--spectrum", "0,1,2,3"], capsys)
         assert code == 0
@@ -287,7 +368,7 @@ class TestVerifyCommand:
 
         def broken_campaign(dims, samples, seed):
             return VerificationReport(samples=3, failures=2, cross_checked=1, worst_margin=-0.5,
-                                      seed=seed, dims=tuple(dims), elapsed=0.1)
+                                      seed=seed, dims=tuple(dims))
 
         monkeypatch.setattr(cli.harness, "run_random_campaign", broken_campaign)
         out_path = tmp_path / "report.json"
@@ -441,9 +522,9 @@ class TestFigureCommand:
         assert err.startswith("FAILED: dominance violated at abscissa 0.0: ")
 
     def test_bad_resolution_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["figure", "qubit", "-r", "0"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(["figure", "qubit", "-r", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --resolution must be at least 1\n"
 
     @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 1, 10**12])
     def test_resolution_above_cap_exits_2(self, resolution, capsys, monkeypatch):

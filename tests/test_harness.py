@@ -56,7 +56,6 @@ class TestCampaign:
         payload = report.as_json_dict()
         assert sorted(payload) == ["cross_checked", "dims", "failures", "samples", "seed",
                                    "worst_margin"]
-        assert report.elapsed > 0.0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -83,8 +82,8 @@ class TestCampaign:
         assert spectrum.n == 4
         assert 0.0 < t <= 2.0
         assert is_unitary(u, 1e-9)
-        # the gate carries exactly the phases E_k*T mod 2 pi
-        want = np.sort((spectrum.levels * t) % (2.0 * math.pi))
+        # the gate carries exactly the phases (E_k - E_0) T mod 2 pi
+        want = np.sort(((spectrum.levels - spectrum.levels[0]) * t) % (2.0 * math.pi))
         assert np.max(np.abs(eigenphases(u) - want)) < 1e-10
         again = sample_spectrum_gate(4, seed=3, index=17)
         assert np.array_equal(spectrum.levels, again[0].levels)
@@ -255,10 +254,27 @@ class TestSpectralVerdict:
         ph = phases_from_levels(levels, t)
         for index in range(40):
             spectrum, t1, u = sample_spectrum_gate(n, 4, index)
-            # the gate carries the global phase E_0 T on top of the drawn phases
-            gate_ph = eigenphases(u) - spectrum.levels[0] * t1
+            gate_ph = eigenphases(u)
             tol = CROSS_CHECK_PHASE_TOL * (1.0 + (spectrum.levels[-1] - spectrum.levels[0]) * t1)
             assert cyclic_distance(ph[index], gate_ph) <= tol
+
+    def test_cross_check_gate_is_the_replayed_gate(self, monkeypatch):
+        # the gate a cross-checked draw diagonalises is bitwise the gate
+        # sample_spectrum_gate replays for that draw
+        seen = []
+        phases = harness._phases
+
+        def recording(u):
+            seen.append(u.copy())
+            return phases(u)
+
+        monkeypatch.setattr(harness, "_phases", recording)
+        run_random_campaign((3, 8), 130, 5)
+        gates = [u for stack in seen for u in stack]
+        want = [sample_spectrum_gate(n, 5, index)[2] for n in (3, 8) for index in (0, 64, 128)]
+        assert len(gates) == len(want)
+        for got, replayed in zip(gates, want):
+            assert got.tobytes() == replayed.tobytes()
 
     def test_cross_checked_count(self):
         # n = 64 holds 16 draws per chunk: draws 64 and 128 open chunks,

@@ -1,5 +1,6 @@
 """Branch enumeration: canonical rotations, their products, dominance."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gateqsl.bounds import bounds_from_products
+from gateqsl.bounds import BOUND_NAMES, bounds_from_products
 from gateqsl.catalog import (
     MubFamily,
     QubitParams,
@@ -24,6 +25,7 @@ from gateqsl.linalg import _modulus, random_unitaries, random_unitary, trace_abs
 from gateqsl.minimal_time import (
     DOMINANCE_TOL,
     TWO_PI,
+    VerificationRecord,
     _phase_products,
     _windows,
     dominance,
@@ -60,6 +62,14 @@ def exact_minima(phases):
 
 
 class TestDominanceFromPhases:
+    def test_one_trace_for_a_stack(self):
+        ph = np.sort(np.random.default_rng(0).uniform(0.0, TWO_PI, (2, 3, 4)), axis=-1)
+        d = dominance_from_phases(ph, 1.5)
+        assert d.margins.shape == (5, 2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            row = dominance_from_phases(ph[i, j], 1.5).margins
+            assert d.margins[:, i, j].tolist() == row.tolist()
+
     @pytest.mark.parametrize("phases", [[0.0, TWO_PI], [-0.1], [0.0, np.nan], [0.0, np.inf],
                                         [-np.inf, 0.0]], ids=["2pi", "-0.1", "nan", "inf", "-inf"])
     def test_rejects_out_of_window(self, phases):
@@ -175,6 +185,11 @@ class TestBranchBruteForce:
 
 
 class TestVerifyDominance:
+    def test_margin_fields_follow_bound_names(self):
+        margins = [f.name for f in dataclasses.fields(VerificationRecord)
+                   if f.name.endswith("_margin")]
+        assert margins == [f"{name}_margin" for name in BOUND_NAMES]
+
     def test_equality_at_diag_signs(self):
         rec = verify_dominance(np.diag([1.0, -1.0]).astype(complex))
         assert rec.passed
