@@ -12,20 +12,20 @@ environment variable; an explicit ``--seed`` flag always wins.  Numbers
 are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 a bound was broken, 2 bad input or unwritable
-output, 3 a file-supplied matrix is not unitary, 4 a campaign's internal
-cross-check failed.  A command that exits nonzero prints one ``error:``
-or ``FAILED:`` line on stderr; only argparse's own usage errors print a
-usage line before theirs.  Gate dimensions from ``--dims``, a matrix
-file's ``"n"``, ``--fourier``, ``--grover`` and ``--permutation`` are
-capped at ``MAX_DIM``; ``figure --resolution`` runs from 1 to
-``MAX_RESOLUTION``.  ``verify`` otherwise takes the input rules of the
-campaign it runs.
+output (stdout or ``-o``), 3 a file-supplied matrix is not unitary, 4 a
+campaign's internal cross-check failed; :func:`main` returns the code for
+every outcome, usage errors and ``--help`` included.  A command that exits
+nonzero prints one ``error:`` or ``FAILED:`` line on stderr; only argparse's
+own usage errors print a usage line before theirs.  Gate dimensions from
+``--dims``, a matrix file's ``"n"``, ``--fourier``, ``--grover`` and
+``--permutation`` are capped at ``MAX_DIM``; ``figure --resolution`` runs
+from 1 to ``MAX_RESOLUTION``.  ``--target`` needs ``--grover``.  ``verify``
+otherwise takes the input rules of the campaign it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -65,15 +65,16 @@ def _end(code: int, message: str) -> NoReturn:
     _parser().exit(code, message + "\n")
 
 
-def _write(path, what: str, write) -> None:
-    """``write(fh)`` to the file ``path``, or to stdout when ``path`` is None;
-    an OSError ends the command with exit 2."""
+def _write(path, what: str, lines) -> None:
+    """Write the strings ``lines`` to the file ``path``, or to stdout (flushed)
+    when ``path`` is None; any OSError ends the command with exit 2."""
     try:
         if path is None:
-            write(sys.stdout)
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
         else:
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                write(fh)
+                fh.writelines(lines)
     except OSError as exc:
         _end(EXIT_BAD_INPUT, f"error: cannot write {what}: {exc}")
 
@@ -159,7 +160,7 @@ def _build_gate(args) -> np.ndarray:
     if args.fourier is not None:
         return catalog.fourier(_capped(args.fourier))
     if args.grover is not None:
-        return catalog.grover(_capped(args.grover), args.target)
+        return catalog.grover(_capped(args.grover), 0 if args.target is None else args.target)
     if args.permutation is not None:
         _capped(len(args.permutation))
         return catalog.permutation(args.permutation)
@@ -171,6 +172,8 @@ def _build_gate(args) -> np.ndarray:
 
 
 def cmd_bounds(args) -> int:
+    if args.target is not None and args.grover is None:
+        _end(EXIT_BAD_INPUT, "error: --target is taken only with --grover")
     try:
         u = _build_gate(args)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -204,11 +207,10 @@ def cmd_bounds(args) -> int:
         values = bounds.bound_forms(ml, mt) + [max(ml, mt)]
         units = ("[units 1/E]", "[units 1/dE]", "[units 1/(Emax-mean)]", "[units 1/width]",
                  "[units 1/width]", "[max(ml, mt) at E = dE = 1]")
-    print(f"n          {n}")
-    print(f"|tr U|     {_fmt(tr)}")
-    print(f"r=|trU|/n  {_fmt(ti.ratio)}")
-    for name, value, unit in zip(bounds.BOUND_NAMES + ("combined",), values, units):
-        print(f"{name:<11}{_fmt(value)}  {unit}")
+    lines = [f"n          {n}\n", f"|tr U|     {_fmt(tr)}\n", f"r=|trU|/n  {_fmt(ti.ratio)}\n"]
+    lines += [f"{name:<11}{_fmt(value)}  {unit}\n"
+              for name, value, unit in zip(bounds.BOUND_NAMES + ("combined",), values, units)]
+    _write(None, "bounds", lines)
     return EXIT_OK
 
 
@@ -228,7 +230,7 @@ def cmd_verify(args) -> int:
     except harness.CrossCheckError as exc:
         _end(EXIT_CROSS_CHECK, f"error: internal cross-check failed: {exc}")
     payload = json.dumps(report.as_json_dict(), indent=2, sort_keys=True) + "\n"
-    _write(args.out, "report", lambda fh: fh.write(payload))
+    _write(args.out, "report", [payload])
     if report.failures:
         _end(EXIT_FAILED_CHECK,
               f"FAILED: {report.failures} of {report.samples} samples broke a bound")
@@ -252,17 +254,10 @@ def cmd_figure(args) -> int:
         points = _FIGURES[args.name](args.resolution + 1)
     except harness._FigureCheckError as exc:
         _end(EXIT_FAILED_CHECK, f"FAILED: {exc}")
-
-    def write_rows(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["abscissa", "exact", "ml", "mt"])
-        for p in points:
-            writer.writerow(
-                [_fmt(p.abscissa), _fmt(p.exact), _fmt(p.ml),
-                 "" if p.mt is None else _fmt(p.mt)]
-            )
-
-    _write(args.out, "figure data", write_rows)
+    # CSV rows with CRLF endings, as the csv module writes them
+    rows = [f"{_fmt(p.abscissa)},{_fmt(p.exact)},{_fmt(p.ml)},"
+            f"{'' if p.mt is None else _fmt(p.mt)}\r\n" for p in points]
+    _write(args.out, "figure data", ["abscissa,exact,ml,mt\r\n"] + rows)
     return EXIT_OK
 
 
@@ -277,13 +272,15 @@ def cmd_catalog(_args) -> int:
         ("qutrit-mub 2,x,y", "|tr| = |1 + w (e^{ix} + e^{iy})| / sqrt(3)"),
     ]
     width = max(len(name) for name, _ in rows)
-    for name, trace in rows:
-        print(f"{name:<{width}}  {trace}")
-    print("\nMUB trace cap: |tr U| <= sqrt(N) for any basis-to-MUB gate")
+    lines = [f"{name:<{width}}  {trace}\n" for name, trace in rows]
+    lines.append("\nMUB trace cap: |tr U| <= sqrt(N) for any basis-to-MUB gate\n")
+    _write(None, "catalog", lines)
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gateqsl",
         description="Trace-based quantum speed-limit bounds for unitary gates.",
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--hadamard-power", type=int, metavar="Q")
     source.add_argument("--qubit", type=_qubit_params, metavar="PHI,ALPHA,BETA,THETA")
     source.add_argument("--qutrit-mub", type=_qutrit_params, metavar="FAMILY,X,Y")
-    p_bounds.add_argument("--target", type=int, default=0,
+    p_bounds.add_argument("--target", type=int, default=None,
                           help="Grover target state (default 0)")
     p_bounds.add_argument("--spectrum", metavar="E0,E1,... | @FILE",
                           help="energy levels; when given, bounds are absolute times")
@@ -326,20 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use; parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    """Run one command and return its exit code.  An argparse usage error
-    raises ``SystemExit(2)`` from parsing, after a usage line."""
-    args = _parser().parse_args(argv)
+    """Run one command and return its exit code, for every outcome: an
+    argparse usage error returns 2 after a usage line, ``--help`` returns 0."""
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        # a command ends early only through _end
+        # argparse and _end are the only sources of SystemExit
         return exc.code
 
 

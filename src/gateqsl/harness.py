@@ -18,6 +18,7 @@ at the first point whose exact column is below its bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,6 +58,17 @@ CROSS_CHECK_MARGIN_TOL = 1e-12
 
 class CampaignInputError(ValueError):
     """A campaign's dims, sample count or seed break its input rules."""
+
+
+def _at_least(value, low: int, rule: str) -> int:
+    """``value`` through ``operator.index``, if at least ``low``; else CampaignInputError(rule)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise CampaignInputError(rule) from None
+    if value < low:
+        raise CampaignInputError(rule)
+    return value
 
 
 class CrossCheckError(RuntimeError):
@@ -108,11 +120,6 @@ def _spectra(n: int, seed: int, indices: range):
     return np.sort(SPECTRUM_HIGH * u[:, :n], axis=-1), TIME_HIGH * (1.0 - u[:, n])
 
 
-def _bases(n: int, seed: int, indices) -> np.ndarray:
-    """Haar bases ``(k, n, n)`` of draws ``indices``, keyed by ``(seed, n, index)``."""
-    return random_unitaries(n, [(seed, n, index) for index in indices])
-
-
 def _draws(n: int, seed: int, indices: range):
     """Campaign draws ``indices`` at dimension ``n``, with their gates, as stacks.
 
@@ -125,12 +132,14 @@ def _draws(n: int, seed: int, indices: range):
 
 def _draw_gates(n: int, seed: int, indices, levels: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Gates ``basis diag(e^{-i (E_k - E_0) T}) basis†`` ``(k, n, n)`` of
-    draws ``indices`` with sorted levels ``(k, n)`` and times ``(k,)``.
+    draws ``indices`` with sorted levels ``(k, n)`` and times ``(k,)``, on
+    Haar bases keyed by ``(seed, n, index)``.
 
     Built from the unreduced products ``(E_k - E_0) T``, so a gate shares
     no step with the phase reduction its cross-check tests.
     """
-    return _gates(_bases(n, seed, indices), np.exp(-1j * (levels - levels[:, :1]) * t[:, None]))
+    basis = random_unitaries(n, [(seed, n, index) for index in indices])
+    return _gates(basis, np.exp(-1j * (levels - levels[:, :1]) * t[:, None]))
 
 
 def _gates(basis: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
@@ -239,15 +248,14 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
     :class:`CampaignInputError` before the first draw; a cross-check
     mismatch raises :class:`CrossCheckError`.
     """
-    dims = tuple(int(d) for d in dims)
-    if not dims or min(dims) < 2:
-        raise CampaignInputError("dims must be a nonempty list of integers >= 2")
+    dims_rule = "dims must be a nonempty list of integers >= 2"
+    dims = tuple(_at_least(d, 2, dims_rule) for d in dims)
+    if not dims:
+        raise CampaignInputError(dims_rule)
     if len(set(dims)) < len(dims):
         raise CampaignInputError("dims must be distinct")
-    if samples_per_dim < 1:
-        raise CampaignInputError("need at least one sample per dimension")
-    if seed < 0:
-        raise CampaignInputError("seed must be nonnegative")
+    samples_per_dim = _at_least(samples_per_dim, 1, "need at least one sample per dimension")
+    seed = _at_least(seed, 0, "seed must be nonnegative")
     failures = 0
     cross_checked = 0
     worst = math.inf

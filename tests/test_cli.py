@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +48,7 @@ BAD_INPUT_ROUTES = [
     (["bounds", "--fourier", str(MAX_DIM + 1)], {}, 2),
     (["bounds", "--grover", "1"], {}, 2),
     (["bounds", "--grover", "4", "--target", "9"], {}, 2),
+    (["bounds", "--fourier", "4", "--target", "9"], {}, 2),
     (["bounds", "--permutation", "0,0,1"], {}, 2),
     (["bounds", "--hadamard-power", "11"], {}, 2),
     (["bounds", "--fourier", "2", "--spectrum", "a,b"], {}, 2),
@@ -251,9 +256,7 @@ class TestBoundsCommand:
         ("--qutrit-mub", "1,inf,0", "qutrit parameters must be finite"),
     ])
     def test_non_finite_parameters_name_the_reason(self, flag, value, reason, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bounds", flag, value])
-        assert exc.value.code == 2
+        assert main(["bounds", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(f"argument {flag}: {reason}")
         assert "_params" not in err
@@ -267,9 +270,13 @@ class TestBoundsCommand:
         assert err.startswith("error:")
 
     def test_requires_exactly_one_source(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bounds", "--fourier", "4", "--grover", "2"])
-        assert exc.value.code == 2
+        assert main(["bounds", "--fourier", "4", "--grover", "2"]) == 2
+
+    @pytest.mark.parametrize("source", ["--file={tmp}/missing.json", "--hadamard-power=11"])
+    def test_target_without_grover_refused_before_the_gate(self, source, tmp_path, capsys):
+        # a missing file or an over-cap power would be named, had the gate been built
+        argv = ["bounds", source.format(tmp=tmp_path), "--target", "1"]
+        assert run_cli(argv, capsys) == (2, "", "error: --target is taken only with --grover\n")
 
 
 class TestVerifyCommand:
@@ -537,9 +544,7 @@ class TestFigureCommand:
         assert err == f"error: --resolution must be at most {MAX_RESOLUTION}\n"
 
     def test_unknown_name_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["figure", "nope"])
-        assert exc.value.code == 2
+        assert main(["figure", "nope"]) == 2
 
 
 class TestCatalogCommand:
@@ -552,6 +557,43 @@ class TestCatalogCommand:
 
 
 def test_console_entry_help(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: gateqsl")
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_with_stdout(argv, stdout) -> subprocess.CompletedProcess:
+    """``python -m gateqsl.cli argv`` in a new interpreter, stdout on ``stdout``."""
+    env = {k: v for k, v in os.environ.items() if k != "QSL_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gateqsl.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--fourier", "4"], ["catalog"],
+                                  ["verify", "--dims", "2", "--samples", "2"],
+                                  ["figure", "qubit", "-r", "2"]], ids=lambda argv: argv[0])
+class TestUnwritableStdout:
+    """Every command's stdout goes through one checked writer: an
+    unwritable stdout exits 2 with one line, never a traceback."""
+
+    @staticmethod
+    def assert_one_line(proc):
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: cannot write ")
+
+    def test_closed_pipe(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            self.assert_one_line(run_with_stdout(argv, write_end))
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            self.assert_one_line(run_with_stdout(argv, full))

@@ -1,6 +1,7 @@
 """Campaign behavior and figure-data invariants."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from gateqsl.harness import (
     CROSS_CHECK_EVERY,
     CROSS_CHECK_PHASE_TOL,
     DEFAULT_QUTRIT_X,
+    CampaignInputError,
     CrossCheckError,
     CurvePoint,
     _draws,
@@ -66,6 +68,25 @@ class TestCampaign:
             run_random_campaign([2], 0, 0)
         with pytest.raises(ValueError):
             run_random_campaign([2], 5, -3)
+
+    @pytest.mark.parametrize("dims, samples, seed, message", [
+        ([2.9], 2, 0, "dims must be a nonempty list of integers >= 2"),
+        (["3"], 2, 0, "dims must be a nonempty list of integers >= 2"),
+        ([2], 2.5, 0, "need at least one sample per dimension"),
+        ([2], 2, 1.5, "seed must be nonnegative"),
+        ([2], 2, "1", "seed must be nonnegative"),
+    ])
+    def test_non_integer_inputs_rejected(self, dims, samples, seed, message):
+        with pytest.raises(CampaignInputError) as exc:
+            run_random_campaign(dims, samples, seed)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_are_stored_as_int(self):
+        report = run_random_campaign(np.array([2, 3]), np.int64(4), np.int64(5))
+        assert report == run_random_campaign([2, 3], 4, 5)
+        assert all(type(v) is int for v in (report.samples, report.seed, *report.dims))
+        payload = json.loads(json.dumps(report.as_json_dict()))
+        assert (payload["seed"], payload["dims"], payload["samples"]) == (5, [2, 3], 8)
 
     def test_repeated_dimension_rejected(self):
         # a repeat would judge the same draws twice

@@ -1,4 +1,5 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, and none
+calls ``print``: the CLI writes its output through one checked writer.
 
 No linter ships with the toolchain, so this parses each module with the
 standard library's ``ast``.  ``__init__.py`` is checked too, so a
@@ -28,6 +29,13 @@ def unread_imports(source: str) -> list[str]:
     return sorted(imported - read)
 
 
+def print_calls(source: str) -> list[int]:
+    """Line numbers of the calls to the builtin ``print`` in a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print"]
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"harness.py", "minimal_time.py", "cli.py"}
 
@@ -40,3 +48,13 @@ def test_no_unread_import(path):
 def test_unread_import_is_caught():
     source = "from __future__ import annotations\nimport math\nfrom os import path, sep\nsep\n"
     assert unread_imports(source) == ["math", "path"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_print_call(path):
+    assert print_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_print_call_is_caught():
+    source = "import sys\nsys.stdout.write('a')\nif True:\n    print('b', file=sys.stderr)\n"
+    assert print_calls(source) == [4]
