@@ -118,12 +118,6 @@ def bound_forms(ml, mt) -> list:
     return [ml, mt, ml, 2.0 * ml, 2.0 * mt]
 
 
-_E = "mean energy above ground"
-_DE = "energy spread (std)"
-_E_TOP = "mean energy below the top level"
-_WIDTH = "spectrum width"
-
-
 def _scaled(raw, denom, what):
     """``raw / denom``, 0 where both vanish, over one stack.
 
@@ -159,5 +153,6 @@ def bounds_from_products(ml, mt, stats: EnergyStats) -> BoundSet:
         bound_forms(ml, mt),
         [stats.e_above_ground, stats.variance_sqrt, stats.e_below_top, stats.width,
          stats.width],
-        [_E, _DE, _E_TOP, _WIDTH, _WIDTH],
+        ["mean energy above ground", "energy spread (std)", "mean energy below the top level",
+         "spectrum width", "spectrum width"],
     ))

@@ -190,9 +190,7 @@ def qutrit_phase_reduce(phis, alpha: float, beta: float, family: MubFamily) -> P
     """
     p1, p2, p3 = (float(v) for v in phis)
     params = QutritMubParams(family=family, x=p2 - p1 - alpha, y=p3 - p1 - beta)
-    conjugator = np.diag([1.0, np.exp(1j * (p1 - p2)), np.exp(1j * (p1 - p3))]).astype(
-        np.complex128
-    )
+    conjugator = np.diag([1.0, np.exp(1j * (p1 - p2)), np.exp(1j * (p1 - p3))])
     return PhaseReduction(params=params, global_phase=p1, conjugator=conjugator)
 
 

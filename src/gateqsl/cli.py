@@ -66,16 +66,23 @@ def _end(code: int, message: str) -> NoReturn:
 
 
 def _write(path, what: str, lines) -> None:
-    """Write the strings ``lines`` to the file ``path``, or to stdout (flushed)
-    when ``path`` is None; any OSError ends the command with exit 2."""
+    """Write the strings ``lines`` to the file ``path``, or to stdout (flushed) when
+    ``path`` is None; a closed stdout or any OSError ends the command with exit 2."""
     try:
-        if path is None:
-            sys.stdout.writelines(lines)
-            sys.stdout.flush()
-        else:
+        if path is not None:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.writelines(lines)
+        elif sys.stdout is None:
+            raise OSError("stdout is closed")
+        else:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
     except OSError as exc:
+        if path is None and sys.stdout is not None:
+            # Point fd 1 at devnull: the bytes a failed flush leaves in stdout's
+            # buffer are flushed again at exit, and must not fail a second time.
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         _end(EXIT_BAD_INPUT, f"error: cannot write {what}: {exc}")
 
 

@@ -564,20 +564,28 @@ def test_console_entry_help(capsys):
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def run_with_stdout(argv, stdout) -> subprocess.CompletedProcess:
-    """``python -m gateqsl.cli argv`` in a new interpreter, stdout on ``stdout``."""
-    env = {k: v for k, v in os.environ.items() if k != "QSL_SEED"}
+def run_with_stdout(argv, stdout, buffering, prefix=()) -> subprocess.CompletedProcess:
+    """``python -m gateqsl.cli argv`` in a new interpreter, started through
+    the command ``prefix``, stdout on ``stdout``, buffered as Python does by
+    default or unbuffered, whatever the caller's environment says."""
+    drop = ("QSL_SEED", "PYTHONUNBUFFERED", "PYTHONDEVMODE")
+    env = {k: v for k, v in os.environ.items() if k not in drop}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "gateqsl.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([*prefix, sys.executable, "-m", "gateqsl.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=120)
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--fourier", "4"], ["catalog"],
                                   ["verify", "--dims", "2", "--samples", "2"],
                                   ["figure", "qubit", "-r", "2"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 class TestUnwritableStdout:
     """Every command's stdout goes through one checked writer: an
-    unwritable stdout exits 2 with one line, never a traceback."""
+    unwritable stdout exits 2 with one line, never a traceback, also when
+    the unwritten bytes sit in stdout's buffer until the interpreter exits."""
 
     @staticmethod
     def assert_one_line(proc):
@@ -585,15 +593,21 @@ class TestUnwritableStdout:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: cannot write ")
 
-    def test_closed_pipe(self, argv):
+    def test_closed_pipe(self, argv, buffering):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            self.assert_one_line(run_with_stdout(argv, write_end))
+            self.assert_one_line(run_with_stdout(argv, write_end, buffering))
         finally:
             os.close(write_end)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-    def test_full_device(self, argv):
+    def test_full_device(self, argv, buffering):
         with open("/dev/full", "w") as full:
-            self.assert_one_line(run_with_stdout(argv, full))
+            self.assert_one_line(run_with_stdout(argv, full, buffering))
+
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="no POSIX shell")
+    def test_closed_stdout(self, argv, buffering):
+        # the shell starts the interpreter with fd 1 closed: sys.stdout is None
+        prefix = ("/bin/sh", "-c", 'exec "$@" >&-', "sh")
+        self.assert_one_line(run_with_stdout(argv, None, buffering, prefix))
