@@ -12,15 +12,16 @@ environment variable; an explicit ``--seed`` flag always wins.  Numbers
 are printed with 12 significant digits.
 
 Exit codes: 0 success, 1 a bound was broken, 2 bad input or unwritable
-output (stdout or ``-o``), 3 a file-supplied matrix is not unitary, 4 a
-campaign's internal cross-check failed; :func:`main` returns the code for
-every outcome, usage errors and ``--help`` included.  A command that exits
-nonzero prints one ``error:`` or ``FAILED:`` line on stderr; only argparse's
-own usage errors print a usage line before theirs.  Gate dimensions from
-``--dims``, a matrix file's ``"n"``, ``--fourier``, ``--grover`` and
-``--permutation`` are capped at ``MAX_DIM``; ``figure --resolution`` runs
-from 1 to ``MAX_RESOLUTION``.  ``--target`` needs ``--grover``.  ``verify``
-otherwise takes the input rules of the campaign it runs.
+output (stdout, help included, or ``-o``), 3 a file-supplied matrix is not
+unitary, 4 a campaign's internal cross-check failed; :func:`main` returns
+the code for every outcome, usage errors and ``--help`` included.  A
+command that exits nonzero prints one ``error:`` or ``FAILED:`` line on
+stderr; only argparse's own usage errors print a usage line before theirs.
+Gate dimensions from ``--dims``, a matrix file's ``"n"``, ``--fourier``,
+``--grover`` and ``--permutation`` are capped at ``MAX_DIM``;
+``figure --resolution`` runs from 1 to ``MAX_RESOLUTION``.  ``--target``
+needs ``--grover``.  ``verify`` otherwise takes the input rules of the
+campaign it runs.
 """
 
 from __future__ import annotations
@@ -138,10 +139,12 @@ def load_matrix_file(path: str) -> np.ndarray:
         raise ValueError(f'"n" must be an integer, got {n!r}')
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f'"n" = {n} is outside [1, {MAX_DIM}]')
-    re = np.asarray(data["re"], dtype=np.float64)
-    im = np.asarray(data["im"], dtype=np.float64)
+    re, im = np.asarray(data["re"]), np.asarray(data["im"])
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"re/im must both be {n}x{n} arrays")
+    # strings, booleans and nulls make arrays of other kinds
+    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+        raise ValueError("re/im entries must be JSON numbers")
     return square_matrix(re + 1j * im)
 
 
@@ -285,10 +288,21 @@ def cmd_catalog(_args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help, and that of its subcommands, goes to
+    stdout through :func:`_write`."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            super().print_help(file)
+        else:
+            _write(None, "help", [self.format_help()])
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gateqsl",
         description="Trace-based quantum speed-limit bounds for unitary gates.",
     )

@@ -4,7 +4,8 @@ A campaign draws (spectrum, time) pairs and judges each one from its
 phases ``(E_k - E_0) T``: every trace bound and every exact product
 depends on the gate only through ``|tr U|`` and its eigenphases, which
 no basis change moves.  The draws run as stacked arrays in passes that
-span dimensions, with only the n-by-n work done once per dimension.  One
+span dimensions: per dimension run only the steps whose shapes need its
+n, and the rest once over a padded stack of the whole pass.  One
 draw in ``CROSS_CHECK_EVERY`` also goes the long way round, through a
 Haar basis, the gate built on it and the gate's ``eigvals``; its phases
 and product margins must agree with the spectral ones, or the campaign
@@ -35,7 +36,7 @@ from .minimal_time import (
     cyclic_distance,
     phases_from_levels,
 )
-from .spectrum import EnergySpectrum, EnergyStats, _level_moments
+from .spectrum import EnergySpectrum, EnergyStats, _level_moments, _slot_sum
 
 DEFAULT_QUTRIT_X = (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi)
 
@@ -58,6 +59,10 @@ CROSS_CHECK_MARGIN_TOL = 1e-12
 
 class CampaignInputError(ValueError):
     """A campaign's dims, sample count or seed break its input rules."""
+
+
+_DIMS_RULE = "dims must be a nonempty list of integers >= 2"
+_SEED_RULE = "seed must be nonnegative"
 
 
 def _at_least(value, low: int, rule: str) -> int:
@@ -104,20 +109,31 @@ class CurvePoint:
     mt: float | None
 
 
-def _spectra(n: int, seed: int, indices: range):
+def _spectra(n: int, seed: int, indices: range, streams=None):
     """Sorted levels ``(k, n)`` and times ``(k,)`` of campaign draws
     ``indices`` at dimension ``n``.
 
     Draw i reads words ``[i s, (i + 1) s)`` of one Philox stream keyed by
     ``(seed, n)``: its n levels, then its time.  The stride s is n + 1
-    rounded up to whole 4-word blocks, so one ``advance`` reaches any draw,
-    and a draw is the same whatever stack it is made in.
+    rounded up to whole 4-word blocks, so at most one ``advance`` reaches
+    any draw, and a draw is the same whatever stack it is made in.
+    ``streams`` maps n to the stream and the draw it stands at, as the
+    last stack left it: a stack that starts there reads on without seeding
+    the stream again.
     """
     stride = 4 * (n // 4 + 1)
-    bits = np.random.Philox((seed, n))
-    bits.advance(indices.start * stride // 4)
-    u = np.random.Generator(bits).random((len(indices), stride))
-    return np.sort(SPECTRUM_HIGH * u[:, :n], axis=-1), TIME_HIGH * (1.0 - u[:, n])
+    streams = {} if streams is None else streams
+    rng, at = streams.get(n, (None, None))
+    if at != indices.start:
+        bits = np.random.Philox((seed, n))
+        if indices.start:
+            bits.advance(indices.start * stride // 4)
+        rng = np.random.Generator(bits)
+    u = rng.random((len(indices), stride))
+    streams[n] = rng, indices.stop
+    levels = SPECTRUM_HIGH * u[:, :n]
+    levels.sort(axis=-1)
+    return levels, TIME_HIGH * (1.0 - u[:, n])
 
 
 def _draws(n: int, seed: int, indices: range):
@@ -155,8 +171,12 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
     and the eigenbasis is Haar.  The gate ``basis diag(e^{-i (E_k - E_0) T})
     basis†`` is built from the drawn basis directly.  Returns
     (spectrum, T, U); the campaign draws the same levels and time, and a
-    cross-checked draw's gate is this U.
+    cross-checked draw's gate is this U.  An n, seed or index that no
+    campaign draws raises :class:`CampaignInputError`.
     """
+    n = _at_least(n, 2, _DIMS_RULE)
+    seed = _at_least(seed, 0, _SEED_RULE)
+    index = _at_least(index, 0, "index must be nonnegative")
     levels, t, u = _draws(n, seed, range(index, index + 1))
     return EnergySpectrum(levels[0]), float(t[0]), u[0]
 
@@ -164,67 +184,95 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
 def _passes(dims, samples_per_dim: int):
     """The campaign's draws as passes, lists of ``(n, indices)`` pieces:
     consecutive pieces share a pass while it holds at most
-    ``CHUNK_ENTRIES`` matrix entries."""
-    batch, entries = [], 0
+    ``CHUNK_ENTRIES`` matrix entries, and its draws times its largest n,
+    the slots of its padded stack, stay within ``CHUNK_ENTRIES`` too."""
+    batch, entries, draws, width = [], 0, 0, 0
     for n in dims:
         chunk = max(1, CHUNK_ENTRIES // (n * n))
         for first in range(0, samples_per_dim, chunk):
             indices = range(first, min(first + chunk, samples_per_dim))
-            if batch and entries + len(indices) * n * n > CHUNK_ENTRIES:
+            k = len(indices)
+            if batch and (entries + k * n * n > CHUNK_ENTRIES
+                          or (draws + k) * max(width, n) > CHUNK_ENTRIES):
                 yield batch
-                batch, entries = [], 0
+                batch, entries, draws, width = [], 0, 0, 0
             batch.append((n, indices))
-            entries += len(indices) * n * n
+            entries += k * n * n
+            draws += k
+            width = max(width, n)
     yield batch
 
 
-def _judge(seed: int, pieces) -> tuple[np.ndarray, int]:
+def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
     """Worst margin of each draw of a pass, over the five time bounds
     and the five rotation-product bounds, and the number of draws
     cross-checked.
 
-    Each ``(n, indices)`` piece draws its levels, takes the phases
-    ``(E_k - E_0) T``, the window kernel and the level moments.  Draws
-    whose index is a multiple of ``CROSS_CHECK_EVERY`` also have a gate
-    ``basis diag(e^{-i (E_k - E_0) T}) basis†`` built on a Haar basis and
-    diagonalised, its phases stacked after the spectral ones in the same
-    kernel call.  The margin step, the statistics and bound checks and
-    the cross-check then run once over the rows of the whole pass.
+    The pass's draws form one slot-major stack ``(max n, draws)``: each
+    column holds a draw's sorted levels, after copies of its ground level
+    in the pad slots that make it up to max n.  The pads' phases
+    ``(E_0 - E_0) T`` are exactly 0, so they sort first, and the sorted
+    phases of a draw fill the same last n slots as its levels.  Once over
+    that stack run the phases, ``|tr U|``, the level moments, the cyclic
+    distances of the cross-check and the margin step; every sum runs down
+    axis 0 with the pad slots zeroed, so a draw's sums do not depend on
+    its pass.  Per ``(n, indices)`` piece run only the steps that need
+    their n: the draws, the window kernel and, for the draws whose index
+    is a multiple of ``CROSS_CHECK_EVERY``, a gate ``basis diag(e^{-i
+    (E_k - E_0) T}) basis†`` on a Haar basis and its eigenphases, stacked
+    after the spectral phases in the same kernel call.  ``streams`` is
+    passed to :func:`_spectra`.
     """
-    spectral, gate, moments, times, checked_rows, labels, distance = ([] for _ in range(7))
+    drawn = [_spectra(n, seed, indices, streams) for n, indices in pieces]
+    width = max(n for n, _ in pieces)
+    count = np.repeat([n for n, _ in pieces], [len(indices) for _, indices in pieces])
+    pad = np.arange(width)[:, None] < width - count
+    levels = np.empty((width, len(count)))
     k = 0
-    for n, indices in pieces:
-        levels, t = _spectra(n, seed, indices)
-        ph = phases_from_levels(levels, t)
-        tr = _modulus(np.exp(-1j * ph).sum(axis=-1))
-        checked = slice(-indices.start % CROSS_CHECK_EVERY, len(indices), CROSS_CHECK_EVERY)
-        if indices[checked]:
-            u = _draw_gates(n, seed, indices[checked], levels[checked], t[checked])
-            gate_ph = _phases(u)
-            products, deficit = _phase_products(np.concatenate([ph, gate_ph]))
-            gate.append((n, _modulus(np.trace(u, axis1=-2, axis2=-1)),
-                         products[:, len(t):], deficit[len(t):]))
-            products, deficit = products[:, :len(t)], deficit[:len(t)]
-            checked_rows += range(k, k + len(t))[checked]
-            labels += [(n, index) for index in indices[checked]]
-            distance.append(cyclic_distance(ph[checked], gate_ph))
-        else:
-            products, deficit = _phase_products(ph)
-        spectral.append((n, tr, products, deficit))
-        moments.append(_level_moments(levels))
-        times.append(t)
-        k += len(t)
-    ns, traces, products, deficits = zip(*spectral, *gate)
-    d = _margins(np.repeat(ns, [len(tr) for tr in traces]), np.concatenate(traces),
+    for (n, _), (lv, _) in zip(pieces, drawn):
+        # a draw fills the last n slots of its column, its ground level the rest
+        levels[width - n:, k:k + len(lv)] = lv.T
+        levels[:width - n, k:k + len(lv)] = lv[:, 0]
+        k += len(lv)
+    t = np.concatenate([tn for _, tn in drawn])
+    # the transposed phases of a slot-major stack are slot-major too
+    ph = phases_from_levels(levels.T, t).T
+    z = np.exp(-1j * ph)
+    z[pad] = 0.0
+    traces = [_slot_sum(z)]
+    checks = [slice(-indices.start % CROSS_CHECK_EVERY, len(indices), CROSS_CHECK_EVERY)
+              for _, indices in pieces]
+    labels = [(n, index) for (n, indices), c in zip(pieces, checks) for index in indices[c]]
+    gate_ph = np.zeros((len(labels), width))
+    spectral, gate, checked = [], [], []
+    k = 0
+    for (n, indices), (lv, tn), c in zip(pieces, drawn, checks):
+        rows = np.empty((0, n))
+        if indices[c]:
+            u = _draw_gates(n, seed, indices[c], lv[c], tn[c])
+            rows = _phases(u)
+            gate_ph[len(checked):len(checked) + len(rows), width - n:] = rows
+            traces.append(np.trace(u, axis1=-2, axis2=-1))
+            checked += range(k, k + len(tn))[c]
+        # C order: concatenate may lay the rows out in Fortran order, and the
+        # kernel's deficit sum runs in the order of the layout
+        products, deficit = _phase_products(
+            np.ascontiguousarray(np.concatenate([ph[width - n:, k:k + len(tn)].T, rows])))
+        spectral.append((products[:, :len(tn)], deficit[:len(tn)]))
+        gate.append((products[:, len(tn):], deficit[len(tn):]))
+        k += len(tn)
+    checked = np.array(checked, dtype=np.intp)
+    products, deficits = zip(*spectral, *gate)
+    checked_n = count[checked]
+    d = _margins(np.concatenate([count, checked_n]), _modulus(np.concatenate(traces)),
                  np.concatenate(products, axis=-1), np.concatenate(deficits))
-    moments = np.concatenate(moments, axis=-1)
-    t = np.concatenate(times)
+    moments = _level_moments(levels, count, pad)
     if labels:
         # raise at the first draw whose gate phases or product margins
         # disagree with its spectral ones
-        distance = np.concatenate(distance)
-        tol = CROSS_CHECK_PHASE_TOL * (1.0 + moments[3, checked_rows] * t[checked_rows])
-        margin_gap = np.abs(d.margins[:, k:] - d.margins[:, checked_rows]).max(axis=0)
+        distance = cyclic_distance(ph[:, checked].T, gate_ph, checked_n)
+        tol = CROSS_CHECK_PHASE_TOL * (1.0 + moments[3, checked] * t[checked])
+        margin_gap = np.abs(d.margins[:, k:] - d.margins[:, checked]).max(axis=0)
         bad = ~((distance <= tol) & (margin_gap <= CROSS_CHECK_MARGIN_TOL))
         if bad.any():
             i = int(np.argmax(bad))
@@ -248,19 +296,20 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
     :class:`CampaignInputError` before the first draw; a cross-check
     mismatch raises :class:`CrossCheckError`.
     """
-    dims_rule = "dims must be a nonempty list of integers >= 2"
-    dims = tuple(_at_least(d, 2, dims_rule) for d in dims)
+    dims = tuple(_at_least(d, 2, _DIMS_RULE) for d in dims)
     if not dims:
-        raise CampaignInputError(dims_rule)
+        raise CampaignInputError(_DIMS_RULE)
     if len(set(dims)) < len(dims):
         raise CampaignInputError("dims must be distinct")
     samples_per_dim = _at_least(samples_per_dim, 1, "need at least one sample per dimension")
-    seed = _at_least(seed, 0, "seed must be nonnegative")
+    seed = _at_least(seed, 0, _SEED_RULE)
     failures = 0
     cross_checked = 0
     worst = math.inf
+    # each dimension's stream reads on from pass to pass
+    streams = {}
     for pieces in _passes(dims, samples_per_dim):
-        margin, checked = _judge(seed, pieces)
+        margin, checked = _judge(seed, pieces, streams)
         worst = min(worst, float(margin.min()))
         failures += int(np.count_nonzero(margin < -DOMINANCE_TOL))
         cross_checked += checked

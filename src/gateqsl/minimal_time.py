@@ -104,13 +104,17 @@ def _phases(u: np.ndarray) -> np.ndarray:
 
 def phases_from_levels(levels: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Sorted phases ``(E_k - E_0) T mod 2 pi`` of sorted levels ``(..., n)``
-    and times ``(...)``.
+    and nonnegative times ``(...)``.
 
     These are the eigenphases of ``exp(-i H T)`` for any H with those
     levels, less the global phase ``E_0 T``, which no bound or window
-    product sees.
+    product sees.  The products are nonnegative, so ``fmod`` reduces them
+    exactly as ``%`` would, into [0, 2 pi), and faster.
     """
-    return _sorted_phases((levels - levels[..., :1]) * np.asarray(t)[..., None])
+    ph = (levels - levels[..., :1]) * np.asarray(t)[..., None]
+    np.fmod(ph, TWO_PI, out=ph)
+    ph.sort(axis=-1)
+    return ph
 
 
 @functools.lru_cache(maxsize=16)
@@ -119,7 +123,8 @@ def _cyclic_index(n: int) -> np.ndarray:
     recent n are kept, 8 n^2 bytes each.
 
     Row j of a length-2n list ``concatenate([a, a])`` lists the n slots
-    of ``a`` starting at slot j.
+    of ``a`` starting at slot j; reduced modulo n, it lists them from ``a``
+    itself.
     """
     j = np.arange(n)
     idx = j[:, None] + j
@@ -127,16 +132,25 @@ def _cyclic_index(n: int) -> np.ndarray:
     return idx
 
 
-def cyclic_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Largest circular distance between sorted phase lists ``(..., n)``,
-    least over the cyclic shifts of ``a``.
+def cyclic_distance(a: np.ndarray, b: np.ndarray, n=None) -> np.ndarray:
+    """Largest circular distance between sorted phase lists ``(..., m)`` in
+    [0, 2 pi), least over the cyclic shifts of ``a``.
 
     Two computations of one phase multiset can differ by a cyclic shift,
-    since a phase near 0 in one may come out near 2 pi in the other.
+    since a phase near 0 in one may come out near 2 pi in the other.  A
+    list may hold only its last ``n`` phases (one n per list, or one for
+    all; default m), after pad slots: no shift reads a pad slot, and a pad
+    slot's distance counts as 0.
     """
-    shifts = np.concatenate([a, a], axis=-1)[..., _cyclic_index(a.shape[-1])]
-    gap = np.abs(b[..., None, :] - shifts) % TWO_PI
-    return np.minimum(gap, TWO_PI - gap).max(axis=-1).min(axis=-1)
+    m = a.shape[-1]
+    n = np.asarray(m if n is None else n)[..., None, None]
+    pads = m - n
+    shift = pads + (_cyclic_index(m) - pads) % n
+    shifts = np.take_along_axis(a[..., None, :], shift, axis=-1)
+    # both phases lie in [0, 2 pi), so their difference needs no reduction
+    gap = np.abs(b[..., None, :] - shifts)
+    gap = np.where(np.arange(m) < pads, 0.0, np.minimum(gap, TWO_PI - gap))
+    return gap.max(axis=-1).min(axis=-1)
 
 
 def _windows(ph: np.ndarray):

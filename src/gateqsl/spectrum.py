@@ -72,7 +72,7 @@ class EnergyStats:
 
 def compute_stats(s: EnergySpectrum) -> EnergyStats:
     """Mean, mean-above-ground, population std, width and top gap."""
-    return level_stats(s.levels)
+    return EnergyStats(*_level_moments(s.levels, s.n))
 
 
 def level_stats(levels) -> EnergyStats:
@@ -81,21 +81,43 @@ def level_stats(levels) -> EnergyStats:
     A width beyond float64 range, or a non-finite level, gives a
     non-finite statistic, and :class:`EnergyStats` rejects it.
     """
-    return EnergyStats(*_level_moments(levels))
+    levels = np.asarray(levels)
+    return EnergyStats(*_level_moments(np.moveaxis(levels, -1, 0), levels.shape[-1]))
 
 
-def _level_moments(levels) -> np.ndarray:
+def _slot_sum(x: np.ndarray) -> np.ndarray:
+    """Sum down axis 0 of a C-contiguous stack ``(m, k)``.
+
+    numpy adds each column slot by slot in slot order, so a column's sum
+    is sequential and zero slots leave it bitwise unchanged.  numpy would
+    sum a lone column pairwise instead, so a lone column is summed beside
+    a stride-0 copy of itself.
+    """
+    if x.shape[1:] == (1,):
+        return np.broadcast_to(x, (len(x), 2)).sum(axis=0)[:1]
+    return x.sum(axis=0)
+
+
+def _level_moments(levels, n, pad=False) -> np.ndarray:
     """Unchecked :class:`EnergyStats` fields ``(5, ...)`` of sorted levels
-    ``(..., n)``, taken with each row scaled by the power of two that
-    brings its largest ``|level|`` into [0.5, 1): exact, and the squared
-    deviations that set the spread neither overflow nor underflow."""
+    ``(m, ...)``, one spectrum per column: its ``n`` levels, after copies of
+    its ground level in the slots flagged by ``pad`` (a boolean mask, or
+    False for none), which no sum sees.
+
+    Each column is scaled by the power of two that brings its largest
+    ``|level|`` into [0.5, 1): exact, and the squared deviations that set
+    the spread neither overflow nor underflow.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        _, exp = np.frexp(np.maximum(-levels[..., 0], levels[..., -1]))
-        x = np.ldexp(levels, -exp[..., None])
-        first, last = x[..., 0], x[..., -1]
-        # bitwise numpy's mean and std, with less call overhead
-        mean = x.sum(axis=-1) / x.shape[-1]
-        std = np.sqrt(np.square(x - mean[..., None]).sum(axis=-1) / x.shape[-1])
+        _, exp = np.frexp(np.maximum(-levels[0], levels[-1]))
+        x = np.ldexp(levels, -exp)
+        # slot 0 is a pad slot of every padded column: keep it before zeroing
+        first, last = x[0].copy(), x[-1]
+        x[pad] = 0.0
+        mean = _slot_sum(x) / n
+        dev = np.square(x - mean)
+        dev[pad] = 0.0
+        std = np.sqrt(_slot_sum(dev) / n)
         # The mean of identical levels can round an ulp past the extremes;
         # the gap statistics are nonnegative by definition.
         moments = np.array([mean, np.maximum(0.0, mean - first), std, last - first,

@@ -33,6 +33,9 @@ BAD_FILES = {
     "big_n.json": '{"n": %d, "re": [[1.0]], "im": [[0.0]]}' % (MAX_DIM + 1),
     "garbled.json": '{"n": 2, "re": [[1, 0], [0, 1]], "im": ',
     "scaled.json": '{"n": 2, "re": [[2, 0], [0, 2]], "im": [[0, 0], [0, 0]]}',
+    "string_entries.json": '{"n": 2, "re": [["1", "0"], ["0", "1"]], "im": [[0, 0], [0, 0]]}',
+    "bool_entries.json": '{"n": 2, "re": [[true, false], [false, true]], "im": [[0, 0], [0, 0]]}',
+    "null_entry.json": '{"n": 1, "re": [[1]], "im": [[null]]}',
 }
 
 # Every bounds, verify and figure input that parses but is refused,
@@ -44,6 +47,9 @@ BAD_INPUT_ROUTES = [
     (["bounds", "--file", "{tmp}/big_n.json"], {}, 2),
     (["bounds", "--file", "{tmp}/garbled.json"], {}, 2),
     (["bounds", "--file", "{tmp}/scaled.json"], {}, 3),
+    (["bounds", "--file", "{tmp}/string_entries.json"], {}, 2),
+    (["bounds", "--file", "{tmp}/bool_entries.json"], {}, 2),
+    (["bounds", "--file", "{tmp}/null_entry.json"], {}, 2),
     (["bounds", "--fourier", "0"], {}, 2),
     (["bounds", "--fourier", str(MAX_DIM + 1)], {}, 2),
     (["bounds", "--grover", "1"], {}, 2),
@@ -331,7 +337,7 @@ class TestVerifyCommand:
     def test_value_error_in_a_pass_is_not_bad_input(self, monkeypatch):
         from gateqsl import harness
 
-        def broken(seed, pieces):
+        def broken(seed, pieces, streams):
             raise ValueError("a bug inside a pass")
 
         monkeypatch.setattr(harness, "_judge", broken)
@@ -580,12 +586,15 @@ def run_with_stdout(argv, stdout, buffering, prefix=()) -> subprocess.CompletedP
 
 @pytest.mark.parametrize("argv", [["bounds", "--fourier", "4"], ["catalog"],
                                   ["verify", "--dims", "2", "--samples", "2"],
-                                  ["figure", "qubit", "-r", "2"]], ids=lambda argv: argv[0])
+                                  ["figure", "qubit", "-r", "2"], ["--help"],
+                                  ["bounds", "--help"]],
+                         ids=["bounds", "catalog", "verify", "figure", "help", "bounds-help"])
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 class TestUnwritableStdout:
-    """Every command's stdout goes through one checked writer: an
-    unwritable stdout exits 2 with one line, never a traceback, also when
-    the unwritten bytes sit in stdout's buffer until the interpreter exits."""
+    """Every command's stdout, help included, goes through one checked
+    writer: an unwritable stdout exits 2 with one line, never a traceback,
+    also when the unwritten bytes sit in stdout's buffer until the
+    interpreter exits."""
 
     @staticmethod
     def assert_one_line(proc):

@@ -111,6 +111,23 @@ class TestCampaign:
         assert t == again[1]
         assert np.array_equal(u, again[2])
 
+    @pytest.mark.parametrize("n, seed, index, message", [
+        (1, 0, 0, "dims must be a nonempty list of integers >= 2"),
+        (2.0, 0, 0, "dims must be a nonempty list of integers >= 2"),
+        (3, -1, 0, "seed must be nonnegative"),
+        (3, 0, -1, "index must be nonnegative"),
+        (3, 0, 2.5, "index must be nonnegative"),
+    ])
+    def test_replay_takes_the_campaign_input_rules(self, n, seed, index, message):
+        with pytest.raises(CampaignInputError) as exc:
+            sample_spectrum_gate(n, seed, index)
+        assert str(exc.value) == message
+        if index == 0:
+            # the campaign refuses the same n or seed with the same message
+            with pytest.raises(CampaignInputError) as exc:
+                run_random_campaign([n], 1, seed)
+            assert str(exc.value) == message
+
     def test_popoviciu_on_sampled_spectra(self):
         for index in range(200):
             spectrum, _, _ = sample_spectrum_gate(5, seed=21, index=index)
@@ -228,16 +245,93 @@ class TestPasses:
 
     @pytest.mark.parametrize("dims, samples", [(range(2, 9), 200), ((2, 16, 64), 70),
                                                ((64, 3), 20), ((256, 2, 255), 3),
-                                               ((300, 2), 2), ((5,) * 4, 1000)])
+                                               ((300, 2), 2), ((5,) * 4, 1000),
+                                               ((2, 148), 5000)])
     def test_no_pass_exceeds_chunk_entries(self, dims, samples):
         passes = list(harness._passes(dims, samples))
         for pieces in passes:
             # a draw larger than a chunk is a pass of its own
             entries = pass_entries(pieces)
             assert entries <= CHUNK_ENTRIES or entries == pieces[0][0] ** 2
+            # the padded stack, draws times the largest n, is bounded too
+            draws = sum(len(indices) for _, indices in pieces)
+            assert draws * max(n for n, _ in pieces) <= CHUNK_ENTRIES
         # every draw once, in campaign order
         draws = [(n, i) for pieces in passes for n, indices in pieces for i in indices]
         assert draws == [(n, i) for n in dims for i in range(samples)]
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_stream_reads_on_where_the_last_stack_stopped(self, n):
+        streams = {}
+        harness._spectra(n, 9, range(0, 5), streams)
+        for indices in (range(5, 20), range(20, 21), range(30, 33), range(2, 4)):
+            kept = harness._spectra(n, 9, indices, streams)
+            fresh = harness._spectra(n, 9, indices)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, fresh))
+
+    def test_streams_kept_across_passes_change_no_margin(self):
+        passes = list(harness._passes((64, 3), 40))
+        assert len(passes) == 3
+        streams = {}
+        kept = np.concatenate([harness._judge(5, pieces, streams)[0] for pieces in passes])
+        fresh = np.concatenate([harness._judge(5, pieces)[0] for pieces in passes])
+        assert kept.tobytes() == fresh.tobytes()
+
+    def test_padding_splits_a_pass(self):
+        # 5000 draws at n = 2 and two at n = 148 fit in CHUNK_ENTRIES
+        # entries, but padded to n = 148 they would fill 740 296 slots
+        assert list(harness._passes((2, 148), 5000))[:2] == [
+            [(2, range(0, 5000))], [(148, range(0, 2))]]
+
+    def test_lone_draw_pass_is_bitwise_the_stacked_draw(self):
+        # n = 200 holds one draw per chunk: draw 0 is a pass of its own, a
+        # lone column, which numpy alone would sum pairwise; draw 1 shares
+        # a pass with n = 3
+        assert list(harness._passes((200, 3), 2)) == [
+            [(200, range(0, 1))], [(200, range(1, 2)), (3, range(0, 2))]]
+        margins, checked = judged_by_pass((200, 3), 2, 4)
+        reference, ref_checked = judged_by_dimension((200, 3), 2, 4)
+        assert margins.tobytes() == reference.tobytes()
+        assert checked == ref_checked == 2
+        swapped = harness._judge(4, [(200, range(0, 1)), (3, range(0, 2))])[0]
+        assert swapped.tobytes() == np.concatenate([margins[:1], margins[2:]]).tobytes()
+
+    def test_per_dimension_steps_run_once_per_dimension(self, monkeypatch):
+        # one pass over dims 3..8: only the steps that need their n run
+        # per dimension, the rest once over the padded stack
+        pieces = list(harness._passes(range(3, 9), 3))
+        assert len(pieces) == 1
+        calls = {}
+
+        def counting(name):
+            step = getattr(harness, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return step(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+
+        once = ("phases_from_levels", "_modulus", "_level_moments", "cyclic_distance")
+        per_dimension = ("_spectra", "_draw_gates", "_phases", "_phase_products")
+        for name in once + per_dimension:
+            counting(name)
+        assert run_random_campaign(range(3, 9), 3, 1).cross_checked == 6
+        assert calls == {**dict.fromkeys(once, 1), **dict.fromkeys(per_dimension, 6)}
+
+    def test_window_kernel_gets_c_ordered_phases(self, monkeypatch):
+        # the kernel's deficit sum follows the memory order of its input,
+        # so a draw's deficit is bitwise that of a C-ordered stack only if
+        # the kernel gets C order
+        kernel = harness._phase_products
+
+        def checking(ph):
+            assert ph.flags.c_contiguous
+            return kernel(ph)
+
+        monkeypatch.setattr(harness, "_phase_products", checking)
+        # with one gate row, concatenating a piece's phases gives Fortran order
+        assert run_random_campaign(range(2, 9), 40, 3).cross_checked == 7
 
     def test_mismatch_in_second_dimension_names_its_draw(self, monkeypatch):
         # draw 64 of n = 5 is cross-checked, in the second piece of one pass
@@ -245,9 +339,11 @@ class TestPasses:
         exact = harness.phases_from_levels
 
         def perturbed(levels, t):
+            # one call for the whole pass, a row per draw: n = 2's 130
+            # draws, then n = 5's
             ph = exact(levels, t)
-            if levels.shape[-1] == 5:
-                ph[64, -1] += 1e-6
+            assert levels.shape == (260, 5)
+            ph[130 + 64, -1] += 1e-6
             return ph
 
         monkeypatch.setattr(harness, "phases_from_levels", perturbed)
