@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -142,8 +143,11 @@ def load_matrix_file(path: str) -> np.ndarray:
     re, im = np.asarray(data["re"]), np.asarray(data["im"])
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"re/im must both be {n}x{n} arrays")
-    # strings, booleans and nulls make arrays of other kinds
-    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+    # strings, booleans and nulls make arrays of other kinds, but numpy
+    # reads booleans mixed with numbers as numbers: look at the values too
+    entries = itertools.chain.from_iterable(data["re"] + data["im"])
+    if (re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf"
+            or not {bool}.isdisjoint(map(type, entries))):
         raise ValueError("re/im entries must be JSON numbers")
     return square_matrix(re + 1j * im)
 

@@ -7,17 +7,20 @@ no basis change moves.  The draws run as stacked arrays in passes that
 span dimensions: per dimension run only the steps whose shapes need its
 n, and the rest once over a padded stack of the whole pass.  One
 draw in ``CROSS_CHECK_EVERY`` also goes the long way round, through a
-Haar basis, the gate built on it and the gate's ``eigvals``; its phases
-and product margins must agree with the spectral ones, or the campaign
-raises :class:`CrossCheckError`.  Figure helpers emit the curve data
-behind the qubit exact-time plot, the qubit MUB-time plot and the two
-qutrit MUB family plots, each as one stack: the qutrit gates are judged
-as by :func:`gateqsl.minimal_time.dominance`, and one array check raises
-at the first point whose exact column is below its bound.
+Haar basis, the gate built on it and the gate's ``eigvals``, a pass's
+such draws in identity-padded stacks with one Haar QR and one
+``eigvals`` per stack; its phases and product margins must agree with
+the spectral ones, or the campaign raises :class:`CrossCheckError`.
+Figure helpers emit the curve data behind the qubit exact-time plot,
+the qubit MUB-time plot and the two qutrit MUB family plots, each as
+one stack: the qutrit gates are judged as by
+:func:`gateqsl.minimal_time.dominance`, and one array check raises at
+the first point whose exact column is below its bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -140,21 +143,20 @@ def _draws(n: int, seed: int, indices: range):
     """Campaign draws ``indices`` at dimension ``n``, with their gates, as stacks.
 
     Returns sorted levels ``(k, n)``, times ``(k,)`` and gates ``(k, n, n)``
-    from :func:`_draw_gates`.
+    from :func:`_draw_gates`, on Haar bases keyed by ``(seed, n, index)``.
     """
     levels, t = _spectra(n, seed, indices)
-    return levels, t, _draw_gates(n, seed, indices, levels, t)
+    basis = random_unitaries(n, [(seed, n, index) for index in indices])
+    return levels, t, _draw_gates(basis, levels, t)
 
 
-def _draw_gates(n: int, seed: int, indices, levels: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _draw_gates(basis: np.ndarray, levels: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Gates ``basis diag(e^{-i (E_k - E_0) T}) basis†`` ``(k, n, n)`` of
-    draws ``indices`` with sorted levels ``(k, n)`` and times ``(k,)``, on
-    Haar bases keyed by ``(seed, n, index)``.
+    draws with bases ``(k, n, n)``, sorted levels ``(k, n)`` and times ``(k,)``.
 
     Built from the unreduced products ``(E_k - E_0) T``, so a gate shares
     no step with the phase reduction its cross-check tests.
     """
-    basis = random_unitaries(n, [(seed, n, index) for index in indices])
     return _gates(basis, np.exp(-1j * (levels - levels[:, :1]) * t[:, None]))
 
 
@@ -171,7 +173,8 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
     and the eigenbasis is Haar.  The gate ``basis diag(e^{-i (E_k - E_0) T})
     basis†`` is built from the drawn basis directly.  Returns
     (spectrum, T, U); the campaign draws the same levels and time, and a
-    cross-checked draw's gate is this U.  An n, seed or index that no
+    cross-checked draw's gate is this U, the trailing block of its padded
+    stack (see :func:`_gate_phases`).  An n, seed or index that no
     campaign draws raises :class:`CampaignInputError`.
     """
     n = _at_least(n, 2, _DIMS_RULE)
@@ -185,7 +188,9 @@ def _passes(dims, samples_per_dim: int):
     """The campaign's draws as passes, lists of ``(n, indices)`` pieces:
     consecutive pieces share a pass while it holds at most
     ``CHUNK_ENTRIES`` matrix entries, and its draws times its largest n,
-    the slots of its padded stack, stay within ``CHUNK_ENTRIES`` too."""
+    the slots of its padded stack, stay within ``CHUNK_ENTRIES`` too.
+    The pass's cross-checked draws are stacked apart from its pieces, by
+    :func:`_gate_stacks`."""
     batch, entries, draws, width = [], 0, 0, 0
     for n in dims:
         chunk = max(1, CHUNK_ENTRIES // (n * n))
@@ -203,6 +208,59 @@ def _passes(dims, samples_per_dim: int):
     yield batch
 
 
+def _gate_stacks(dims):
+    """Slices of ascending dimensions ``dims`` into padded stacks: k draws
+    padded to the last n of their slice, k n^2 entries, stay within
+    ``CHUNK_ENTRIES``, or are one draw."""
+    start = 0
+    for i, n in enumerate(dims):
+        if i > start and (i + 1 - start) * n * n > CHUNK_ENTRIES:
+            yield slice(start, i)
+            start = i
+    if start < len(dims):
+        yield slice(start, len(dims))
+
+
+def _gate_phases(seed: int, dims: np.ndarray, indices: np.ndarray,
+                 levels: np.ndarray, t: np.ndarray):
+    """Gate eigenphases ``(k, m)`` and traces ``(k,)`` of cross-checked
+    draws at dimensions ``dims`` and indices ``indices`` ``(k,)``, whose
+    sorted levels ``(k, m)`` fill their last n slots after copies of their
+    ground level, with times ``(k,)``.
+
+    The draws run ordered by n, in padded stacks ``(k, w, w)`` from
+    :func:`_gate_stacks`.  A stack holds each draw as ``diag(I_{w-n}, U)``:
+    one :func:`random_unitaries` call draws the padded Haar bases, the
+    gate U is built on its basis block at its own n by
+    :func:`_draw_gates`, as ``sample_spectrum_gate`` builds it, and one
+    :func:`_phases` call checks the stack unitary and takes its
+    ``eigvals``.  The identity block's phases come out exactly 0 and sort
+    first, so a draw's sorted phases fill the same last n slots as its
+    levels; its pad slots hold 0.
+    """
+    order = np.argsort(dims, kind="stable")
+    m = levels.shape[-1]
+    ph = np.zeros(levels.shape)
+    traces = np.empty(len(dims), dtype=np.complex128)
+    for stack in _gate_stacks(dims[order].tolist()):
+        rows = order[stack]
+        sizes = dims[rows].tolist()
+        w = sizes[-1]
+        u = random_unitaries(sizes, [(seed, n, index)
+                                     for n, index in zip(sizes, indices[rows].tolist())])
+        stop = 0
+        for n, run in itertools.groupby(sizes):
+            start, stop = stop, stop + len(list(run))
+            block = u[start:stop, w - n:, w - n:]
+            draws = rows[start:stop]
+            # each draw's gate at its own n: a padded product would move its last bits
+            gates = _draw_gates(block, levels[draws, m - n:], t[draws])
+            block[...] = gates
+            traces[draws] = np.trace(gates, axis1=-2, axis2=-1)
+        ph[rows, m - w:] = _phases(u)
+    return ph, traces
+
+
 def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
     """Worst margin of each draw of a pass, over the five time bounds
     and the five rotation-product bounds, and the number of draws
@@ -216,16 +274,18 @@ def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
     that stack run the phases, ``|tr U|``, the level moments, the cyclic
     distances of the cross-check and the margin step; every sum runs down
     axis 0 with the pad slots zeroed, so a draw's sums do not depend on
-    its pass.  Per ``(n, indices)`` piece run only the steps that need
-    their n: the draws, the window kernel and, for the draws whose index
-    is a multiple of ``CROSS_CHECK_EVERY``, a gate ``basis diag(e^{-i
-    (E_k - E_0) T}) basis†`` on a Haar basis and its eigenphases, stacked
-    after the spectral phases in the same kernel call.  ``streams`` is
-    passed to :func:`_spectra`.
+    its pass.  The draws whose index is a multiple of ``CROSS_CHECK_EVERY``
+    also build a gate ``basis diag(e^{-i (E_k - E_0) T}) basis†`` on a
+    Haar basis and take its eigenphases, all of the pass's in padded
+    stacks (:func:`_gate_phases`).  Per ``(n, indices)`` piece run only
+    the steps that need their n: the draws and the window kernel, whose
+    call stacks the piece's gate phases after its spectral phases.
+    ``streams`` is passed to :func:`_spectra`.
     """
     drawn = [_spectra(n, seed, indices, streams) for n, indices in pieces]
     width = max(n for n, _ in pieces)
     count = np.repeat([n for n, _ in pieces], [len(indices) for _, indices in pieces])
+    index = np.concatenate([np.arange(indices.start, indices.stop) for _, indices in pieces])
     pad = np.arange(width)[:, None] < width - count
     levels = np.empty((width, len(count)))
     k = 0
@@ -239,35 +299,28 @@ def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
     ph = phases_from_levels(levels.T, t).T
     z = np.exp(-1j * ph)
     z[pad] = 0.0
-    traces = [_slot_sum(z)]
-    checks = [slice(-indices.start % CROSS_CHECK_EVERY, len(indices), CROSS_CHECK_EVERY)
-              for _, indices in pieces]
-    labels = [(n, index) for (n, indices), c in zip(pieces, checks) for index in indices[c]]
-    gate_ph = np.zeros((len(labels), width))
-    spectral, gate, checked = [], [], []
+    checked = np.flatnonzero(index % CROSS_CHECK_EVERY == 0)
+    checked_n = count[checked]
+    gate_ph, gate_tr = _gate_phases(seed, checked_n, index[checked], levels[:, checked].T,
+                                    t[checked])
+    spectral, gate = [], []
     k = 0
-    for (n, indices), (lv, tn), c in zip(pieces, drawn, checks):
-        rows = np.empty((0, n))
-        if indices[c]:
-            u = _draw_gates(n, seed, indices[c], lv[c], tn[c])
-            rows = _phases(u)
-            gate_ph[len(checked):len(checked) + len(rows), width - n:] = rows
-            traces.append(np.trace(u, axis1=-2, axis2=-1))
-            checked += range(k, k + len(tn))[c]
+    for n, indices in pieces:
+        rows = gate_ph[np.searchsorted(checked, k):np.searchsorted(checked, k + len(indices)),
+                       width - n:]
         # C order: concatenate may lay the rows out in Fortran order, and the
         # kernel's deficit sum runs in the order of the layout
         products, deficit = _phase_products(
-            np.ascontiguousarray(np.concatenate([ph[width - n:, k:k + len(tn)].T, rows])))
-        spectral.append((products[:, :len(tn)], deficit[:len(tn)]))
-        gate.append((products[:, len(tn):], deficit[len(tn):]))
-        k += len(tn)
-    checked = np.array(checked, dtype=np.intp)
+            np.ascontiguousarray(np.concatenate([ph[width - n:, k:k + len(indices)].T, rows])))
+        spectral.append((products[:, :len(indices)], deficit[:len(indices)]))
+        gate.append((products[:, len(indices):], deficit[len(indices):]))
+        k += len(indices)
     products, deficits = zip(*spectral, *gate)
-    checked_n = count[checked]
-    d = _margins(np.concatenate([count, checked_n]), _modulus(np.concatenate(traces)),
+    d = _margins(np.concatenate([count, checked_n]),
+                 _modulus(np.concatenate([_slot_sum(z), gate_tr])),
                  np.concatenate(products, axis=-1), np.concatenate(deficits))
     moments = _level_moments(levels, count, pad)
-    if labels:
+    if len(checked):
         # raise at the first draw whose gate phases or product margins
         # disagree with its spectral ones
         distance = cyclic_distance(ph[:, checked].T, gate_ph, checked_n)
@@ -277,14 +330,14 @@ def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
         if bad.any():
             i = int(np.argmax(bad))
             raise CrossCheckError(
-                f"draw (seed {seed}, n {labels[i][0]}, index {labels[i][1]}): gate phases "
+                f"draw (seed {seed}, n {checked_n[i]}, index {index[checked[i]]}): gate phases "
                 f"differ from the spectral phases by {distance[i]:.3g} (tolerance "
                 f"{tol[i]:.3g}) and product margins by {margin_gap[i]:.3g} (tolerance "
                 f"{CROSS_CHECK_MARGIN_TOL:g})"
             )
     bs = bounds.bounds_from_products(d.ml[:k], d.mt[:k], EnergyStats(*moments))
     worst_bound = np.maximum.reduce([getattr(bs, name) for name in bounds.BOUND_NAMES])
-    return np.minimum(t - worst_bound, d.margins[:, :k].min(axis=0)), len(labels)
+    return np.minimum(t - worst_bound, d.margins[:, :k].min(axis=0)), len(checked)
 
 
 def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationReport:

@@ -68,7 +68,7 @@ def trace_abs(u) -> float:
     return float(_modulus(np.trace(square_matrix(u))))
 
 
-def random_unitaries(n: int, seeds) -> np.ndarray:
+def random_unitaries(n, seeds) -> np.ndarray:
     """Stack of Haar-distributed n-by-n unitaries, one per seed.
 
     Each seed drives its own complex Ginibre matrix, so a unitary does
@@ -76,13 +76,24 @@ def random_unitaries(n: int, seeds) -> np.ndarray:
     ``SeedSequence`` entropy, such as a ``(seed, n, index)`` tuple.  One
     stacked QR factorization follows, with each R diagonal's phases
     absorbed into its Q so the distribution is exactly Haar.
+
+    ``n`` is one dimension for every seed, or one per seed.  The stack is
+    then ``(k, w, w)``, w the largest n, and holds ``diag(I_{w-n}, U)``:
+    LAPACK factors the identity block as itself, and the zeros around it
+    stay exactly 0.  U is bitwise the unitary its seed gives alone
+    wherever LAPACK runs its unblocked QR on both shapes, as numpy's
+    OpenBLAS does up to w = 128; a wider stack can move U's last bits.
     """
-    if n < 1:
+    sizes = np.broadcast_to(n, len(seeds)).tolist()
+    if min(sizes, default=1) < 1:
         raise ValueError("dimension must be at least 1")
-    z = np.empty((len(seeds), n, n), dtype=np.complex128)
-    for i, seed in enumerate(seeds):
+    w = max(sizes, default=0)
+    z = np.zeros((len(seeds), w, w), dtype=np.complex128)
+    np.einsum("...ii->...i", z)[...] = 1.0
+    for i, (m, seed) in enumerate(zip(sizes, seeds)):
         rng = np.random.default_rng(seed)
-        z[i] = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        z[i, w - m:, w - m:] = (rng.standard_normal((m, m))
+                                + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]

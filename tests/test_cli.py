@@ -222,6 +222,23 @@ class TestBoundsCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    # numpy reads each of these as an int64 or float64 array
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "re": [[true, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+        '{"n": 2, "re": [[1.0, 0.0], [0.0, true]], "im": [[0, 0], [0, 0]]}',
+        '{"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, false], [0, 0]]}',
+        '{"n": 2, "re": [[1, 0], [0, 1]], "im": [[0.0, 0.0], [false, 0.0]]}',
+    ], ids=["int_re", "float_re", "int_im", "float_im"])
+    def test_boolean_among_numbers_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "u.json"
+        path.write_text(text)
+        code, out, err = run_cli(["bounds", "--file", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: cannot build gate: re/im entries must be JSON numbers\n"
+        # the same file with its boolean written as a number is a gate
+        path.write_text(text.replace("true", "1").replace("false", "0"))
+        assert run_cli(["bounds", "--file", str(path)], capsys)[0] == 0
+
     def test_file_n_above_cap_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big_n.json"
         path.write_text('{"n": %d, "re": [[1.0]], "im": [[0.0]]}' % (MAX_DIM + 1))

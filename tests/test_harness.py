@@ -297,27 +297,32 @@ class TestPasses:
         assert swapped.tobytes() == np.concatenate([margins[:1], margins[2:]]).tobytes()
 
     def test_per_dimension_steps_run_once_per_dimension(self, monkeypatch):
-        # one pass over dims 3..8: only the steps that need their n run
-        # per dimension, the rest once over the padded stack
+        # one pass over dims 3..8: only the draws, the gate products and
+        # the window kernel run per dimension; the rest, the cross-check's
+        # Haar QR and eigvals included, once over padded stacks
         pieces = list(harness._passes(range(3, 9), 3))
         assert len(pieces) == 1
         calls = {}
 
-        def counting(name):
-            step = getattr(harness, name)
+        def counting(module, name):
+            step = getattr(module, name)
 
             def counted(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
                 return step(*args, **kwargs)
 
-            monkeypatch.setattr(harness, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
-        once = ("phases_from_levels", "_modulus", "_level_moments", "cyclic_distance")
-        per_dimension = ("_spectra", "_draw_gates", "_phases", "_phase_products")
+        once = ("phases_from_levels", "_modulus", "_level_moments", "cyclic_distance",
+                "random_unitaries", "_phases")
+        lapack = ("qr", "eigvals")
+        per_dimension = ("_spectra", "_draw_gates", "_phase_products")
         for name in once + per_dimension:
-            counting(name)
+            counting(harness, name)
+        for name in lapack:
+            counting(np.linalg, name)
         assert run_random_campaign(range(3, 9), 3, 1).cross_checked == 6
-        assert calls == {**dict.fromkeys(once, 1), **dict.fromkeys(per_dimension, 6)}
+        assert calls == {**dict.fromkeys(once + lapack, 1), **dict.fromkeys(per_dimension, 6)}
 
     def test_window_kernel_gets_c_ordered_phases(self, monkeypatch):
         # the kernel's deficit sum follows the memory order of its input,
@@ -364,6 +369,30 @@ def perturb_last_draw(monkeypatch, offset=1e-6):
     monkeypatch.setattr(harness, "phases_from_levels", perturbed)
 
 
+def assert_stacks_hold_replayed_gates(monkeypatch, dims, samples, shapes):
+    """Run a campaign and check each stack ``_phases`` gets: its shape, and
+    each draw, in order of n, as ``diag(I, U)`` with the identity exact,
+    exact zeros beside it and U bitwise ``sample_spectrum_gate``'s gate."""
+    seen = []
+    phases = harness._phases
+
+    def recording(u):
+        seen.append(u.copy())
+        return phases(u)
+
+    monkeypatch.setattr(harness, "_phases", recording)
+    run_random_campaign(dims, samples, 5)
+    assert [u.shape for u in seen] == shapes
+    gates = [u for stack in seen for u in stack]
+    want = sorted((n, index) for n in dims for index in range(0, samples, CROSS_CHECK_EVERY))
+    assert len(gates) == len(want)
+    for got, (n, index) in zip(gates, want):
+        pads = got.shape[-1] - n
+        assert got[pads:, pads:].tobytes() == sample_spectrum_gate(n, 5, index)[2].tobytes()
+        assert np.array_equal(got[:pads, :pads], np.eye(pads))
+        assert not got[:pads, pads:].any() and not got[pads:, :pads].any()
+
+
 class TestSpectralVerdict:
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
     def test_phases_match_the_gate_eigenphases(self, n):
@@ -376,22 +405,56 @@ class TestSpectralVerdict:
             assert cyclic_distance(ph[index], gate_ph) <= tol
 
     def test_cross_check_gate_is_the_replayed_gate(self, monkeypatch):
-        # the gate a cross-checked draw diagonalises is bitwise the gate
-        # sample_spectrum_gate replays for that draw
-        seen = []
+        # each padded stack the cross-check diagonalises holds a draw as
+        # diag(I, U): the identity exactly, exact zeros beside it, and U
+        # bitwise the gate sample_spectrum_gate replays for that draw
+        assert_stacks_hold_replayed_gates(monkeypatch, (3, 8), 130, [(6, 8, 8)])
+
+    def test_pass_out_of_order_stacks_replayed_gates_by_n(self, monkeypatch):
+        # one pass of five dims, out of order, in two stacks: 4 * 127^2
+        # entries, then 128^2 alone
+        assert_stacks_hold_replayed_gates(monkeypatch, (8, 3, 128, 64, 127), 1,
+                                          [(4, 127, 127), (1, 128, 128)])
+
+    @pytest.mark.parametrize("dims", [(3, 8), (8, 3)])
+    def test_mismatch_in_a_padded_gate_names_its_draw(self, dims, monkeypatch):
+        # the n = 3 draw sits in an 8-wide stack beside the n = 8 draw;
+        # its gate phases fill the last 3 slots of its row
+        phases = harness._phases
+
+        def perturbed(u):
+            ph = phases(u)
+            assert u.shape == (2, 8, 8)
+            three = [i for i, g in enumerate(u) if np.array_equal(g[:5, :5], np.eye(5))]
+            assert len(three) == 1
+            ph[three[0], -1] += 1e-6
+            return ph
+
+        monkeypatch.setattr(harness, "_phases", perturbed)
+        with pytest.raises(CrossCheckError, match=r"seed 7, n 3, index 0\)") as exc:
+            run_random_campaign(dims, 1, 7)
+        assert "differ from the spectral phases by 1e-06" in str(exc.value)
+
+    def test_gate_stacks_stay_within_chunk_entries(self, monkeypatch):
+        # every dimension's draw 0 is checked; the n = 250 draw fills a
+        # stack by itself, the smaller ones pack
+        shapes = []
         phases = harness._phases
 
         def recording(u):
-            seen.append(u.copy())
+            shapes.append(u.shape)
             return phases(u)
 
         monkeypatch.setattr(harness, "_phases", recording)
-        run_random_campaign((3, 8), 130, 5)
-        gates = [u for stack in seen for u in stack]
-        want = [sample_spectrum_gate(n, 5, index)[2] for n in (3, 8) for index in (0, 64, 128)]
-        assert len(gates) == len(want)
-        for got, replayed in zip(gates, want):
-            assert got.tobytes() == replayed.tobytes()
+        dims = tuple(range(2, 128)) + (250,)
+        assert run_random_campaign(dims, 1, 3).cross_checked == len(dims)
+        assert sum(k for k, _, _ in shapes) == len(dims)
+        assert max(k for k, _, _ in shapes) > 1
+        for k, w, _ in shapes:
+            assert k * w * w <= max(CHUNK_ENTRIES, w * w)
+        # a draw above CHUNK_ENTRIES entries is a stack of its own
+        assert list(harness._gate_stacks([2, 3, 256, 300, 300])) == [
+            slice(0, 2), slice(2, 3), slice(3, 4), slice(4, 5)]
 
     def test_cross_checked_count(self):
         # n = 64 holds 16 draws per chunk: draws 64 and 128 open chunks,

@@ -7,6 +7,7 @@ from gateqsl.harness import _gates
 from gateqsl.linalg import (
     _modulus,
     is_unitary,
+    random_unitaries,
     random_unitary,
     square_matrix,
     trace_abs,
@@ -103,6 +104,26 @@ class TestRandomUnitary:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             random_unitary(0, seed=1)
+
+    @pytest.mark.parametrize("dims", [[2, 5, 1, 8, 3, 8], [17, 128, 64, 127]])
+    def test_one_dimension_per_seed_pads_each_unitary(self, dims):
+        # each unitary fills the trailing block of diag(I, U), bitwise the
+        # unitary its seed gives alone
+        seeds = [(4, n, i) for i, n in enumerate(dims)]
+        stack = random_unitaries(dims, seeds)
+        w = max(dims)
+        assert stack.shape == (len(dims), w, w)
+        for u, n, seed in zip(stack, dims, seeds):
+            pads = w - n
+            assert u[pads:, pads:].tobytes() == random_unitaries(n, [seed])[0].tobytes()
+            assert np.array_equal(u[:pads, :pads], np.eye(pads))
+            assert not u[:pads, pads:].any() and not u[pads:, :pads].any()
+
+    def test_one_dimension_per_seed_checks_each(self):
+        with pytest.raises(ValueError):
+            random_unitaries([3, 0], [1, 2])
+        with pytest.raises(ValueError):
+            random_unitaries([3, 4], [1])
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_haar_trace_second_moment(self, n):
