@@ -53,18 +53,25 @@ class TraceInput:
     def __post_init__(self):
         if np.less(self.n, 1).any():
             raise ValueError("dimension must be at least 1")
-        t = np.asarray(self.trace_abs, dtype=np.float64)
-        clamped = np.minimum(np.maximum(t, 0.0), self.n)
-        # Absorb numerical overshoot from computed traces.
-        outside = ~(np.abs(t - clamped) <= 1e-9 * self.n)
-        if outside.any():
-            n = np.broadcast_to(self.n, t.shape)[outside].flat[0]
-            raise ValueError(f"|tr U| = {t[outside].flat[0]} outside [0, {n}]")
-        object.__setattr__(self, "trace_abs", clamped[()])
+        object.__setattr__(self, "trace_abs", _clamped_trace(self.n, self.trace_abs))
 
     @property
     def ratio(self) -> float:
         return self.trace_abs / self.n
+
+
+def _clamped_trace(n, trace_abs):
+    """``trace_abs`` clamped into [0, n], elementwise; numerical overshoot of
+    computed traces, up to ``1e-9 n``, is absorbed, and more raises
+    ValueError naming the first such trace and its n."""
+    t = np.asarray(trace_abs, dtype=np.float64)
+    clamped = np.minimum(np.maximum(t, 0.0), n)
+    within = np.abs(t - clamped) <= 1e-9 * n
+    if not within.all():
+        outside = ~within
+        n = np.broadcast_to(n, t.shape)[outside].flat[0]
+        raise ValueError(f"|tr U| = {t[outside].flat[0]} outside [0, {n}]")
+    return clamped[()]
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ A campaign draws (spectrum, time) pairs and judges each one from its
 phases ``(E_k - E_0) T``: every trace bound and every exact product
 depends on the gate only through ``|tr U|`` and its eigenphases, which
 no basis change moves.  The draws run as stacked arrays in passes that
-span dimensions: per dimension run only the steps whose shapes need its
-n, and the rest once over a padded stack of the whole pass.  One
-draw in ``CROSS_CHECK_EVERY`` also goes the long way round, through a
+span dimensions: per dimension run only the draws, and the rest once
+per pass, over a padded stack of the whole pass or, for the window
+kernel, over every draw's own phases laid back to back.  One draw in ``CROSS_CHECK_EVERY`` also goes the long way round, through a
 Haar basis, the gate built on it and the gate's ``eigvals``, a pass's
 such draws in identity-padded stacks with one Haar QR and one
 ``eigvals`` per stack; its phases and product margins must agree with
@@ -236,12 +236,15 @@ def _gate_phases(seed: int, dims: np.ndarray, indices: np.ndarray,
     :func:`_phases` call checks the stack unitary and takes its
     ``eigvals``.  The identity block's phases come out exactly 0 and sort
     first, so a draw's sorted phases fill the same last n slots as its
-    levels; its pad slots hold 0.
+    levels; its pad slots hold 0.  The traces are taken once, from the
+    stacks' trailing diagonals laid slot-major with the identity block's
+    ones zeroed, and summed in slot order, so a draw's trace does not
+    depend on the stack it shares.
     """
     order = np.argsort(dims, kind="stable")
     m = levels.shape[-1]
     ph = np.zeros(levels.shape)
-    traces = np.empty(len(dims), dtype=np.complex128)
+    diagonal = np.zeros((m, len(dims)), dtype=np.complex128)
     for stack in _gate_stacks(dims[order].tolist()):
         rows = order[stack]
         sizes = dims[rows].tolist()
@@ -254,11 +257,12 @@ def _gate_phases(seed: int, dims: np.ndarray, indices: np.ndarray,
             block = u[start:stop, w - n:, w - n:]
             draws = rows[start:stop]
             # each draw's gate at its own n: a padded product would move its last bits
-            gates = _draw_gates(block, levels[draws, m - n:], t[draws])
-            block[...] = gates
-            traces[draws] = np.trace(gates, axis1=-2, axis2=-1)
+            block[...] = _draw_gates(block, levels[draws, m - n:], t[draws])
+        diagonal[m - w:, rows] = np.diagonal(u, axis1=-2, axis2=-1).T
         ph[rows, m - w:] = _phases(u)
-    return ph, traces
+    # the identity block's ones stay out of each trace
+    diagonal[np.arange(m)[:, None] < m - dims] = 0.0
+    return ph, _slot_sum(diagonal)
 
 
 def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
@@ -277,9 +281,12 @@ def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
     its pass.  The draws whose index is a multiple of ``CROSS_CHECK_EVERY``
     also build a gate ``basis diag(e^{-i (E_k - E_0) T}) basis†`` on a
     Haar basis and take its eigenphases, all of the pass's in padded
-    stacks (:func:`_gate_phases`).  Per ``(n, indices)`` piece run only
-    the steps that need their n: the draws and the window kernel, whose
-    call stacks the piece's gate phases after its spectral phases.
+    stacks (:func:`_gate_phases`).  The window kernel runs once per pass
+    too, over every draw's own n phases laid back to back, spectral rows
+    first and gate rows after them, with one ``(n, count)`` run per piece
+    and per dimension of gates: it sums each window and each list by
+    ``np.add.reduceat`` over its own values, so these sums do not depend
+    on the pass either.  Per ``(n, indices)`` piece run only the draws.
     ``streams`` is passed to :func:`_spectra`.
     """
     drawn = [_spectra(n, seed, indices, streams) for n, indices in pieces]
@@ -303,22 +310,14 @@ def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
     checked_n = count[checked]
     gate_ph, gate_tr = _gate_phases(seed, checked_n, index[checked], levels[:, checked].T,
                                     t[checked])
-    spectral, gate = [], []
-    k = 0
-    for n, indices in pieces:
-        rows = gate_ph[np.searchsorted(checked, k):np.searchsorted(checked, k + len(indices)),
-                       width - n:]
-        # C order: concatenate may lay the rows out in Fortran order, and the
-        # kernel's deficit sum runs in the order of the layout
-        products, deficit = _phase_products(
-            np.ascontiguousarray(np.concatenate([ph[width - n:, k:k + len(indices)].T, rows])))
-        spectral.append((products[:, :len(indices)], deficit[:len(indices)]))
-        gate.append((products[:, len(indices):], deficit[len(indices):]))
-        k += len(indices)
-    products, deficits = zip(*spectral, *gate)
-    d = _margins(np.concatenate([count, checked_n]),
-                 _modulus(np.concatenate([_slot_sum(z), gate_tr])),
-                 np.concatenate(products, axis=-1), np.concatenate(deficits))
+    # one kernel call: each draw's own slots, spectral rows then gate rows
+    own = ~pad.T
+    runs = tuple((n, len(indices)) for n, indices in pieces) + tuple(
+        (n, len(list(run))) for n, run in itertools.groupby(checked_n.tolist()))
+    trace = np.concatenate([_slot_sum(z), gate_tr])
+    products, deficit = _phase_products(np.concatenate([ph.T[own], gate_ph[own[checked]]]),
+                                        runs, trace)
+    d = _margins(np.concatenate([count, checked_n]), _modulus(trace), products, deficit)
     moments = _level_moments(levels, count, pad)
     if len(checked):
         # raise at the first draw whose gate phases or product margins

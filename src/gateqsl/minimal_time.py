@@ -16,24 +16,30 @@ For each rotation this module computes the dimensionless products
 ``E*T`` (mean above ground), ``dE*T`` (population std), ``width*T`` and
 the dual gap ``(E_max - mean)*T``, takes the least of each over the
 distinct rotations, and checks it against the corresponding trace
-bound.  :func:`dominance_from_phases` does this for a stack ``(..., n)``
-of sorted phase lists at once: a window kernel over an n-by-n cyclic
-index, then a margin step that needs no n-by-n shape.  :func:`dominance`
-and :func:`verify_dominance` run both on the eigenphases of unitaries; a
-campaign runs the kernel on each dimension's phases ``(E_k - E_0) T``
-and the margin step once over several dimensions.  A real gate stays
-float64 throughout, so its eigenvalues come from LAPACK's real solver.
+bound.  The window kernel :func:`_phase_products` takes sorted phase
+lists of any dimensions laid back to back, ``count`` lists of n phases
+for each ``(n, count)`` of a ``runs`` tuple: it gathers every window from
+a layout cached per runs and sums each window by ``np.add.reduceat``
+over its own n values, so a list's products do not depend on the lists
+beside it, and it takes each list's trace deficit in O(n) from the trace
+its caller already holds.  A margin step follows, elementwise.
+:func:`dominance_from_phases`, :func:`dominance` and
+:func:`verify_dominance` run both on one run of equal-length lists; a
+campaign pass runs each once over all its draws and cross-checked gates.
+A real gate stays float64 throughout, so its eigenvalues come from
+LAPACK's real solver.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BOUND_NAMES, TraceInput, bound_forms, ml_product, mt_from_deficit
+from .bounds import BOUND_NAMES, _clamped_trace, bound_forms, ml_product, mt_from_deficit
 from .linalg import _modulus, _square_matrices, square_matrix, unitarity_error
 
 TWO_PI = 2.0 * np.pi
@@ -42,6 +48,15 @@ DOMINANCE_TOL = 1e-9
 
 # Max-abs-entry limit of ``u†u - I`` for a matrix whose eigenphases are taken.
 EIGENPHASE_UNITARY_TOL = 1e-9
+
+# The two branches a window takes a phase from: the phase, and its 2 pi lift.
+_LIFTS = np.array([[0.0], [TWO_PI]])
+
+# Scales psi into the rows psi / 2 and psi of the trace deficit's sines.
+_HALF_AND_WHOLE = np.array([[0.5], [1.0]])
+
+# The product row (e_t, var_t, width_t, dual_t) behind each bound of BOUND_NAMES.
+_MARGIN_PRODUCTS = np.array([0, 1, 3, 2, 2])
 
 
 @dataclass(frozen=True)
@@ -153,37 +168,119 @@ def cyclic_distance(a: np.ndarray, b: np.ndarray, n=None) -> np.ndarray:
     return gap.max(axis=-1).min(axis=-1)
 
 
-def _windows(ph: np.ndarray):
-    """Products of every cyclic window of sorted phases ``(..., n)``.
+class _Layout(NamedTuple):
+    """Where :func:`_window_products` finds every cyclic window of sorted
+    phase lists laid back to back; see :func:`_ragged_layout`."""
 
-    Window j lifts the phases below phi_j by 2 pi, so all values sit in
-    [phi_j, phi_j + 2 pi): it is slots j to j + n - 1 of the phases
-    followed by their 2 pi lift.  Returns the products ``(4, ..., n)``,
-    in the order e_t, var_t, width_t, dual_t, and ``start`` ``(..., n)``,
-    which is False where phi_j repeats the phase before it: that window
-    duplicates an earlier one.
+    gather: np.ndarray
+    windows: np.ndarray
+    repeats: np.ndarray
+    size: np.ndarray
+    last: np.ndarray
+    before: np.ndarray
+    owner: np.ndarray
+    lists: np.ndarray
+    n: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _ragged_layout(runs: tuple) -> _Layout:
+    """The window layout of ``count`` lists of n phases for each
+    ``(n, count)`` of ``runs``, in that order, laid back to back in one
+    flat array ``ph``: read-only, built once per ``runs``; the 16 most
+    recent are kept, 8 bytes per window value and 48 per phase.
+
+    Phase w, slot j of its list, starts window w: slots j to n - 1 of its
+    list, then slots 0 to j - 1 lifted by 2 pi.  Every index points into
+    ``lifted = concatenate([ph, ph + 2 pi])``.  ``gather`` lists every
+    window's n values back to back, ``windows`` is where each window
+    starts in that gather, ``repeats`` its length n (``size`` as a float)
+    and ``last`` the index of its last value.  ``before`` is the index of
+    the phase before phi_w in its list, or of phi_w + 2 pi, which no phase
+    equals, where phi_w comes first.  ``owner`` is the list of each phase,
+    ``lists`` is where each list starts in ``ph`` and ``n`` its length, as
+    a float.
     """
-    n = ph.shape[-1]
-    theta = np.concatenate([ph, ph + TWO_PI], axis=-1)[..., _cyclic_index(n)]
-    mean = theta.sum(axis=-1) / n
-    var_t = np.sqrt(np.square(theta - mean[..., None]).sum(axis=-1) / n)
-    last = theta[..., -1]
-    start = np.ones(ph.shape, dtype=bool)
-    start[..., 1:] = ph[..., 1:] != ph[..., :-1]
-    return np.array([mean - ph, var_t, last - ph, last - mean]), start
+    n = np.repeat([length for length, _ in runs], [count for _, count in runs]).astype(np.intp)
+    lists = np.cumsum(n) - n
+    total = int(n.sum())
+    size = np.repeat(n, n)
+    first = np.repeat(lists, n)
+    slot = np.arange(total) - first
+    windows = np.cumsum(size) - size
+    window = np.repeat(np.arange(total), size)
+    # slot j + k of window w's list, lifted where it passes the list's end
+    at = slot[window] + np.arange(len(window)) - windows[window]
+    gather = first[window] + at + np.where(at < size[window], 0, total - size[window])
+    before = np.arange(total) + np.where(slot == 0, total, -1)
+    owner = np.repeat(np.arange(len(n)), n)
+    layout = _Layout(gather, windows, size, size.astype(np.float64), gather[windows + size - 1],
+                     before, owner, lists, n.astype(np.float64))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
-def _phase_products(ph: np.ndarray):
-    """The per-n kernel of the campaign, :func:`dominance` and the qutrit
-    figures: the least products ``(4, ...)``, e_t, var_t, width_t and dual_t,
-    over the distinct cyclic windows of sorted phases ``(..., n)`` in
-    [0, 2 pi), and their trace deficit ``1 - r^2``, free of cancellation
-    near r = 1: ``n^2 - |tr U|^2 = sum_{j,k} 2 sin^2((phi_j - phi_k) / 2)``."""
-    n = ph.shape[-1]
-    products, start = _windows(ph)
-    s = np.sin(0.5 * (ph[..., :, None] - ph[..., None, :]))
-    return (np.where(start, products, np.inf).min(axis=-1),
-            2.0 * np.square(s).sum(axis=(-2, -1)) / (n * n))
+def _window_products(ph: np.ndarray, layout: _Layout):
+    """Products of every cyclic window of sorted phase lists in [0, 2 pi)
+    laid back to back in ``ph``, as ``layout`` lays them (see
+    :func:`_ragged_layout`).
+
+    Window w lifts the phases of its list below phi_w by 2 pi, so all its
+    values sit in [phi_w, phi_w + 2 pi).  Each window's sums run by
+    ``np.add.reduceat`` over its own n contiguous values, so they depend
+    on the window alone, not on the lists beside it.  Returns the products
+    ``(4, windows)``, in the order e_t, var_t, width_t, dual_t, and
+    ``start`` ``(windows,)``, which is False where phi_w repeats the phase
+    before it in its list: that window duplicates an earlier one.
+    """
+    # rows ph and ph + 2 pi, which take() reads as concatenate([ph, ph + 2 pi])
+    lifted = _LIFTS + ph
+    theta = lifted.take(layout.gather)
+    mean = np.add.reduceat(theta, layout.windows) / layout.size
+    theta -= np.repeat(mean, layout.repeats)
+    var_t = np.sqrt(np.add.reduceat(np.square(theta, out=theta), layout.windows) / layout.size)
+    last = lifted.take(layout.last)
+    return np.array([mean - ph, var_t, last - ph, last - mean]), ph != lifted.take(layout.before)
+
+
+def _phase_products(ph: np.ndarray, runs: tuple, trace: np.ndarray):
+    """The kernel of the campaign, :func:`dominance` and the qutrit figures:
+    the least products ``(4, lists)``, e_t, var_t, width_t and dual_t, over
+    the distinct cyclic windows of each sorted phase list in [0, 2 pi) laid
+    back to back in ``ph`` as ``runs`` lays them (see
+    :func:`_ragged_layout`), and each list's trace deficit ``1 - r^2``.
+
+    ``trace`` holds each list's ``sum_k e^{-i phi_k}``, or a trace close to
+    it, such as the trace of the gate whose eigenphases the list holds.
+    The deficit is taken about mu = -arg(trace), the phases' circular
+    mean, free of cancellation near r = 1: with ``psi = phi - mu``,
+    ``a = sum 2 sin^2(psi / 2)`` and ``b = sum sin psi``,
+    ``n^2 - |sum e^{-i phi}|^2 = a (2 n - a) - b^2`` for any mu, and b
+    vanishes where mu is the circular mean.  Every sum runs over one
+    list's or one window's values alone, so a list's products and deficit
+    do not depend on the lists beside it.
+    """
+    layout = _ragged_layout(runs)
+    products, start = _window_products(ph, layout)
+    least = np.minimum.reduceat(np.where(start, products, np.inf), layout.lists, axis=-1)
+    # rows sin(psi / 2) and sin(psi), psi = phi + arg(trace); a / 2 and b
+    # are their sums after squaring the first
+    arg = np.arctan2(trace.imag, trace.real)
+    s = np.sin(_HALF_AND_WHOLE * (ph + arg.take(layout.owner)))
+    np.square(s[0], out=s[0])
+    half_a, b = np.add.reduceat(s, layout.lists, axis=-1)
+    n = layout.n
+    return least, (4.0 * half_a * (n - half_a) - b * b) / (n * n)
+
+
+def _stack_products(ph: np.ndarray, trace: np.ndarray):
+    """:func:`_phase_products` of a stack ``(..., n)`` of sorted phase lists,
+    one run, with ``trace`` ``(...)``; shaped as the stack."""
+    shape = ph.shape[:-1]
+    products, deficit = _phase_products(ph.reshape(-1), ((ph.shape[-1], math.prod(shape)),),
+                                        trace.reshape(-1))
+    return products.reshape(4, *shape), deficit.reshape(shape)
 
 
 def eigenphases(u) -> np.ndarray:
@@ -194,12 +291,11 @@ def eigenphases(u) -> np.ndarray:
 def _margins(n, trace_abs, products, deficit) -> Dominance:
     """The margin step after :func:`_phase_products`, elementwise over
     rows whose dimension ``n`` may differ from row to row."""
-    ratio = TraceInput(n, trace_abs).ratio
+    ratio = _clamped_trace(n, trace_abs) / n
     ml = ml_product(ratio)
     mt = mt_from_deficit(deficit)
-    e_t, var_t, width_t, dual_t = products
     # each least product less its bound form, in BOUND_NAMES order
-    margins = np.array([e_t, var_t, dual_t, width_t, width_t]) - np.array(bound_forms(ml, mt))
+    margins = products.take(_MARGIN_PRODUCTS, axis=0) - np.array(bound_forms(ml, mt))
     return Dominance(ratio, ml, mt, products, margins)
 
 
@@ -218,13 +314,13 @@ def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
         raise ValueError("phases must be finite and lie in [0, 2*pi)")
     # the margin step stacks its bound forms, so one trace per phase list
     trace_abs = np.broadcast_to(trace_abs, ph.shape[:-1])
-    return _margins(ph.shape[-1], trace_abs, *_phase_products(ph))
+    return _margins(ph.shape[-1], trace_abs, *_stack_products(ph, np.exp(-1j * ph).sum(axis=-1)))
 
 
 def _dominance(u: np.ndarray) -> Dominance:
     """:func:`dominance` of a stack already checked square and finite."""
-    trace = _modulus(np.trace(u, axis1=-2, axis2=-1))
-    return _margins(u.shape[-1], trace, *_phase_products(_phases(u)))
+    trace = u.trace(axis1=-2, axis2=-1)
+    return _margins(u.shape[-1], _modulus(trace), *_stack_products(_phases(u), trace))
 
 
 def dominance(u) -> Dominance:

@@ -22,7 +22,14 @@ from gateqsl.catalog import (
 from gateqsl.cli import main as cli_main
 from gateqsl.harness import DEFAULT_QUTRIT_X, _draws, figure_qubit, figure_qutrit
 from gateqsl.linalg import random_unitary, trace_abs
-from gateqsl.minimal_time import TWO_PI, _phase_products, _windows, dominance, eigenphases
+from gateqsl.minimal_time import (
+    TWO_PI,
+    _ragged_layout,
+    _stack_products,
+    _window_products,
+    dominance,
+    eigenphases,
+)
 from gateqsl.spectrum import EnergySpectrum, compute_stats, level_stats
 
 CAMPAIGN_SEED = 20240
@@ -140,7 +147,8 @@ def test_criterion_7_mub_comparison():
 def test_criterion_8_tightness_witness():
     hits = []
     for q in (1, 2, 3):
-        (e_t, _, _, _), start = _windows(eigenphases(hadamard_power(q)))
+        phases = eigenphases(hadamard_power(q))
+        (e_t, _, _, _), start = _window_products(phases, _ragged_layout(((len(phases), 1),)))
         hits.append(bool((np.abs(e_t[start] - math.pi / 2.0) <= 1e-9).any()))
     # gap between pi/2 and the MUB ML bound at dimension 8: (pi/2) k / sqrt(8)
     gap = math.pi / 2.0 - ml_product(math.sqrt(8.0) / 8.0)
@@ -190,7 +198,8 @@ def test_criterion_11_branch_enumeration_soundness():
     for n in (2, 3, 4):
         for _ in range(60):
             phases = np.sort(rng.uniform(0.0, TWO_PI, n))
-            min_e, min_var, min_width, _ = _phase_products(phases)[0]
+            trace = np.exp(-1j * phases).sum()
+            min_e, min_var, min_width, _ = _stack_products(phases, trace)[0]
             best_e = best_var = best_width = math.inf
             for assignment in itertools.product((0, 1, 2), repeat=n):
                 theta = phases + TWO_PI * np.asarray(assignment)

@@ -28,7 +28,7 @@ from gateqsl.harness import (
 from gateqsl.linalg import is_unitary, trace_abs
 from gateqsl.minimal_time import (
     DOMINANCE_TOL,
-    _phase_products,
+    _stack_products,
     cyclic_distance,
     dominance,
     eigenphases,
@@ -297,9 +297,9 @@ class TestPasses:
         assert swapped.tobytes() == np.concatenate([margins[:1], margins[2:]]).tobytes()
 
     def test_per_dimension_steps_run_once_per_dimension(self, monkeypatch):
-        # one pass over dims 3..8: only the draws, the gate products and
-        # the window kernel run per dimension; the rest, the cross-check's
-        # Haar QR and eigvals included, once over padded stacks
+        # one pass over dims 3..8: only the draws and the gate products run
+        # per dimension; the rest, the window kernel and the cross-check's
+        # Haar QR and eigvals included, once per pass
         pieces = list(harness._passes(range(3, 9), 3))
         assert len(pieces) == 1
         calls = {}
@@ -314,29 +314,15 @@ class TestPasses:
             monkeypatch.setattr(module, name, counted)
 
         once = ("phases_from_levels", "_modulus", "_level_moments", "cyclic_distance",
-                "random_unitaries", "_phases")
+                "random_unitaries", "_phases", "_phase_products")
         lapack = ("qr", "eigvals")
-        per_dimension = ("_spectra", "_draw_gates", "_phase_products")
+        per_dimension = ("_spectra", "_draw_gates")
         for name in once + per_dimension:
             counting(harness, name)
         for name in lapack:
             counting(np.linalg, name)
         assert run_random_campaign(range(3, 9), 3, 1).cross_checked == 6
         assert calls == {**dict.fromkeys(once + lapack, 1), **dict.fromkeys(per_dimension, 6)}
-
-    def test_window_kernel_gets_c_ordered_phases(self, monkeypatch):
-        # the kernel's deficit sum follows the memory order of its input,
-        # so a draw's deficit is bitwise that of a C-ordered stack only if
-        # the kernel gets C order
-        kernel = harness._phase_products
-
-        def checking(ph):
-            assert ph.flags.c_contiguous
-            return kernel(ph)
-
-        monkeypatch.setattr(harness, "_phase_products", checking)
-        # with one gate row, concatenating a piece's phases gives Fortran order
-        assert run_random_campaign(range(2, 9), 40, 3).cross_checked == 7
 
     def test_mismatch_in_second_dimension_names_its_draw(self, monkeypatch):
         # draw 64 of n = 5 is cross-checked, in the second piece of one pass
@@ -579,7 +565,7 @@ class TestFigureQutrit:
         for row, (x, y) in zip(rows, itertools.product(xs, ys)):
             u = qutrit_mub(QutritMubParams(family=family, x=x, y=float(y)))
             assert row.abscissa == y
-            assert row.exact == _phase_products(eigenphases(u))[0][0]
+            assert row.exact == _stack_products(eigenphases(u), np.trace(u))[0][0]
             assert row.ml == ml_product(min(1.0, trace_abs(u) / 3.0))
             assert row.mt is None
 

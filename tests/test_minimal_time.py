@@ -27,7 +27,9 @@ from gateqsl.minimal_time import (
     TWO_PI,
     VerificationRecord,
     _phase_products,
-    _windows,
+    _ragged_layout,
+    _stack_products,
+    _window_products,
     dominance,
     dominance_from_phases,
     eigenphases,
@@ -51,13 +53,15 @@ def brute_force_minima(phases, offsets=(0, 1, 2)):
 def rotations(phases):
     """Products ``(4, m)`` of the m distinct cyclic windows of ``phases``, in
     the order e_t, var_t, width_t, dual_t."""
-    products, start = _windows(np.sort(np.asarray(phases, dtype=np.float64)))
+    ph = np.sort(np.asarray(phases, dtype=np.float64))
+    products, start = _window_products(ph, _ragged_layout(((len(ph), 1),)))
     return products[:, start]
 
 
 def exact_minima(phases):
     """Least e_t, var_t and width_t over the distinct windows of ``phases``."""
-    e_t, var_t, width_t, _ = _phase_products(np.sort(np.asarray(phases, dtype=np.float64)))[0]
+    ph = np.sort(np.asarray(phases, dtype=np.float64))
+    e_t, var_t, width_t, _ = _stack_products(ph, np.exp(-1j * ph).sum())[0]
     return e_t, var_t, width_t
 
 
@@ -182,6 +186,111 @@ class TestBranchBruteForce:
             assert brute_e >= min_e - 1e-12
             assert brute_var >= min_var - 1e-12
             assert brute_width >= min_width - 1e-12
+
+
+# the high part TWO_PI and the low part of 2 pi as a double-double
+TWO_PI_LOW = 2.4492935982947064e-16
+
+
+def phase_families(rng):
+    """Sorted phase lists in [0, 2 pi) of the kernel's hard families:
+    uniform, near-identity about centres 0 (straddling 0 / 2 pi), 1, 3 and
+    5.5 with gaps 1e-3 to 1e-12, two-level, one-excited and roots of unity."""
+    for n in (1, 2, 3, 5, 8, 13):
+        yield np.sort(rng.uniform(0.0, TWO_PI, n))
+        for gap in 10.0 ** -np.arange(3, 13):
+            for centre in (0.0, 1.0, 3.0, 5.5):
+                offsets = np.cumsum(rng.uniform(0.5, 1.5, n))
+                x = centre + gap * (offsets - offsets.mean())
+                yield np.sort(np.where(x < 0.0, x + TWO_PI, x))
+        if n > 1:
+            x = rng.uniform(0.1, TWO_PI - 0.1)
+            yield np.sort(np.where(np.arange(n) < rng.integers(1, n), 0.0, x))
+            yield np.append(np.zeros(n - 1), x)
+        yield TWO_PI * np.arange(n) / n
+
+
+def lone_products(ph):
+    """Least products and deficit of one phase list, as the only list of its call."""
+    return _phase_products(ph, ((len(ph), 1),), np.exp(-1j * ph).sum(keepdims=True))
+
+
+def sine_deficit(ph):
+    """The n-by-n form of the deficit: 2 sum_{j,k} sin^2((phi_j - phi_k) / 2) / n^2."""
+    s = np.sin(0.5 * (ph[:, None] - ph[None, :]))
+    return 2.0 * np.square(s).sum() / len(ph) ** 2
+
+
+class TestRaggedKernel:
+    """One kernel call over phase lists of several dimensions laid back to back."""
+
+    def test_runs_give_each_list_its_lone_products(self):
+        rng = np.random.default_rng(17)
+        pool = list(phase_families(rng))
+        five = [ph for ph in pool if len(ph) == 5]
+        # an empty stack, one list, one run of several lists, lists of n = 1
+        cases = [[], [five[0]], five[:7], [np.zeros(1), np.array([2.5]), five[3]]]
+        for _ in range(60):
+            cases.append([pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 12))])
+        for case, lists in enumerate(cases):
+            # consecutive lists of one n share a run, or in the random cases
+            # may start runs of their own
+            runs = []
+            for ph in lists:
+                if runs and runs[-1][0] == len(ph) and (case < 4 or rng.random() < 0.7):
+                    runs[-1][1] += 1
+                else:
+                    runs.append([len(ph), 1])
+            # a run of no lists adds nothing
+            runs = tuple(map(tuple, runs)) + ((4, 0),) * int(case >= 4 and rng.integers(2))
+            flat = np.concatenate([np.empty(0), *lists])
+            trace = np.array([np.exp(-1j * ph).sum() for ph in lists], dtype=complex)
+            products, deficit = _phase_products(flat, runs, trace)
+            assert products.shape == (4, len(lists)) and deficit.shape == (len(lists),)
+            for i, ph in enumerate(lists):
+                lone, lone_deficit = lone_products(ph)
+                assert products[:, i].tobytes() == lone[:, 0].tobytes()
+                assert deficit[i].tobytes() == lone_deficit[0].tobytes()
+
+    def test_window_products_are_their_branch_assignments(self):
+        rng = np.random.default_rng(18)
+        for ph in phase_families(rng):
+            n = len(ph)
+            products, start = _window_products(ph, _ragged_layout(((n, 1),)))
+            # every assignment of 0 or 2 pi to each phase; window j is the
+            # one that lifts the phases in slots before j
+            lift = np.array(list(itertools.product((0, 1), repeat=n)), dtype=bool)
+            theta = ph + TWO_PI * lift
+            brute = np.array([theta.mean(axis=-1) - theta.min(axis=-1), theta.std(axis=-1),
+                              np.ptp(theta, axis=-1), theta.max(axis=-1) - theta.mean(axis=-1)])
+            for j in np.flatnonzero(start):
+                window = int(np.flatnonzero((lift == (np.arange(n) < j)).all(axis=-1))[0])
+                assert np.abs(products[:, j] - brute[:, window]).max() <= 1e-12
+            # a window starts a distinct rotation unless its phase repeats the last
+            assert start[0] and (start[1:] == (ph[1:] != ph[:-1])).all()
+            least = lone_products(ph)[0][:, 0]
+            assert np.abs(least - brute.min(axis=-1)).max() <= 1e-12
+
+    @pytest.mark.parametrize("a", 10.0 ** -np.arange(1, 13))
+    def test_deficit_of_a_pair_is_sin_of_half_its_gap(self, a):
+        # n = 2: 1 - r^2 = sin^2(a / 2)
+        want = abs(math.sin(a / 2.0))
+        assert abs(math.sqrt(lone_products(np.array([0.0, a]))[1][0]) - want) <= 4 * np.spacing(want)
+
+    @pytest.mark.parametrize("a", 10.0 ** -np.arange(1, 13))
+    def test_deficit_of_a_straddling_pair(self, a):
+        # TWO_PI - a is exact, and sits a + TWO_PI_LOW below 2 pi; its last
+        # bits near 2 pi bound the error at one ulp of TWO_PI
+        for b in (0.0, a / 3.0, a, 2.0 * a):
+            got = math.sqrt(lone_products(np.array([b, TWO_PI - a]))[1][0])
+            want = math.sin(0.5 * (a + b + TWO_PI_LOW))
+            assert abs(got - want) <= np.spacing(TWO_PI)
+
+    def test_deficit_matches_the_sine_form(self):
+        rng = np.random.default_rng(19)
+        for ph in phase_families(rng):
+            got = math.sqrt(max(0.0, lone_products(ph)[1][0]))
+            assert abs(got - math.sqrt(sine_deficit(ph))) <= 1e-14
 
 
 class TestVerifyDominance:
