@@ -3,14 +3,14 @@
 A campaign draws (spectrum, time) pairs and judges each one from its
 phases ``(E_k - E_0) T``: every trace bound and every exact product
 depends on the gate only through ``|tr U|`` and its eigenphases, which
-no basis change moves.  The draws run as stacked arrays in passes that
-span dimensions: per dimension run only the draws, and the rest once
-per pass, over a padded stack of the whole pass or, for the window
-kernel, over every draw's own phases laid back to back.  One draw in ``CROSS_CHECK_EVERY`` also goes the long way round, through a
-Haar basis, the gate built on it and the gate's ``eigvals``, a pass's
-such draws in identity-padded stacks with one Haar QR and one
-``eigvals`` per stack; its phases and product margins must agree with
-the spectral ones, or the campaign raises :class:`CrossCheckError`.
+no basis change moves.  The draws run in passes that span dimensions:
+per dimension run only the draws, and the rest once per pass, over
+every draw's own levels and phases laid back to back.  One draw in
+``CROSS_CHECK_EVERY`` also goes the long way round, through a Haar
+basis, the gate built on it and the gate's ``eigvals``, a pass's such
+draws in identity-padded stacks with one Haar QR and one ``eigvals``
+per stack; its phases and product margins must agree with the
+spectral ones, or the campaign raises :class:`CrossCheckError`.
 Figure helpers emit the curve data behind the qubit exact-time plot,
 the qubit MUB-time plot and the two qutrit MUB family plots, each as
 one stack: the qutrit gates are judged as by
@@ -32,14 +32,15 @@ from .catalog import MubFamily, _qutrit_mubs
 from .linalg import _modulus, random_unitaries
 from .minimal_time import (
     DOMINANCE_TOL,
+    TWO_PI,
     _dominance,
+    _list_distance,
     _margins,
     _phase_products,
     _phases,
-    cyclic_distance,
-    phases_from_levels,
+    _ragged_layout,
 )
-from .spectrum import EnergySpectrum, EnergyStats, _level_moments, _slot_sum
+from .spectrum import EnergySpectrum, EnergyStats, _level_moments
 
 DEFAULT_QUTRIT_X = (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi)
 
@@ -187,24 +188,19 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
 def _passes(dims, samples_per_dim: int):
     """The campaign's draws as passes, lists of ``(n, indices)`` pieces:
     consecutive pieces share a pass while it holds at most
-    ``CHUNK_ENTRIES`` matrix entries, and its draws times its largest n,
-    the slots of its padded stack, stay within ``CHUNK_ENTRIES`` too.
+    ``CHUNK_ENTRIES`` matrix entries, the values of its window gather.
     The pass's cross-checked draws are stacked apart from its pieces, by
     :func:`_gate_stacks`."""
-    batch, entries, draws, width = [], 0, 0, 0
+    batch, entries = [], 0
     for n in dims:
         chunk = max(1, CHUNK_ENTRIES // (n * n))
         for first in range(0, samples_per_dim, chunk):
             indices = range(first, min(first + chunk, samples_per_dim))
-            k = len(indices)
-            if batch and (entries + k * n * n > CHUNK_ENTRIES
-                          or (draws + k) * max(width, n) > CHUNK_ENTRIES):
+            if batch and entries + len(indices) * n * n > CHUNK_ENTRIES:
                 yield batch
-                batch, entries, draws, width = [], 0, 0, 0
+                batch, entries = [], 0
             batch.append((n, indices))
-            entries += k * n * n
-            draws += k
-            width = max(width, n)
+            entries += len(indices) * n * n
     yield batch
 
 
@@ -223,46 +219,56 @@ def _gate_stacks(dims):
 
 def _gate_phases(seed: int, dims: np.ndarray, indices: np.ndarray,
                  levels: np.ndarray, t: np.ndarray):
-    """Gate eigenphases ``(k, m)`` and traces ``(k,)`` of cross-checked
-    draws at dimensions ``dims`` and indices ``indices`` ``(k,)``, whose
-    sorted levels ``(k, m)`` fill their last n slots after copies of their
-    ground level, with times ``(k,)``.
+    """Gate eigenphases and diagonals of cross-checked draws at dimensions
+    ``dims``, indices ``indices`` and times ``t`` ``(k,)``, laid back to
+    back as their sorted levels are in ``levels``.
 
     The draws run ordered by n, in padded stacks ``(k, w, w)`` from
-    :func:`_gate_stacks`.  A stack holds each draw as ``diag(I_{w-n}, U)``:
-    one :func:`random_unitaries` call draws the padded Haar bases, the
-    gate U is built on its basis block at its own n by
-    :func:`_draw_gates`, as ``sample_spectrum_gate`` builds it, and one
-    :func:`_phases` call checks the stack unitary and takes its
-    ``eigvals``.  The identity block's phases come out exactly 0 and sort
-    first, so a draw's sorted phases fill the same last n slots as its
-    levels; its pad slots hold 0.  The traces are taken once, from the
-    stacks' trailing diagonals laid slot-major with the identity block's
-    ones zeroed, and summed in slot order, so a draw's trace does not
-    depend on the stack it shares.
+    :func:`_gate_stacks`, each draw as ``diag(I_{w-n}, U)``: one
+    :func:`random_unitaries` call draws the padded Haar bases, U is built
+    on its basis block at its own n by :func:`_draw_gates`, as
+    ``sample_spectrum_gate`` builds it, and one :func:`_phases` call
+    checks the stack unitary and takes its ``eigvals``.  The identity
+    block's phases come out exactly 0 and sort first, so U's phases and
+    diagonal are the last n of its row.
     """
     order = np.argsort(dims, kind="stable")
-    m = levels.shape[-1]
-    ph = np.zeros(levels.shape)
-    diagonal = np.zeros((m, len(dims)), dtype=np.complex128)
+    at = np.cumsum(dims) - dims
+    ph = np.empty(len(levels))
+    diagonal = np.empty(len(levels), dtype=np.complex128)
     for stack in _gate_stacks(dims[order].tolist()):
         rows = order[stack]
         sizes = dims[rows].tolist()
         w = sizes[-1]
         u = random_unitaries(sizes, [(seed, n, index)
                                      for n, index in zip(sizes, indices[rows].tolist())])
+        # slot j of a row lies at slot j - (w - n) of its draw, kept if not a pad
+        slots = (at[rows] - w + dims[rows])[:, None] + np.arange(w)
+        own = slots >= at[rows, None]
         stop = 0
         for n, run in itertools.groupby(sizes):
             start, stop = stop, stop + len(list(run))
             block = u[start:stop, w - n:, w - n:]
             draws = rows[start:stop]
             # each draw's gate at its own n: a padded product would move its last bits
-            block[...] = _draw_gates(block, levels[draws, m - n:], t[draws])
-        diagonal[m - w:, rows] = np.diagonal(u, axis1=-2, axis2=-1).T
-        ph[rows, m - w:] = _phases(u)
-    # the identity block's ones stay out of each trace
-    diagonal[np.arange(m)[:, None] < m - dims] = 0.0
-    return ph, _slot_sum(diagonal)
+            block[...] = _draw_gates(block, levels.take(slots[start:stop, w - n:]), t[draws])
+        ph[slots[own]] = _phases(u)[own]
+        diagonal[slots[own]] = np.diagonal(u, axis1=-2, axis2=-1)[own]
+    return ph, diagonal
+
+
+def _spectral_phases(levels: np.ndarray, t: np.ndarray, runs: tuple, layout) -> np.ndarray:
+    """Bitwise :func:`phases_from_levels` of each draw of ``runs``, whose
+    sorted levels lie back to back in ``levels``, as the first lists of
+    ``layout``, with times ``t``."""
+    owner = layout.owner[:len(levels)]
+    ph = (levels - levels.take(layout.lists[:len(t)]).take(owner)) * t.take(owner)
+    np.fmod(ph, TWO_PI, out=ph)
+    stop = 0
+    for n, count in runs:
+        start, stop = stop, stop + n * count
+        ph[start:stop].reshape(count, n).sort(axis=-1)
+    return ph
 
 
 def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
@@ -270,61 +276,43 @@ def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
     and the five rotation-product bounds, and the number of draws
     cross-checked.
 
-    The pass's draws form one slot-major stack ``(max n, draws)``: each
-    column holds a draw's sorted levels, after copies of its ground level
-    in the pad slots that make it up to max n.  The pads' phases
-    ``(E_0 - E_0) T`` are exactly 0, so they sort first, and the sorted
-    phases of a draw fill the same last n slots as its levels.  Once over
-    that stack run the phases, ``|tr U|``, the level moments, the cyclic
-    distances of the cross-check and the margin step; every sum runs down
-    axis 0 with the pad slots zeroed, so a draw's sums do not depend on
-    its pass.  The draws whose index is a multiple of ``CROSS_CHECK_EVERY``
-    also build a gate ``basis diag(e^{-i (E_k - E_0) T}) basis†`` on a
-    Haar basis and take its eigenphases, all of the pass's in padded
-    stacks (:func:`_gate_phases`).  The window kernel runs once per pass
-    too, over every draw's own n phases laid back to back, spectral rows
-    first and gate rows after them, with one ``(n, count)`` run per piece
-    and per dimension of gates: it sums each window and each list by
-    ``np.add.reduceat`` over its own values, so these sums do not depend
-    on the pass either.  Per ``(n, indices)`` piece run only the draws.
-    ``streams`` is passed to :func:`_spectra`.
+    Per ``(n, indices)`` piece run only the draws and their phases' sort;
+    the rest runs once per pass over one layout (:func:`_ragged_layout`):
+    each draw's own levels or phases back to back, a run per piece, then
+    the gate phases (:func:`_gate_phases`) of the draws whose index is a
+    multiple of ``CROSS_CHECK_EVERY``, a run per dimension in pass order.
+    Every sum over a list runs by ``reduceat`` over its own values, so
+    no draw's verdict depends on its pass.  ``streams`` feeds :func:`_spectra`.
     """
     drawn = [_spectra(n, seed, indices, streams) for n, indices in pieces]
-    width = max(n for n, _ in pieces)
     count = np.repeat([n for n, _ in pieces], [len(indices) for _, indices in pieces])
     index = np.concatenate([np.arange(indices.start, indices.stop) for _, indices in pieces])
-    pad = np.arange(width)[:, None] < width - count
-    levels = np.empty((width, len(count)))
-    k = 0
-    for (n, _), (lv, _) in zip(pieces, drawn):
-        # a draw fills the last n slots of its column, its ground level the rest
-        levels[width - n:, k:k + len(lv)] = lv.T
-        levels[:width - n, k:k + len(lv)] = lv[:, 0]
-        k += len(lv)
-    t = np.concatenate([tn for _, tn in drawn])
-    # the transposed phases of a slot-major stack are slot-major too
-    ph = phases_from_levels(levels.T, t).T
-    z = np.exp(-1j * ph)
-    z[pad] = 0.0
     checked = np.flatnonzero(index % CROSS_CHECK_EVERY == 0)
     checked_n = count[checked]
-    gate_ph, gate_tr = _gate_phases(seed, checked_n, index[checked], levels[:, checked].T,
-                                    t[checked])
-    # one kernel call: each draw's own slots, spectral rows then gate rows
-    own = ~pad.T
-    runs = tuple((n, len(indices)) for n, indices in pieces) + tuple(
+    spectral = tuple((n, len(indices)) for n, indices in pieces)
+    runs = spectral + tuple(
         (n, len(list(run))) for n, run in itertools.groupby(checked_n.tolist()))
-    trace = np.concatenate([_slot_sum(z), gate_tr])
-    products, deficit = _phase_products(np.concatenate([ph.T[own], gate_ph[own[checked]]]),
-                                        runs, trace)
+    layout = _ragged_layout(runs)
+    levels = np.concatenate([lv.reshape(-1) for lv, _ in drawn])
+    t = np.concatenate([tn for _, tn in drawn])
+    draws, total = len(t), len(levels)
+    ph = _spectral_phases(levels, t, spectral, layout)
+    # each gate phase's slot among its draw's spectral levels and phases
+    mine = np.arange(total, len(layout.owner)) + (
+        layout.lists[checked] - layout.lists[draws:]).take(layout.owner[total:] - draws)
+    gate_ph, diagonal = _gate_phases(seed, checked_n, index[checked], levels.take(mine),
+                                     t[checked])
+    phases = np.concatenate([ph, gate_ph])
+    trace = np.add.reduceat(np.concatenate([np.exp(-1j * ph), diagonal]), layout.lists)
+    products, deficit = _phase_products(phases, runs, trace)
     d = _margins(np.concatenate([count, checked_n]), _modulus(trace), products, deficit)
-    moments = _level_moments(levels, count, pad)
+    moments = _level_moments(levels, layout.lists[:draws], count, layout.owner[:total])
     if len(checked):
         # raise at the first draw whose gate phases or product margins
         # disagree with its spectral ones
-        distance = cyclic_distance(ph[:, checked].T, gate_ph, checked_n)
+        distance = _list_distance(phases, ph.take(mine), layout, draws)
         tol = CROSS_CHECK_PHASE_TOL * (1.0 + moments[3, checked] * t[checked])
-        margin_gap = np.abs(d.margins[:, k:] - d.margins[:, checked]).max(axis=0)
+        margin_gap = np.abs(d.margins[:, draws:] - d.margins[:, checked]).max(axis=0)
         bad = ~((distance <= tol) & (margin_gap <= CROSS_CHECK_MARGIN_TOL))
         if bad.any():
             i = int(np.argmax(bad))
@@ -334,9 +322,9 @@ def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
                 f"{tol[i]:.3g}) and product margins by {margin_gap[i]:.3g} (tolerance "
                 f"{CROSS_CHECK_MARGIN_TOL:g})"
             )
-    bs = bounds.bounds_from_products(d.ml[:k], d.mt[:k], EnergyStats(*moments))
+    bs = bounds.bounds_from_products(d.ml[:draws], d.mt[:draws], EnergyStats(*moments))
     worst_bound = np.maximum.reduce([getattr(bs, name) for name in bounds.BOUND_NAMES])
-    return np.minimum(t - worst_bound, d.margins[:, :k].min(axis=0)), len(checked)
+    return np.minimum(t - worst_bound, d.margins[:, :draws].min(axis=0)), len(checked)
 
 
 def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationReport:

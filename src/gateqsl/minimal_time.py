@@ -132,45 +132,9 @@ def phases_from_levels(levels: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ph
 
 
-@functools.lru_cache(maxsize=16)
-def _cyclic_index(n: int) -> np.ndarray:
-    """``idx[j, k] = j + k``, read-only and built once per n; the 16 most
-    recent n are kept, 8 n^2 bytes each.
-
-    Row j of a length-2n list ``concatenate([a, a])`` lists the n slots
-    of ``a`` starting at slot j; reduced modulo n, it lists them from ``a``
-    itself.
-    """
-    j = np.arange(n)
-    idx = j[:, None] + j
-    idx.flags.writeable = False
-    return idx
-
-
-def cyclic_distance(a: np.ndarray, b: np.ndarray, n=None) -> np.ndarray:
-    """Largest circular distance between sorted phase lists ``(..., m)`` in
-    [0, 2 pi), least over the cyclic shifts of ``a``.
-
-    Two computations of one phase multiset can differ by a cyclic shift,
-    since a phase near 0 in one may come out near 2 pi in the other.  A
-    list may hold only its last ``n`` phases (one n per list, or one for
-    all; default m), after pad slots: no shift reads a pad slot, and a pad
-    slot's distance counts as 0.
-    """
-    m = a.shape[-1]
-    n = np.asarray(m if n is None else n)[..., None, None]
-    pads = m - n
-    shift = pads + (_cyclic_index(m) - pads) % n
-    shifts = np.take_along_axis(a[..., None, :], shift, axis=-1)
-    # both phases lie in [0, 2 pi), so their difference needs no reduction
-    gap = np.abs(b[..., None, :] - shifts)
-    gap = np.where(np.arange(m) < pads, 0.0, np.minimum(gap, TWO_PI - gap))
-    return gap.max(axis=-1).min(axis=-1)
-
-
 class _Layout(NamedTuple):
-    """Where :func:`_window_products` finds every cyclic window of sorted
-    phase lists laid back to back; see :func:`_ragged_layout`."""
+    """Where every cyclic window and every list of sorted phase lists laid
+    back to back lie; see :func:`_ragged_layout`."""
 
     gather: np.ndarray
     windows: np.ndarray
@@ -272,6 +236,36 @@ def _phase_products(ph: np.ndarray, runs: tuple, trace: np.ndarray):
     half_a, b = np.add.reduceat(s, layout.lists, axis=-1)
     n = layout.n
     return least, (4.0 * half_a * (n - half_a) - b * b) / (n * n)
+
+
+def cyclic_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest circular distance between sorted phase lists ``(..., n)`` in
+    [0, 2 pi), least over the cyclic shifts of ``a``.
+
+    Two computations of one phase multiset can differ by a cyclic shift,
+    since a phase near 0 in one may come out near 2 pi in the other.
+    """
+    shape = a.shape[:-1]
+    layout = _ragged_layout(((a.shape[-1], math.prod(shape)),))
+    return _list_distance(a.reshape(-1), b.reshape(-1), layout, 0).reshape(shape)
+
+
+def _list_distance(ph: np.ndarray, other: np.ndarray, layout: _Layout, first: int):
+    """:func:`cyclic_distance` of the phase lists of ``ph`` from list
+    ``first`` on, laid out as in ``layout``, against the lists laid back to
+    back in ``other``.  The shifts are the windows, read unlifted through
+    ``gather % len(ph)``; each window's largest gap and each list's least
+    are taken by ``reduceat``, over the list's own values alone."""
+    start = layout.lists[first]
+    windows = layout.windows[start:] - layout.windows[start]
+    shifts = ph.take(layout.gather[layout.windows[start]:] % len(ph))
+    # where each window starts, less where its list starts in other
+    lead = windows - (layout.lists.take(layout.owner[start:]) - start)
+    faces = np.arange(len(shifts)) - np.repeat(lead, layout.repeats[start:])
+    # both phases lie in [0, 2 pi), so their difference needs no reduction
+    gap = np.abs(other.take(faces) - shifts)
+    widest = np.maximum.reduceat(np.minimum(gap, TWO_PI - gap), windows)
+    return np.minimum.reduceat(widest, layout.lists[first:] - start)
 
 
 def _stack_products(ph: np.ndarray, trace: np.ndarray):

@@ -72,7 +72,7 @@ class EnergyStats:
 
 def compute_stats(s: EnergySpectrum) -> EnergyStats:
     """Mean, mean-above-ground, population std, width and top gap."""
-    return EnergyStats(*_level_moments(s.levels, s.n))
+    return level_stats(s.levels)
 
 
 def level_stats(levels) -> EnergyStats:
@@ -82,42 +82,30 @@ def level_stats(levels) -> EnergyStats:
     non-finite statistic, and :class:`EnergyStats` rejects it.
     """
     levels = np.asarray(levels)
-    return EnergyStats(*_level_moments(np.moveaxis(levels, -1, 0), levels.shape[-1]))
+    *shape, n = levels.shape
+    owner = np.arange(levels.size) // n
+    moments = _level_moments(levels.reshape(-1), np.arange(0, levels.size, n), n, owner)
+    return EnergyStats(*moments.reshape(5, *shape))
 
 
-def _slot_sum(x: np.ndarray) -> np.ndarray:
-    """Sum down axis 0 of a C-contiguous stack ``(m, k)``.
+def _level_moments(levels, lists, n, owner) -> np.ndarray:
+    """Unchecked :class:`EnergyStats` fields ``(5, lists)`` of sorted level
+    lists laid back to back in ``levels``: list i starts at ``lists[i]``
+    and holds ``n`` levels (one n per list, or one for all); ``owner``
+    is the list of each level.  Each sum runs by ``np.add.reduceat`` over
+    one list's levels alone.
 
-    numpy adds each column slot by slot in slot order, so a column's sum
-    is sequential and zero slots leave it bitwise unchanged.  numpy would
-    sum a lone column pairwise instead, so a lone column is summed beside
-    a stride-0 copy of itself.
-    """
-    if x.shape[1:] == (1,):
-        return np.broadcast_to(x, (len(x), 2)).sum(axis=0)[:1]
-    return x.sum(axis=0)
-
-
-def _level_moments(levels, n, pad=False) -> np.ndarray:
-    """Unchecked :class:`EnergyStats` fields ``(5, ...)`` of sorted levels
-    ``(m, ...)``, one spectrum per column: its ``n`` levels, after copies of
-    its ground level in the slots flagged by ``pad`` (a boolean mask, or
-    False for none), which no sum sees.
-
-    Each column is scaled by the power of two that brings its largest
+    Each list is scaled by the power of two that brings its largest
     ``|level|`` into [0.5, 1): exact, and the squared deviations that set
     the spread neither overflow nor underflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        _, exp = np.frexp(np.maximum(-levels[0], levels[-1]))
-        x = np.ldexp(levels, -exp)
-        # slot 0 is a pad slot of every padded column: keep it before zeroing
-        first, last = x[0].copy(), x[-1]
-        x[pad] = 0.0
-        mean = _slot_sum(x) / n
-        dev = np.square(x - mean)
-        dev[pad] = 0.0
-        std = np.sqrt(_slot_sum(dev) / n)
+        ends = lists + (n - 1)
+        _, exp = np.frexp(np.maximum(-levels.take(lists), levels.take(ends)))
+        x = np.ldexp(levels, -exp.take(owner))
+        first, last = x.take(lists), x.take(ends)
+        mean = np.add.reduceat(x, lists) / n
+        std = np.sqrt(np.add.reduceat(np.square(x - mean.take(owner)), lists) / n)
         # The mean of identical levels can round an ulp past the extremes;
         # the gap statistics are nonnegative by definition.
         moments = np.array([mean, np.maximum(0.0, mean - first), std, last - first,

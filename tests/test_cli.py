@@ -433,15 +433,15 @@ class TestVerifyCommand:
     def test_cross_check_failure_exits_4(self, capsys, monkeypatch):
         from gateqsl import harness
 
-        exact = harness.phases_from_levels
+        exact = harness._spectral_phases
 
-        def perturbed(levels, t):
-            ph = exact(levels, t)
-            ph[-1, -1] += 1e-6
+        def perturbed(*args):
+            ph = exact(*args)
+            ph[-1] += 1e-6
             return ph
 
         # draw 0 is cross-checked; its spectral phases are off by 1e-6
-        monkeypatch.setattr(harness, "phases_from_levels", perturbed)
+        monkeypatch.setattr(harness, "_spectral_phases", perturbed)
         code, out, err = run_cli(["verify", "--dims", "3", "--samples", "1", "--seed", "7"],
                                  capsys)
         assert code == 4

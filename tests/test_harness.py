@@ -28,6 +28,7 @@ from gateqsl.harness import (
 from gateqsl.linalg import is_unitary, trace_abs
 from gateqsl.minimal_time import (
     DOMINANCE_TOL,
+    _ragged_layout,
     _stack_products,
     cyclic_distance,
     dominance,
@@ -253,9 +254,10 @@ class TestPasses:
             # a draw larger than a chunk is a pass of its own
             entries = pass_entries(pieces)
             assert entries <= CHUNK_ENTRIES or entries == pieces[0][0] ** 2
-            # the padded stack, draws times the largest n, is bounded too
-            draws = sum(len(indices) for _, indices in pieces)
-            assert draws * max(n for n, _ in pieces) <= CHUNK_ENTRIES
+            # so is the window gather, n values per phase of every draw
+            runs = tuple((n, len(indices)) for n, indices in pieces)
+            gather = harness._ragged_layout(runs).gather
+            assert len(gather) <= CHUNK_ENTRIES or runs == ((pieces[0][0], 1),)
         # every draw once, in campaign order
         draws = [(n, i) for pieces in passes for n, indices in pieces for i in indices]
         assert draws == [(n, i) for n in dims for i in range(samples)]
@@ -277,11 +279,12 @@ class TestPasses:
         fresh = np.concatenate([harness._judge(5, pieces)[0] for pieces in passes])
         assert kept.tobytes() == fresh.tobytes()
 
-    def test_padding_splits_a_pass(self):
+    def test_mixed_widths_share_a_pass(self):
         # 5000 draws at n = 2 and two at n = 148 fit in CHUNK_ENTRIES
-        # entries, but padded to n = 148 they would fill 740 296 slots
+        # entries: no draw is padded, so they share a pass
+        assert 5000 * 2**2 + 2 * 148**2 <= CHUNK_ENTRIES
         assert list(harness._passes((2, 148), 5000))[:2] == [
-            [(2, range(0, 5000))], [(148, range(0, 2))]]
+            [(2, range(0, 5000)), (148, range(0, 2))], [(148, range(2, 4))]]
 
     def test_lone_draw_pass_is_bitwise_the_stacked_draw(self):
         # n = 200 holds one draw per chunk: draw 0 is a pass of its own, a
@@ -296,10 +299,32 @@ class TestPasses:
         swapped = harness._judge(4, [(200, range(0, 1)), (3, range(0, 2))])[0]
         assert swapped.tobytes() == np.concatenate([margins[:1], margins[2:]]).tobytes()
 
+    def test_one_layout_per_pass(self):
+        # the judge and the kernel share each pass's layout, and passes of
+        # one shape share theirs: 87 passes need 11 layouts
+        dims = tuple(range(2, 9)) + (16, 32, 64)
+        passes = list(harness._passes(dims, 1000))
+        _ragged_layout.cache_clear()
+        run_random_campaign(dims, 1000, 0)
+        info = _ragged_layout.cache_info()
+        assert info.hits + info.misses == 2 * len(passes) == 174
+        assert info.misses == 11
+
+    def test_pass_phases_are_each_draws_phases(self):
+        # three pieces back to back, then a gate run the phase step skips
+        pieces = [(5, range(0, 40)), (2, range(3, 50)), (64, range(0, 2))]
+        drawn = [harness._spectra(n, 3, indices) for n, indices in pieces]
+        runs = tuple((n, len(indices)) for n, indices in pieces)
+        levels = np.concatenate([lv.reshape(-1) for lv, _ in drawn])
+        t = np.concatenate([tn for _, tn in drawn])
+        ph = harness._spectral_phases(levels, t, runs, _ragged_layout(runs + ((5, 1),)))
+        want = [phases_from_levels(lv, tn).reshape(-1) for lv, tn in drawn]
+        assert ph.tobytes() == np.concatenate(want).tobytes()
+
     def test_per_dimension_steps_run_once_per_dimension(self, monkeypatch):
         # one pass over dims 3..8: only the draws and the gate products run
-        # per dimension; the rest, the window kernel and the cross-check's
-        # Haar QR and eigvals included, once per pass
+        # per dimension; the rest, the window kernel, the phases and the
+        # cross-check's Haar QR, eigvals and distances included, once per pass
         pieces = list(harness._passes(range(3, 9), 3))
         assert len(pieces) == 1
         calls = {}
@@ -313,8 +338,8 @@ class TestPasses:
 
             monkeypatch.setattr(module, name, counted)
 
-        once = ("phases_from_levels", "_modulus", "_level_moments", "cyclic_distance",
-                "random_unitaries", "_phases", "_phase_products")
+        once = ("_spectral_phases", "_modulus", "_level_moments", "_list_distance",
+                "random_unitaries", "_phases", "_phase_products", "_gate_phases")
         lapack = ("qr", "eigvals")
         per_dimension = ("_spectra", "_draw_gates")
         for name in once + per_dimension:
@@ -327,32 +352,31 @@ class TestPasses:
     def test_mismatch_in_second_dimension_names_its_draw(self, monkeypatch):
         # draw 64 of n = 5 is cross-checked, in the second piece of one pass
         assert len(list(harness._passes((2, 5), 130))) == 1
-        exact = harness.phases_from_levels
+        exact = harness._spectral_phases
 
-        def perturbed(levels, t):
-            # one call for the whole pass, a row per draw: n = 2's 130
-            # draws, then n = 5's
-            ph = exact(levels, t)
-            assert levels.shape == (260, 5)
-            ph[130 + 64, -1] += 1e-6
+        def perturbed(*args):
+            # one call for the whole pass, each draw's phases back to back:
+            # n = 2's 130 draws, then n = 5's; this is draw 64's last
+            ph = exact(*args)
+            ph[2 * 130 + 5 * 64 + 4] += 1e-6
             return ph
 
-        monkeypatch.setattr(harness, "phases_from_levels", perturbed)
+        monkeypatch.setattr(harness, "_spectral_phases", perturbed)
         with pytest.raises(CrossCheckError, match=r"seed 7, n 5, index 64\)") as exc:
             run_random_campaign((2, 5), 130, 7)
         assert "differ from the spectral phases by 1e-06" in str(exc.value)
 
 
 def perturb_last_draw(monkeypatch, offset=1e-6):
-    """Make the spectral phases of every stack's last draw wrong by ``offset``."""
-    exact = harness.phases_from_levels
+    """Make the spectral phases of every pass's last draw wrong by ``offset``."""
+    exact = harness._spectral_phases
 
-    def perturbed(levels, t):
-        ph = exact(levels, t)
-        ph[-1, -1] += offset
+    def perturbed(*args):
+        ph = exact(*args)
+        ph[-1] += offset
         return ph
 
-    monkeypatch.setattr(harness, "phases_from_levels", perturbed)
+    monkeypatch.setattr(harness, "_spectral_phases", perturbed)
 
 
 def assert_stacks_hold_replayed_gates(monkeypatch, dims, samples, shapes):

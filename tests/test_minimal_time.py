@@ -26,10 +26,12 @@ from gateqsl.minimal_time import (
     DOMINANCE_TOL,
     TWO_PI,
     VerificationRecord,
+    _list_distance,
     _phase_products,
     _ragged_layout,
     _stack_products,
     _window_products,
+    cyclic_distance,
     dominance,
     dominance_from_phases,
     eigenphases,
@@ -291,6 +293,51 @@ class TestRaggedKernel:
         for ph in phase_families(rng):
             got = math.sqrt(max(0.0, lone_products(ph)[1][0]))
             assert abs(got - math.sqrt(sine_deficit(ph))) <= 1e-14
+
+    def test_runs_give_each_list_its_lone_distance(self):
+        rng = np.random.default_rng(20)
+        for case in range(40):
+            a, b, moved = [], [], []
+            for n in rng.choice([*range(2, 14), 64], size=rng.integers(1, 10)):
+                ph = np.sort(rng.uniform(0.0, TWO_PI, n))
+                kind = (case + len(a)) % 3
+                if kind == 0:
+                    # the top phase, just below 2 pi, comes out just above 0
+                    ph[-1] = TWO_PI - 3e-10
+                    other = np.sort((ph + 5e-10) % TWO_PI)
+                    assert other[0] < 1e-9
+                elif kind == 1:
+                    # one phase off by 1e-6, which the unshifted list finds
+                    other = ph.copy()
+                    k = rng.integers(n)
+                    other[k] += 1e-6
+                    moved.append((len(a), other[k] - ph[k]))
+                else:
+                    other = np.sort((ph + rng.uniform(0.0, 1e-9, n)) % TWO_PI)
+                a.append(ph)
+                b.append(other)
+            # lists before the compared ones, as a pass's spectral lists
+            # come before its gate lists; a run may hold several lists
+            before = [np.sort(rng.uniform(0.0, TWO_PI, n))
+                      for n in rng.integers(1, 6, size=case % 3)]
+            runs = []
+            for ph in before + a:
+                if runs and runs[-1][0] == len(ph) and rng.random() < 0.7:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([len(ph), 1])
+            layout = _ragged_layout(tuple(map(tuple, runs)))
+            got = _list_distance(np.concatenate([*before, *a]), np.concatenate(b), layout,
+                                 len(before))
+            assert got.shape == (len(a),)
+            for i, (ph, other) in enumerate(zip(a, b)):
+                assert got[i].tobytes() == cyclic_distance(ph, other).tobytes()
+                # every cyclic shift of ph against other, one at a time
+                gaps = np.abs([np.roll(ph, -j) - other for j in range(len(ph))])
+                assert got[i] == np.minimum(gaps, TWO_PI - gaps).max(axis=-1).min()
+                assert got[i] < 1.1e-6
+            for i, gap in moved:
+                assert got[i] == gap
 
 
 class TestVerifyDominance:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gateqsl.spectrum import EnergySpectrum, EnergyStats, compute_stats
+from gateqsl.spectrum import (
+    EnergySpectrum,
+    EnergyStats,
+    _level_moments,
+    compute_stats,
+    level_stats,
+)
 
 levels_strategy = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -124,6 +130,7 @@ def test_overflowing_statistics_rejected(levels, recwarn):
     ([0.0, 1e200], 5e199, 5e199, 1e200),
     ([1e308, 1.5e308], 1.25e308, 2.5e307, 5e307),
     ([0.0, 1.7e308], 8.5e307, 8.5e307, 1.7e308),
+    ([-1e300, 1e300], 0.0, 1e300, 2e300),
 ])
 def test_wide_statistics_fit_float64(levels, mean, gap, width, recwarn):
     # squaring these deviations overflows, and for the last so does the
@@ -149,3 +156,42 @@ def test_power_of_two_scaling_is_exact(power):
         scaled = compute_stats(EnergySpectrum(np.ldexp(levels, power)))
         for name in ("mean", "e_above_ground", "variance_sqrt", "width", "e_below_top"):
             assert getattr(scaled, name) == np.ldexp(getattr(base, name), power)
+
+
+STATS_FIELDS = ("mean", "e_above_ground", "variance_sqrt", "width", "e_below_top")
+
+
+def level_families(rng, n):
+    """Sorted levels of n: uniform on [-10, 10], and near 1e300, -1e300 and
+    1e-300, where the power-of-two scaling keeps the squares in range."""
+    yield np.sort(rng.uniform(-10.0, 10.0, n))
+    yield np.sort(rng.uniform(1e300, 1.5e300, n))
+    yield np.sort(rng.uniform(-1.5e300, -1e300, n))
+    yield np.sort(rng.uniform(1e-300, 3e-300, n))
+
+
+def test_ragged_moments_are_each_lists_lone_moments():
+    rng = np.random.default_rng(9)
+    lists = [lv for n in (1, 2, 3, 8, 9, 64, 200) for lv in level_families(rng, n)]
+    lists = [lists[i] for i in rng.permutation(len(lists))]
+    n = np.array([len(lv) for lv in lists])
+    owner = np.repeat(np.arange(len(lists)), n)
+    moments = _level_moments(np.concatenate(lists), np.cumsum(n) - n, n, owner)
+    assert moments.shape == (5, len(lists))
+    for i, lv in enumerate(lists):
+        lone = _level_moments(lv, np.zeros(1, dtype=np.intp), len(lv),
+                              np.zeros(len(lv), dtype=np.intp))
+        assert moments[:, i].tobytes() == lone[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 200])
+def test_level_stats_rows_are_bitwise_compute_stats(n):
+    rng = np.random.default_rng(n)
+    stack = np.array([lv for _ in range(3) for lv in level_families(rng, n)])
+    stats = level_stats(stack.reshape(2, 6, n))
+    for name in STATS_FIELDS:
+        assert getattr(stats, name).shape == (2, 6)
+    for i, levels in enumerate(stack):
+        lone = compute_stats(EnergySpectrum(levels))
+        for name in STATS_FIELDS:
+            assert getattr(stats, name).reshape(-1)[i].tobytes() == getattr(lone, name).tobytes()
