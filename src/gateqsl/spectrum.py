@@ -79,10 +79,13 @@ def level_stats(levels) -> EnergyStats:
     """:func:`compute_stats` of every row of sorted levels ``(..., n)``.
 
     A width beyond float64 range, or a non-finite level, gives a
-    non-finite statistic, and :class:`EnergyStats` rejects it.
+    non-finite statistic, and :class:`EnergyStats` rejects it.  Rows of no
+    levels raise ValueError, as an empty :class:`EnergySpectrum` does.
     """
     levels = np.asarray(levels)
     *shape, n = levels.shape
+    if n < 1:
+        raise ValueError("a spectrum needs at least one level")
     owner = np.arange(levels.size) // n
     moments = _level_moments(levels.reshape(-1), np.arange(0, levels.size, n), n, owner)
     return EnergyStats(*moments.reshape(5, *shape))

@@ -182,16 +182,31 @@ class TestBatchedEngine:
                 assert t[i] == t1
                 assert np.array_equal(u[i], u1)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 64])
     def test_draw_reads_its_words_of_the_stream(self, n):
         # draw i takes words [i s, (i + 1) s) of the (seed, n) Philox
         # stream, s being n + 1 rounded up to a multiple of 4: its levels,
         # then its time
         stride = -(-(n + 1) // 4) * 4
-        words = np.random.Generator(np.random.Philox((9, n))).random((20, stride))
-        levels, t = harness._spectra(n, 9, range(5, 20))
-        assert np.array_equal(levels, np.sort(harness.SPECTRUM_HIGH * words[5:, :n], axis=-1))
-        assert np.array_equal(t, harness.TIME_HIGH * (1.0 - words[5:, n]))
+        words = np.random.Generator(np.random.Philox((9, n))).random((10000, stride))
+        streams = {}
+        # each piece once alone, opening the stream at its first draw, and
+        # once with the streams the pieces before it left: pieces 2 and 3
+        # read on from where the last piece stopped
+        for indices in (range(0, 1), range(1, 63), range(63, 70), range(9984, 10000),
+                        range(5, 20)):
+            for carried in (streams, None):
+                levels, t = harness._spectra(n, 9, indices, carried)
+                rows = words[indices.start:indices.stop]
+                assert np.array_equal(levels, np.sort(harness.SPECTRUM_HIGH * rows[:, :n]))
+                assert np.array_equal(t, harness.TIME_HIGH * (1.0 - rows[:, n]))
+        # a replay far down the stream, against words read after an advance
+        bits = np.random.Philox((9, n))
+        bits.advance(2**40 * stride // 4)
+        words = np.random.Generator(bits).random(stride)
+        spectrum, t, _ = sample_spectrum_gate(n, 9, 2**40)
+        assert np.array_equal(spectrum.levels, np.sort(harness.SPECTRUM_HIGH * words[:n]))
+        assert t == harness.TIME_HIGH * (1.0 - words[n])
 
     def test_pinned_near_identity_draw_passes(self):
         # draw (seed 236, n 2, index 15) has r = 1 - 2.9e-10; taking 1 - r^2
@@ -559,6 +574,7 @@ class TestFigureQutrit:
         for p in pts:
             assert p.mt is None
             assert p.exact >= p.ml - 1e-9
+        assert figure_qutrit(MubFamily.ONE, x_values=(), y_points=12) == []
 
     def test_origin_ml_value(self):
         pts = figure_qutrit(MubFamily.ONE, x_values=(0.0,), y_points=2)
@@ -613,9 +629,16 @@ class TestFigureCheck:
 
     def test_qutrit_names_first_failing_abscissa(self, monkeypatch):
         ml = minimal_time.ml_product
+        seen = []
+
+        def broken_from_row_6(r):
+            # rows number on across calls, however the figure splits them
+            rows = sum(seen) + np.arange(r.size)
+            seen.append(r.size)
+            return ml(r) + np.where(rows >= 6, 10.0, 0.0)
+
         # rows 0-4 are the block x = 0; row 6 is y = pi/2 of the block x = 1
-        monkeypatch.setattr(minimal_time, "ml_product",
-                            lambda r: ml(r) + np.where(np.arange(r.size) >= 6, 10.0, 0.0))
+        monkeypatch.setattr(minimal_time, "ml_product", broken_from_row_6)
         with pytest.raises(RuntimeError, match=rf"abscissa {math.pi / 2}: exact "):
             figure_qutrit(MubFamily.ONE, x_values=(0.0, 1.0), y_points=5)
 

@@ -66,6 +66,12 @@ def test_rejects_empty_and_nonfinite():
         EnergySpectrum([0.0, np.inf])
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_level_stats_rejects_rows_of_no_levels(shape):
+    with pytest.raises(ValueError, match=r"^a spectrum needs at least one level$"):
+        level_stats(np.zeros(shape))
+
+
 def test_shift_examples():
     s = EnergySpectrum([0.0, 1.0])
     shifted = EnergySpectrum(s.levels + 5.0)
