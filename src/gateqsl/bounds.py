@@ -34,37 +34,25 @@ ML_TRACE_FACTOR = math.sqrt(1.0 + 4.0 / math.pi**2)
 # rows the ``bounds`` command prints.
 BOUND_NAMES = ("ml", "mt", "dual_ml", "width_ml", "width_mt")
 
+# The statistic behind each bound, in BOUND_NAMES order, as an index into
+# (e_above_ground, variance_sqrt, width, e_below_top); in the same order,
+# the least product behind it in a row (e_t, var_t, width_t, dual_t) of
+# minimal_time.Dominance.products.
+STATISTIC_INDEX = (0, 1, 3, 2, 2)
+
+_STATISTIC_NAMES = ("mean energy above ground", "energy spread (std)", "spectrum width",
+                    "mean energy below the top level")
+
 
 class UndefinedBoundError(ValueError):
     """Degenerate energy statistics make the requested bound undefined."""
 
 
-@dataclass(frozen=True)
-class TraceInput:
-    """Gate dimension and trace modulus, the only gate data the bounds use.
-
-    ``trace_abs`` is a float, or an array with one entry per gate of a
-    stack; ``n`` is an int, or an array giving each gate's dimension.
-    """
-
-    n: int
-    trace_abs: float
-
-    def __post_init__(self):
-        if np.less(self.n, 1).any():
-            raise ValueError("dimension must be at least 1")
-        object.__setattr__(self, "trace_abs", _clamped_trace(self.n, self.trace_abs))
-
-    @property
-    def ratio(self) -> float:
-        return self.trace_abs / self.n
-
-
-def _clamped_trace(n, trace_abs):
-    """``trace_abs`` clamped into [0, n], elementwise; numerical overshoot of
+def _clamped_trace(n, modulus):
+    """``modulus`` clamped into [0, n], elementwise; numerical overshoot of
     computed traces, up to ``1e-9 n``, is absorbed, and more raises
     ValueError naming the first such trace and its n."""
-    t = np.asarray(trace_abs, dtype=np.float64)
+    t = np.asarray(modulus, dtype=np.float64)
     clamped = np.minimum(np.maximum(t, 0.0), n)
     within = np.abs(t - clamped) <= 1e-9 * n
     if not within.all():
@@ -88,7 +76,7 @@ class BoundSet:
     width_mt: float
 
     def __post_init__(self):
-        if np.any(np.minimum.reduce([getattr(self, name) for name in BOUND_NAMES]) < 0):
+        if np.less([getattr(self, name) for name in BOUND_NAMES], 0.0).any():
             raise ValueError("bounds cannot be negative")
 
     @property
@@ -105,17 +93,15 @@ def ml_product(ratio: float) -> float:
 
 
 def mt_product(ratio: float) -> float:
-    """Dimensionless MT bound: lower limit on dE*T."""
+    """Dimensionless MT bound: lower limit on dE*T, where r itself is the
+    input (the qubit figures); ``1 - r^2`` cancels near ``r = 1``."""
     return mt_from_deficit(1.0 - ratio * ratio)
 
 
 def mt_from_deficit(deficit: float) -> float:
-    """MT product ``sqrt(1 - r^2)`` from the trace deficit ``1 - r^2``.
-
-    Near ``r = 1`` the deficit is best computed without subtracting
-    from a rounded trace; :func:`gateqsl.minimal_time.dominance` takes
-    it from the eigenphases.
-    """
+    """MT product ``sqrt(1 - r^2)`` from the trace deficit ``1 - r^2``, taken
+    from a gate's entries (:func:`gateqsl.linalg.trace_deficit`) or phases,
+    never by cancellation from a rounded trace near ``r = 1``."""
     return np.sqrt(np.maximum(0.0, deficit))
 
 
@@ -125,23 +111,23 @@ def bound_forms(ml, mt) -> list:
     return [ml, mt, ml, 2.0 * ml, 2.0 * mt]
 
 
-def _scaled(raw, denom, what):
+def _scaled(raw, denom):
     """``raw / denom``, 0 where both vanish, over one stack.
 
     ``raw`` and ``denom`` share a shape whose leading axis runs over the
-    statistics named by ``what``; the first statistic that is zero where
-    its numerator is not names the :class:`UndefinedBoundError`.  A
-    quotient beyond float64 range raises ValueError.
+    bounds in ``BOUND_NAMES`` order; the first bound whose statistic is
+    zero where its numerator is not names that statistic in the
+    :class:`UndefinedBoundError`.  A quotient beyond float64 range
+    raises ValueError.
     """
     raw = np.asarray(raw, dtype=np.float64)
     denom = np.asarray(denom, dtype=np.float64)
     positive = denom > 0.0
     undefined = ~(positive | (raw == 0.0))
     if undefined.any():
-        first = int(np.argmax(undefined.reshape(len(what), -1).any(axis=-1)))
-        raise UndefinedBoundError(
-            f"{what[first]} is zero but the gate has a trace deficit; no finite bound exists"
-        )
+        first = int(np.argmax(undefined.reshape(len(raw), -1).any(axis=-1)))
+        raise UndefinedBoundError(f"{_STATISTIC_NAMES[STATISTIC_INDEX[first]]} is zero but "
+                                  "the gate has a trace deficit; no finite bound exists")
     with np.errstate(over="ignore"):
         out = np.divide(raw, denom, out=np.zeros(positive.shape), where=positive)
     if np.isinf(out).any():
@@ -149,17 +135,12 @@ def _scaled(raw, denom, what):
     return out
 
 
-def bound_set(t: TraceInput, stats: EnergyStats) -> BoundSet:
-    return bounds_from_products(ml_product(t.ratio), mt_product(t.ratio), stats)
-
-
-def bounds_from_products(ml, mt, stats: EnergyStats) -> BoundSet:
+def bounds_from_products(ml, mt, stats: EnergyStats | None = None) -> BoundSet:
     """The five time bounds from the dimensionless ML and MT products,
-    by one divide over the stacked numerators and denominators."""
-    return BoundSet(*_scaled(
-        bound_forms(ml, mt),
-        [stats.e_above_ground, stats.variance_sqrt, stats.e_below_top, stats.width,
-         stats.width],
-        ["mean energy above ground", "energy spread (std)", "mean energy below the top level",
-         "spectrum width", "spectrum width"],
-    ))
+    by one divide over the stacked numerators and denominators; with no
+    ``stats``, the dimensionless forms themselves, every statistic 1."""
+    forms = bound_forms(ml, mt)
+    if stats is None:
+        return BoundSet(*forms)
+    gaps = (stats.e_above_ground, stats.variance_sqrt, stats.width, stats.e_below_top)
+    return BoundSet(*_scaled(forms, [gaps[i] for i in STATISTIC_INDEX]))

@@ -37,7 +37,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import bounds, catalog, harness
-from .linalg import is_unitary, square_matrix, trace_abs
+from .linalg import is_unitary, square_matrix, trace_deficit
 from .spectrum import EnergySpectrum, compute_stats
 
 DEFAULT_SEED = 12345
@@ -185,6 +185,23 @@ def _build_gate(args) -> np.ndarray:
     return catalog.qutrit_mub(args.qutrit_mub)
 
 
+# Units of the rows ``bounds`` prints: times with --spectrum, else products in
+# units of one over each bound's statistic, found by bounds.STATISTIC_INDEX.
+_TIME_UNITS = ("[time]",) * len(bounds.BOUND_NAMES) + ("[time, max(ml, mt)]",)
+_PRODUCT_UNITS = tuple("[units 1/%s]" % ("E", "dE", "width", "(Emax-mean)")[i]
+                       for i in bounds.STATISTIC_INDEX) + ("[max(ml, mt) at E = dE = 1]",)
+
+
+def _gate_products(u):
+    """n, |tr U| and the ML and MT products that ``bounds`` prints for ``u``."""
+    n = u.shape[0]
+    tr, deficit = trace_deficit(u)
+    # A file matrix is unitary only to FILE_UNITARY_TOL, so its trace can
+    # overshoot n by more than rounding does; r is taken at most 1.
+    tr = min(tr, float(n))
+    return n, tr, bounds.ml_product(tr / n), bounds.mt_from_deficit(deficit)
+
+
 def cmd_bounds(args) -> int:
     if args.target is not None and args.grover is None:
         _end(EXIT_BAD_INPUT, "error: --target is taken only with --grover")
@@ -196,11 +213,8 @@ def cmd_bounds(args) -> int:
         _end(EXIT_NOT_UNITARY,
               f"error: matrix in {args.file} is not unitary to {FILE_UNITARY_TOL:g}")
 
-    n = u.shape[0]
-    # A file matrix is unitary only to FILE_UNITARY_TOL, so its trace can
-    # overshoot n by more than the rounding slack TraceInput absorbs.
-    tr = min(trace_abs(u), float(n))
-    ti = bounds.TraceInput(n, tr)
+    n, tr, ml, mt = _gate_products(u)
+    spectrum = None
     if args.spectrum is not None:
         try:
             spectrum = _parse_spectrum(args.spectrum)
@@ -209,19 +223,14 @@ def cmd_bounds(args) -> int:
         if spectrum.n != n:
             _end(EXIT_BAD_INPUT,
                   f"error: spectrum has {spectrum.n} levels, gate has dimension {n}")
-        try:
-            bs = bounds.bound_set(ti, compute_stats(spectrum))
-        except ValueError as exc:
-            _end(EXIT_BAD_INPUT, f"error: {exc}")
-        values = [getattr(bs, name) for name in bounds.BOUND_NAMES] + [bs.combined]
-        units = ("[time]",) * len(bounds.BOUND_NAMES) + ("[time, max(ml, mt)]",)
-    else:
-        ml = bounds.ml_product(ti.ratio)
-        mt = bounds.mt_product(ti.ratio)
-        values = bounds.bound_forms(ml, mt) + [max(ml, mt)]
-        units = ("[units 1/E]", "[units 1/dE]", "[units 1/(Emax-mean)]", "[units 1/width]",
-                 "[units 1/width]", "[max(ml, mt) at E = dE = 1]")
-    lines = [f"n          {n}\n", f"|tr U|     {_fmt(tr)}\n", f"r=|trU|/n  {_fmt(ti.ratio)}\n"]
+    try:
+        stats = None if spectrum is None else compute_stats(spectrum)
+        bs = bounds.bounds_from_products(ml, mt, stats)
+    except ValueError as exc:
+        _end(EXIT_BAD_INPUT, f"error: {exc}")
+    values = [getattr(bs, name) for name in bounds.BOUND_NAMES] + [bs.combined]
+    units = _PRODUCT_UNITS if spectrum is None else _TIME_UNITS
+    lines = [f"n          {n}\n", f"|tr U|     {_fmt(tr)}\n", f"r=|trU|/n  {_fmt(tr / n)}\n"]
     lines += [f"{name:<11}{_fmt(value)}  {unit}\n"
               for name, value, unit in zip(bounds.BOUND_NAMES + ("combined",), values, units)]
     _write(None, "bounds", lines)

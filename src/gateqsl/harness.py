@@ -174,8 +174,9 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
     basis†`` is built from the drawn basis directly.  Returns
     (spectrum, T, U); the campaign draws the same levels and time, and a
     cross-checked draw's gate is this U, the trailing block of its padded
-    stack (see :func:`_gate_phases`).  An n, seed or index that no
-    campaign draws raises :class:`CampaignInputError`.
+    stack (see :func:`_gate_phases`), bitwise up to a stack width of 128
+    (see :func:`gateqsl.linalg.random_unitaries`).  An n, seed or index
+    that no campaign draws raises :class:`CampaignInputError`.
     """
     n = _at_least(n, 2, _DIMS_RULE)
     seed = _at_least(seed, 0, _SEED_RULE)

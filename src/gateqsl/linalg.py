@@ -63,9 +63,19 @@ def _modulus(z) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def trace_abs(u) -> float:
-    """Modulus of the trace; lies in [0, n] for an n-dimensional unitary."""
-    return float(_modulus(np.trace(square_matrix(u))))
+def trace_deficit(u) -> tuple[float, float]:
+    """``|tr U|`` and the trace deficit ``1 - r^2``, r = |tr U| / n, of a
+    square matrix.  The deficit is ``a (2n - a) / n^2`` with
+    ``a = ||cU - I||_F^2 / 2`` and ``c tr U = |tr U|``: for a unitary
+    ``a = n - |tr U|``, but summed over the entries, free of cancellation."""
+    u = square_matrix(u)
+    n = u.shape[0]
+    tr = np.trace(u)
+    t = float(_modulus(tr))
+    d = (tr.conjugate() / t if t > 0.0 else 1.0) * u
+    np.einsum("ii->i", d)[...] -= 1.0
+    a = 0.5 * np.vdot(d, d).real
+    return t, float(a * (2 * n - a) / (n * n))
 
 
 def random_unitaries(n, seeds) -> np.ndarray:

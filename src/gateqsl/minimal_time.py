@@ -39,7 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BOUND_NAMES, _clamped_trace, bound_forms, ml_product, mt_from_deficit
+from .bounds import (BOUND_NAMES, STATISTIC_INDEX, _clamped_trace, bound_forms, ml_product,
+                     mt_from_deficit)
 from .linalg import _modulus, _square_matrices, square_matrix, unitarity_error
 
 TWO_PI = 2.0 * np.pi
@@ -54,9 +55,6 @@ _LIFTS = np.array([[0.0], [TWO_PI]])
 
 # Scales psi into the rows psi / 2 and psi of the trace deficit's sines.
 _HALF_AND_WHOLE = np.array([[0.5], [1.0]])
-
-# The product row (e_t, var_t, width_t, dual_t) behind each bound of BOUND_NAMES.
-_MARGIN_PRODUCTS = np.array([0, 1, 3, 2, 2])
 
 
 @dataclass(frozen=True)
@@ -282,20 +280,20 @@ def eigenphases(u) -> np.ndarray:
     return _phases(square_matrix(u))
 
 
-def _margins(n, trace_abs, products, deficit) -> Dominance:
+def _margins(n, modulus, products, deficit) -> Dominance:
     """The margin step after :func:`_phase_products`, elementwise over
     rows whose dimension ``n`` may differ from row to row."""
-    ratio = _clamped_trace(n, trace_abs) / n
+    ratio = _clamped_trace(n, modulus) / n
     ml = ml_product(ratio)
     mt = mt_from_deficit(deficit)
     # each least product less its bound form, in BOUND_NAMES order
-    margins = products.take(_MARGIN_PRODUCTS, axis=0) - np.array(bound_forms(ml, mt))
+    margins = products.take(STATISTIC_INDEX, axis=0) - np.array(bound_forms(ml, mt))
     return Dominance(ratio, ml, mt, products, margins)
 
 
-def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
+def dominance_from_phases(ph: np.ndarray, modulus) -> Dominance:
     """Check every rotation of each sorted phase list of a stack ``(..., n)``
-    against all five trace bounds; ``trace_abs`` is the matching ``|tr U|``,
+    against all five trace bounds; ``modulus`` is the matching ``|tr U|``,
     one per phase list or one for them all.
 
     The MT product takes the trace deficit ``1 - r^2`` from the phases
@@ -307,8 +305,8 @@ def dominance_from_phases(ph: np.ndarray, trace_abs) -> Dominance:
     if not ((0.0 <= ph) & (ph < TWO_PI)).all():
         raise ValueError("phases must be finite and lie in [0, 2*pi)")
     # the margin step stacks its bound forms, so one trace per phase list
-    trace_abs = np.broadcast_to(trace_abs, ph.shape[:-1])
-    return _margins(ph.shape[-1], trace_abs, *_stack_products(ph, np.exp(-1j * ph).sum(axis=-1)))
+    modulus = np.broadcast_to(modulus, ph.shape[:-1])
+    return _margins(ph.shape[-1], modulus, *_stack_products(ph, np.exp(-1j * ph).sum(axis=-1)))
 
 
 def _dominance(u: np.ndarray) -> Dominance:

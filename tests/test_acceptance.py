@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gateqsl.bounds import TraceInput, bound_set, bounds_from_products, ml_product
+from gateqsl.bounds import bounds_from_products, ml_product
 from gateqsl.catalog import (
     MubFamily,
     fourier,
@@ -19,9 +19,10 @@ from gateqsl.catalog import (
     hadamard_power,
     prior_mub_bound,
 )
+from gateqsl.cli import _gate_products
 from gateqsl.cli import main as cli_main
 from gateqsl.harness import DEFAULT_QUTRIT_X, _draws, figure_qubit, figure_qutrit
-from gateqsl.linalg import random_unitary, trace_abs
+from gateqsl.linalg import random_unitary
 from gateqsl.minimal_time import (
     TWO_PI,
     _ragged_layout,
@@ -100,7 +101,7 @@ def test_criterion_3_qubit_exactness():
 
 
 def test_criterion_4_gauss_trace():
-    worst = max(abs(trace_abs(fourier(n)) - gauss_trace(n)) for n in range(1, 65))
+    worst = max(abs(abs(np.trace(fourier(n))) - gauss_trace(n)) for n in range(1, 65))
     report(4, "Fourier trace matches the Gauss-sum closed form", worst <= 1e-9,
            f"n=1..64 worst_error={worst:.3e}")
 
@@ -110,7 +111,7 @@ def test_criterion_5_grover_trace():
     for n in range(2, 65):
         want = abs(n - 4.0 + 4.0 / n)
         for target in range(n):
-            worst = max(worst, abs(trace_abs(grover(n, target)) - want))
+            worst = max(worst, abs(abs(np.trace(grover(n, target))) - want))
     report(5, "Grover trace matches N - 4 + 4/N for every target", worst <= 1e-9,
            f"n=2..64 worst_error={worst:.3e}")
 
@@ -177,9 +178,10 @@ def test_criterion_10_invariance_suite():
         v = random_unitary(n, int(rng.integers(2**63)))
         phi = float(rng.uniform(0.0, TWO_PI))
         stats = compute_stats(EnergySpectrum(rng.uniform(0.0, 10.0, n)))
-        base = bound_set(TraceInput(n, trace_abs(u)), stats)
+        # the ML and MT products as ``gateqsl bounds`` takes them
+        base = bounds_from_products(*_gate_products(u)[2:], stats)
         for other_u in (np.exp(1j * phi) * u, v @ u @ v.conj().T):
-            other = bound_set(TraceInput(n, trace_abs(other_u)), stats)
+            other = bounds_from_products(*_gate_products(other_u)[2:], stats)
             worst = max(
                 worst,
                 abs(base.ml - other.ml),
@@ -199,18 +201,20 @@ def test_criterion_11_branch_enumeration_soundness():
         for _ in range(60):
             phases = np.sort(rng.uniform(0.0, TWO_PI, n))
             trace = np.exp(-1j * phases).sum()
-            min_e, min_var, min_width, _ = _stack_products(phases, trace)[0]
-            best_e = best_var = best_width = math.inf
+            min_e, min_var, min_width, min_dual = _stack_products(phases, trace)[0]
+            best_e = best_var = best_width = best_dual = math.inf
             for assignment in itertools.product((0, 1, 2), repeat=n):
                 theta = phases + TWO_PI * np.asarray(assignment)
                 best_e = min(best_e, theta.mean() - theta.min())
                 best_var = min(best_var, theta.std())
                 best_width = min(best_width, theta.max() - theta.min())
+                best_dual = min(best_dual, theta.max() - theta.mean())
             worst = min(
                 worst,
                 best_e - min_e,
                 best_var - min_var,
                 best_width - min_width,
+                best_dual - min_dual,
             )
     report(11, "no branch assignment beats the canonical rotations", worst >= -1e-12,
            f"n<=4, offsets {{0,1,2}}^n, worst_gap={worst:.3e}")

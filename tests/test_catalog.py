@@ -24,7 +24,7 @@ from gateqsl.catalog import (
     qutrit_mub,
     qutrit_phase_reduce,
 )
-from gateqsl.linalg import is_unitary, trace_abs
+from gateqsl.linalg import is_unitary
 
 OMEGA3 = np.exp(2j * np.pi / 3.0)
 
@@ -35,13 +35,13 @@ class TestFourier:
         assert np.max(np.abs(fourier(2) - want)) < 1e-15
 
     def test_gauss_values(self):
-        assert abs(trace_abs(fourier(4)) - math.sqrt(2.0)) < 1e-12
-        assert trace_abs(fourier(6)) <= 1e-10
-        assert abs(trace_abs(fourier(5)) - 1.0) < 1e-12
+        assert abs(abs(np.trace(fourier(4))) - math.sqrt(2.0)) < 1e-12
+        assert abs(np.trace(fourier(6))) <= 1e-10
+        assert abs(abs(np.trace(fourier(5))) - 1.0) < 1e-12
 
     def test_closed_form_matches_numeric(self):
         for n in range(1, 65):
-            assert abs(trace_abs(fourier(n)) - gauss_trace(n)) < 1e-9
+            assert abs(abs(np.trace(fourier(n))) - gauss_trace(n)) < 1e-9
 
     def test_table_matches_exponential_form(self):
         # entries looked up at (k l) mod n; the exponential form at k l
@@ -53,7 +53,7 @@ class TestFourier:
     def test_large_trace_accuracy(self):
         # the exponential form is off by 7.4e-14 here: its exponents
         # reach (n - 1)^2 turns of 2 pi / n
-        assert abs(trace_abs(fourier(1024)) - gauss_trace(1024)) <= 1e-14
+        assert abs(abs(np.trace(fourier(1024))) - gauss_trace(1024)) <= 1e-14
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -62,21 +62,21 @@ class TestFourier:
 
 class TestGrover:
     def test_trace_n4(self):
-        assert abs(trace_abs(grover(4, 2)) - 1.0) < 1e-12
+        assert abs(abs(np.trace(grover(4, 2))) - 1.0) < 1e-12
 
     def test_trace_n2_vanishes(self):
         # closed form N - 4 + 4/N is 0 at N = 2; cross-check on the matrix
-        assert trace_abs(grover(2, 0)) < 1e-12
+        assert abs(np.trace(grover(2, 0))) < 1e-12
 
     def test_trace_target_independent(self):
-        values = {round(trace_abs(grover(7, t)), 12) for t in range(7)}
+        values = {round(abs(np.trace(grover(7, t))), 12) for t in range(7)}
         assert len(values) == 1
 
     def test_closed_form_sample(self):
         for n in (2, 3, 5, 16, 33, 64):
             want = abs(n - 4.0 + 4.0 / n)
             for t in (0, n // 2, n - 1):
-                assert abs(trace_abs(grover(n, t)) - want) < 1e-9
+                assert abs(abs(np.trace(grover(n, t))) - want) < 1e-9
 
     def test_target_range(self):
         with pytest.raises(ValueError):
@@ -94,13 +94,13 @@ class TestGrover:
 
 class TestPermutation:
     def test_identity_trace(self):
-        assert trace_abs(permutation([0, 1, 2])) == 3.0
+        assert abs(np.trace(permutation([0, 1, 2]))) == 3.0
 
     def test_full_cycle(self):
-        assert trace_abs(permutation([1, 2, 0])) == 0.0
+        assert abs(np.trace(permutation([1, 2, 0]))) == 0.0
 
     def test_transposition_fixed_points(self):
-        assert trace_abs(permutation([1, 0, 2])) == 1.0
+        assert abs(np.trace(permutation([1, 0, 2]))) == 1.0
 
     def test_maps_basis_states(self):
         p = permutation([2, 0, 1])
@@ -114,12 +114,12 @@ class TestPermutation:
 
 class TestHadamardPower:
     def test_single_qubit_traceless(self):
-        assert trace_abs(hadamard_power(1)) < 1e-15
+        assert abs(np.trace(hadamard_power(1))) < 1e-15
 
     def test_two_qubits(self):
         h2 = hadamard_power(2)
         assert h2.shape == (4, 4)
-        assert trace_abs(h2) < 1e-14
+        assert abs(np.trace(h2)) < 1e-14
 
     def test_unbiased_entries(self):
         for q in (1, 2, 3):
@@ -151,18 +151,18 @@ class TestQubitUnitary:
 
     def test_mub_angle_trace(self):
         p = QubitParams(phi=0.3, alpha=0.0, beta=1.1, theta=math.pi / 4.0)
-        assert abs(trace_abs(qubit_unitary(p)) - math.sqrt(2.0)) < 1e-12
+        assert abs(abs(np.trace(qubit_unitary(p))) - math.sqrt(2.0)) < 1e-12
 
     def test_off_diagonal_traceless(self):
         for alpha in (0.0, 0.4, 2.0):
             p = QubitParams(phi=0.1, alpha=alpha, beta=0.2, theta=math.pi / 2.0)
-            assert trace_abs(qubit_unitary(p)) < 1e-12
+            assert abs(np.trace(qubit_unitary(p))) < 1e-12
 
     def test_trace_formula_ignores_phi_beta(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             phi, alpha, beta, theta = rng.uniform(-np.pi, np.pi, 4)
-            got = trace_abs(qubit_unitary(QubitParams(phi, alpha, beta, theta)))
+            got = abs(np.trace(qubit_unitary(QubitParams(phi, alpha, beta, theta))))
             assert abs(got - 2.0 * abs(math.cos(theta) * math.cos(alpha))) < 1e-12
 
     def test_unitary_tight_tolerance(self):
@@ -196,14 +196,14 @@ class TestQutritMub:
 
     def test_trace_at_origin(self):
         u = qutrit_mub(QutritMubParams(MubFamily.ONE, 0.0, 0.0))
-        assert abs(trace_abs(u) - 1.0) < 1e-12
+        assert abs(abs(np.trace(u)) - 1.0) < 1e-12
 
     def test_conjugate_family_traces(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             x, y = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-            t1 = trace_abs(qutrit_mub(QutritMubParams(MubFamily.ONE, x, y)))
-            t2 = trace_abs(qutrit_mub(QutritMubParams(MubFamily.TWO, -x, -y)))
+            t1 = abs(np.trace(qutrit_mub(QutritMubParams(MubFamily.ONE, x, y))))
+            t2 = abs(np.trace(qutrit_mub(QutritMubParams(MubFamily.TWO, -x, -y))))
             assert abs(t1 - t2) < 1e-12
 
     @pytest.mark.parametrize("family", list(MubFamily))
@@ -280,11 +280,11 @@ class TestMubTraceCap:
 
     def test_fourier_respects_cap(self):
         for n in range(2, 65):
-            assert trace_abs(fourier(n)) <= mub_trace_cap(n) + 1e-9
+            assert abs(np.trace(fourier(n))) <= mub_trace_cap(n) + 1e-9
 
     def test_hadamard_respects_cap(self):
         for q in (1, 2, 3):
-            assert trace_abs(hadamard_power(q)) <= mub_trace_cap(2**q)
+            assert abs(np.trace(hadamard_power(q))) <= mub_trace_cap(2**q)
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):

@@ -191,6 +191,20 @@ class TestBoundsCommand:
         assert rows["mt"] == pytest.approx(2e-200, rel=1e-11)
         assert rows["width_mt"] == pytest.approx(2e-200, rel=1e-11)
 
+    @pytest.mark.parametrize("a", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_near_identity_mt_below_reaching_time(self, a, capsys):
+        # --qubit 0,a,0,0 is exp(-i H T) with H = diag(-a, a) and T = 1, so no
+        # bound may exceed 1; its MT bound is sin(a) / a.  Taking 1 - r^2 from
+        # the rounded trace printed mt 1.0000444493 at a = 1e-6.
+        code, out, err = run_cli(["bounds", f"--qubit=0,{a},0,0", f"--spectrum=-{a},{a}"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        rows = {line[:11].strip(): float(line[11:].split()[0]) for line in out.splitlines()}
+        slack = 10.0 * np.finfo(float).eps / a
+        for name in ("mt", "width_mt", "combined"):
+            assert rows[name] <= 1.0 + slack
+            assert abs(rows[name] - math.sin(a) / a) <= slack
+
     def test_file_trace_overshoot_clamped(self, tmp_path, capsys):
         # unitary to the file tolerance, yet |tr U| exceeds n by 8e-7
         path = tmp_path / "overshoot.json"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gateqsl import catalog
 from gateqsl.harness import _gates
 from gateqsl.linalg import (
     _modulus,
@@ -10,9 +11,9 @@ from gateqsl.linalg import (
     random_unitaries,
     random_unitary,
     square_matrix,
-    trace_abs,
+    trace_deficit,
 )
-from gateqsl.minimal_time import EIGENPHASE_UNITARY_TOL, eigenphases
+from gateqsl.minimal_time import EIGENPHASE_UNITARY_TOL, dominance, eigenphases
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -83,9 +84,9 @@ class TestExpm:
     def test_trace_cap_equality_iff_uniform_phase(self):
         n = 5
         u = expm(np.full(n, 1.3), np.eye(n), 2.0)
-        assert abs(trace_abs(u) - n) < 1e-12
+        assert abs(abs(np.trace(u)) - n) < 1e-12
         levels, basis = random_hamiltonian(n, np.random.default_rng(6))
-        assert trace_abs(expm(levels, basis, 1.0)) < n
+        assert abs(np.trace(expm(levels, basis, 1.0))) < n
 
 
 class TestRandomUnitary:
@@ -132,24 +133,73 @@ class TestRandomUnitary:
         acc = 0.0
         samples = 2000
         for _ in range(samples):
-            acc += trace_abs(random_unitary(n, int(rng.integers(2**63)))) ** 2
+            acc += abs(np.trace(random_unitary(n, int(rng.integers(2**63))))) ** 2
         assert abs(acc / samples - 1.0) < 0.1
 
 
 class TestTraceAbs:
+    """The ``|tr U|`` that :func:`trace_deficit` returns."""
+
     def test_identity(self):
-        assert trace_abs(np.eye(3)) == 3.0
+        assert trace_deficit(np.eye(3))[0] == 3.0
 
     def test_hadamard_traceless(self):
-        assert trace_abs(HADAMARD) < 1e-15
+        assert trace_deficit(HADAMARD)[0] < 1e-15
 
     def test_fourier4_gauss_value(self):
-        assert abs(trace_abs(fourier4()) - np.sqrt(2.0)) < 1e-12
+        assert abs(trace_deficit(fourier4())[0] - np.sqrt(2.0)) < 1e-12
 
     def test_bounded_by_dimension(self):
         for seed in range(5):
             u = random_unitary(6, seed)
-            assert trace_abs(u) <= 6.0 + 1e-12
+            assert trace_deficit(u)[0] <= 6.0 + 1e-12
+
+
+def _agrees_with_dominance(u):
+    """sqrt of the entry deficit is the MT product dominance(u) takes from
+    the eigenphases, to 1e-12 relative or a few ulps of 1."""
+    mt = float(dominance(u).mt)
+    return abs(np.sqrt(trace_deficit(u)[1]) - mt) <= 1e-12 * mt + 1e-14
+
+
+class TestTraceDeficit:
+    def test_closed_forms(self):
+        assert trace_deficit(np.eye(3))[1] == 0.0
+        assert trace_deficit(HADAMARD)[1] == pytest.approx(1.0, abs=1e-15)
+        # r = sqrt(2)/4, so 1 - r^2 = 7/8
+        assert trace_deficit(fourier4())[1] == pytest.approx(7.0 / 8.0, rel=1e-14)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    @pytest.mark.parametrize("phase", [0.0, 0.3, 2.0])
+    def test_near_identity_without_cancellation(self, eps, phase):
+        # e^{i phase} diag(e^{i eps}, e^{-i eps}) has r = cos(eps), so
+        # 1 - r^2 = sin^2(eps), which 1 - r^2 from the rounded trace loses
+        u = np.exp(1j * phase) * np.diag([np.exp(1j * eps), np.exp(-1j * eps)])
+        want = np.sin(eps) ** 2
+        assert abs(trace_deficit(u)[1] - want) <= 10.0 * np.finfo(float).eps / eps * want
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 64, 256])
+    def test_matches_dominance_on_haar_gates(self, n):
+        for u in random_unitaries(n, range(8 if n < 64 else 2)):
+            assert _agrees_with_dominance(u)
+
+    def test_matches_dominance_on_catalog_gates(self):
+        gates = ([catalog.fourier(n) for n in range(1, 33)]
+                 + [catalog.grover(n, n // 2) for n in range(2, 33)]
+                 + [catalog.hadamard_power(q) for q in range(1, 7)]
+                 + [catalog.permutation(p) for p in ([0, 1, 2], [1, 2, 0], [1, 0, 2, 3])]
+                 + [catalog.qubit_unitary(catalog.QubitParams(0.4, 1e-6, 0.2, 0.0)),
+                    catalog.qutrit_mub(catalog.QutritMubParams(catalog.MubFamily.TWO, 0.5, 1.0))])
+        for u in gates:
+            assert _agrees_with_dominance(u)
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-5, 1e-7, 1e-8])
+    def test_matches_dominance_near_identity(self, t):
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 5, 8, 16):
+            levels, basis = random_hamiltonian(n, rng)
+            u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * expm(levels, basis, t)
+            assert _agrees_with_dominance(u)
 
 
 def test_modulus_rounds_as_scalar_abs():
