@@ -4,13 +4,15 @@ A campaign draws (spectrum, time) pairs and judges each one from its
 phases ``(E_k - E_0) T``: every trace bound and every exact product
 depends on the gate only through ``|tr U|`` and its eigenphases, which
 no basis change moves.  The draws run in passes that span dimensions:
-per dimension run only the draws, and the rest once per pass, over
-every draw's own levels and phases laid back to back.  One draw in
-``CROSS_CHECK_EVERY`` also goes the long way round, through a Haar
-basis, the gate built on it and the gate's ``eigvals``, a pass's such
-draws in identity-padded stacks with one Haar QR and one ``eigvals``
-per stack; its phases and product margins must agree with the
-spectral ones, or the campaign raises :class:`CrossCheckError`.
+per piece of a dimension run only the draws and their phases, and the
+rest once per pass, over every draw's own levels and phases laid back
+to back.  One draw in ``CROSS_CHECK_EVERY`` also goes the long way
+round, through a Haar basis, the gate built on it and the gate's
+``eigvals``, a pass's such draws in one identity-padded stack with one
+Haar QR and one ``eigvals``; its phases and product margins must agree
+with the spectral ones, or the campaign raises :class:`CrossCheckError`.
+A pass is one layout and one stack: it closes before its window gather
+or its padded stack would pass ``CHUNK_ENTRIES`` entries.
 Figure helpers emit the curve data behind the qubit exact-time plot,
 the qubit MUB-time plot and the two qutrit MUB family plots, each as
 one stack (a qutrit figure as one per block of rows): the qutrit gates
@@ -32,13 +34,13 @@ from .catalog import MubFamily, _qutrit_mubs
 from .linalg import _modulus, random_unitaries
 from .minimal_time import (
     DOMINANCE_TOL,
-    TWO_PI,
     _dominance,
     _list_distance,
     _margins,
     _phase_products,
     _phases,
     _ragged_layout,
+    phases_from_levels,
 )
 from .spectrum import EnergySpectrum, EnergyStats, _level_moments
 
@@ -48,7 +50,7 @@ SPECTRUM_HIGH = 10.0
 TIME_HIGH = 2.0
 
 # Bound on the n^2 entries of each campaign pass's draws (its window
-# gather) and of each cross-check stack's padded gates.
+# gather) and of its cross-check stack's padded gates.
 CHUNK_ENTRIES = 2**16
 
 # Campaign draws whose index is a multiple of this are also judged
@@ -114,26 +116,19 @@ class CurvePoint:
     mt: float | None
 
 
-def _spectra(n: int, seed: int, indices: range, streams=None):
+def _spectra(n: int, seed: int, indices: range):
     """Sorted levels ``(k, n)`` and times ``(k,)`` of campaign draws
     ``indices`` at dimension ``n``.
 
     Draw i reads words ``[i s, (i + 1) s)`` of one Philox stream keyed by
     ``(seed, n)``: its n levels, then its time.  The stride s is n + 1
-    rounded up to whole 4-word blocks, so draw i opens the stream at
-    Philox counter i s / 4, and a draw is the same whatever stack it is
-    made in.  ``streams`` maps n to the stream and the draw it stands at,
-    as the last stack left it: a stack that starts there reads on without
-    opening the stream again.
+    rounded up to whole 4-word blocks, so the stack opens the stream at
+    Philox counter ``indices.start`` s / 4, and a draw is the same
+    whatever stack it is made in.
     """
     stride = 4 * (n // 4 + 1)
-    streams = {} if streams is None else streams
-    rng, at = streams.get(n, (None, None))
-    if at != indices.start:
-        rng = np.random.Generator(
-            np.random.Philox((seed, n), counter=indices.start * stride // 4))
+    rng = np.random.Generator(np.random.Philox((seed, n), counter=indices.start * stride // 4))
     u = rng.random((len(indices), stride))
-    streams[n] = rng, indices.stop
     levels = SPECTRUM_HIGH * u[:, :n]
     levels.sort(axis=-1)
     return levels, TIME_HIGH * (1.0 - u[:, n])
@@ -172,10 +167,12 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
     products E_k*T regularly exceed 2 pi and exercise branch wrapping),
     and the eigenbasis is Haar.  The gate ``basis diag(e^{-i (E_k - E_0) T})
     basis†`` is built from the drawn basis directly.  Returns
-    (spectrum, T, U); the campaign draws the same levels and time, and a
-    cross-checked draw's gate is this U, the trailing block of its padded
-    stack (see :func:`_gate_phases`), bitwise up to a stack width of 128
-    (see :func:`gateqsl.linalg.random_unitaries`).  An n, seed or index
+    (spectrum, T, U); the campaign draws the same levels and time, from
+    the same stream opened at the same Philox counter (see
+    :func:`_spectra`), and a cross-checked draw's gate is this U, the
+    trailing block of its pass's padded stack (see :func:`_gate_phases`),
+    bitwise up to a stack width of 128 (see
+    :func:`gateqsl.linalg.random_unitaries`).  An n, seed or index
     that no campaign draws raises :class:`CampaignInputError`.
     """
     n = _at_least(n, 2, _DIMS_RULE)
@@ -186,35 +183,31 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
 
 
 def _passes(dims, samples_per_dim: int):
-    """The campaign's draws as passes, lists of ``(n, indices)`` pieces:
-    consecutive pieces share a pass while it holds at most
-    ``CHUNK_ENTRIES`` matrix entries, the values of its window gather.
-    The pass's cross-checked draws are stacked apart from its pieces, by
-    :func:`_gate_stacks`."""
-    batch, entries = [], 0
+    """The campaign's draws as passes, lists of ``(n, indices)`` pieces.
+
+    Consecutive pieces share a pass while it holds at most
+    ``CHUNK_ENTRIES`` matrix entries, the values of its window gather,
+    and while its cross-check stack does too: the pass's draws whose
+    index is a multiple of ``CROSS_CHECK_EVERY``, each padded to the
+    widest n among them (see :func:`_gate_phases`).  A draw whose n^2
+    alone exceeds ``CHUNK_ENTRIES`` is a pass of its own.
+    """
+    batch, entries, checked, width = [], 0, 0, 0
     for n in dims:
         chunk = max(1, CHUNK_ENTRIES // (n * n))
         for first in range(0, samples_per_dim, chunk):
             indices = range(first, min(first + chunk, samples_per_dim))
-            if batch and entries + len(indices) * n * n > CHUNK_ENTRIES:
+            k = len(range(-(-first // CROSS_CHECK_EVERY) * CROSS_CHECK_EVERY, indices.stop,
+                          CROSS_CHECK_EVERY))
+            if batch and (entries + len(indices) * n * n > CHUNK_ENTRIES
+                          or k and (checked + k) * max(width, n) ** 2 > CHUNK_ENTRIES):
                 yield batch
-                batch, entries = [], 0
+                batch, entries, checked, width = [], 0, 0, 0
             batch.append((n, indices))
             entries += len(indices) * n * n
+            if k:
+                checked, width = checked + k, max(width, n)
     yield batch
-
-
-def _gate_stacks(dims):
-    """Slices of ascending dimensions ``dims`` into padded stacks: k draws
-    padded to the last n of their slice, k n^2 entries, stay within
-    ``CHUNK_ENTRIES``, or are one draw."""
-    start = 0
-    for i, n in enumerate(dims):
-        if i > start and (i + 1 - start) * n * n > CHUNK_ENTRIES:
-            yield slice(start, i)
-            start = i
-    if start < len(dims):
-        yield slice(start, len(dims))
 
 
 def _gate_phases(seed: int, dims: np.ndarray, indices: np.ndarray,
@@ -223,81 +216,59 @@ def _gate_phases(seed: int, dims: np.ndarray, indices: np.ndarray,
     ``dims``, indices ``indices`` and times ``t`` ``(k,)``, laid back to
     back as their sorted levels are in ``levels``.
 
-    The draws run ordered by n, in padded stacks ``(k, w, w)`` from
-    :func:`_gate_stacks`, each draw as ``diag(I_{w-n}, U)``: one
-    :func:`random_unitaries` call draws the padded Haar bases, U is built
-    on its basis block at its own n by :func:`_draw_gates`, as
-    ``sample_spectrum_gate`` builds it, and one :func:`_phases` call
-    checks the stack unitary and takes its ``eigvals``.  The identity
-    block's phases come out exactly 0 and sort first, so U's phases and
-    diagonal are the last n of its row.
+    The draws make one identity-padded stack ``(k, w, w)`` in pass order,
+    w the widest n, each draw as ``diag(I_{w-n}, U)``: one
+    :func:`random_unitaries` call draws the padded Haar bases, each run of
+    equal n builds U on its basis block at its own n by
+    :func:`_draw_gates`, as ``sample_spectrum_gate`` builds it, and one
+    :func:`_phases` call checks the stack unitary and takes its
+    ``eigvals``.  The identity block's phases come out exactly 0 and sort
+    first, so U's phases and diagonal are the last n of its row.
     """
-    order = np.argsort(dims, kind="stable")
-    at = np.cumsum(dims) - dims
-    ph = np.empty(len(levels))
-    diagonal = np.empty(len(levels), dtype=np.complex128)
-    for stack in _gate_stacks(dims[order].tolist()):
-        rows = order[stack]
-        sizes = dims[rows].tolist()
-        w = sizes[-1]
-        u = random_unitaries(sizes, [(seed, n, index)
-                                     for n, index in zip(sizes, indices[rows].tolist())])
-        # slot j of a row lies at slot j - (w - n) of its draw, kept if not a pad
-        slots = (at[rows] - w + dims[rows])[:, None] + np.arange(w)
-        own = slots >= at[rows, None]
-        stop = 0
-        for n, run in itertools.groupby(sizes):
-            start, stop = stop, stop + len(list(run))
-            block = u[start:stop, w - n:, w - n:]
-            draws = rows[start:stop]
-            # each draw's gate at its own n: a padded product would move its last bits
-            block[...] = _draw_gates(block, levels.take(slots[start:stop, w - n:]), t[draws])
-        ph[slots[own]] = _phases(u)[own]
-        diagonal[slots[own]] = np.diagonal(u, axis1=-2, axis2=-1)[own]
-    return ph, diagonal
+    if not len(dims):
+        return np.empty(0), np.empty(0, dtype=np.complex128)
+    sizes = dims.tolist()
+    w = max(sizes)
+    u = random_unitaries(sizes, [(seed, n, index) for n, index in zip(sizes, indices.tolist())])
+    stop, at = 0, 0
+    for n, run in itertools.groupby(sizes):
+        start, stop = stop, stop + len(list(run))
+        block = u[start:stop, w - n:, w - n:]
+        lv = levels[at:at + (stop - start) * n].reshape(-1, n)
+        at += lv.size
+        # each draw's gate at its own n: a padded product would move its last bits
+        block[...] = _draw_gates(block, lv, t[start:stop])
+    own = np.arange(w) >= (w - dims)[:, None]
+    return _phases(u)[own], np.diagonal(u, axis1=-2, axis2=-1)[own]
 
 
-def _spectral_phases(levels: np.ndarray, t: np.ndarray, runs: tuple, layout) -> np.ndarray:
-    """Bitwise :func:`phases_from_levels` of each draw of ``runs``, whose
-    sorted levels lie back to back in ``levels``, as the first lists of
-    ``layout``, with times ``t``."""
-    owner = layout.owner[:len(levels)]
-    ph = (levels - levels.take(layout.lists[:len(t)]).take(owner)) * t.take(owner)
-    np.fmod(ph, TWO_PI, out=ph)
-    stop = 0
-    for n, count in runs:
-        start, stop = stop, stop + n * count
-        ph[start:stop].reshape(count, n).sort(axis=-1)
-    return ph
-
-
-def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
+def _judge(seed: int, pieces) -> tuple[np.ndarray, int]:
     """Worst margin of each draw of a pass, over the five time bounds
     and the five rotation-product bounds, and the number of draws
     cross-checked.
 
-    Per ``(n, indices)`` piece run only the draws and their phases' sort;
-    the rest runs once per pass over one layout (:func:`_ragged_layout`):
-    each draw's own levels or phases back to back, a run per piece, then
-    the gate phases (:func:`_gate_phases`) of the draws whose index is a
-    multiple of ``CROSS_CHECK_EVERY``, a run per dimension in pass order.
-    Every sum over a list runs by ``reduceat`` over its own values, so
-    no draw's verdict depends on its pass.  ``streams`` feeds :func:`_spectra`.
+    Per ``(n, indices)`` piece run only the draws and their phases
+    (:func:`phases_from_levels`); the rest runs once per pass over one
+    layout (:func:`_ragged_layout`): each draw's own levels or phases
+    back to back, a run per piece, then the gate phases
+    (:func:`_gate_phases`) of the draws whose index is a multiple of
+    ``CROSS_CHECK_EVERY``, a run per dimension in pass order.  Every sum
+    over a list runs by ``reduceat`` over its own values, so no draw's
+    verdict depends on its pass.
     """
-    drawn = [_spectra(n, seed, indices, streams) for n, indices in pieces]
+    drawn = [_spectra(n, seed, indices) for n, indices in pieces]
     count = np.repeat([n for n, _ in pieces], [len(indices) for _, indices in pieces])
     index = np.concatenate([np.arange(indices.start, indices.stop) for _, indices in pieces])
     is_checked = index % CROSS_CHECK_EVERY == 0
     checked = np.flatnonzero(is_checked)
     checked_n = count[checked]
-    spectral = tuple((n, len(indices)) for n, indices in pieces)
-    runs = spectral + tuple(
+    runs = tuple((n, len(indices)) for n, indices in pieces) + tuple(
         (n, len(list(run))) for n, run in itertools.groupby(checked_n.tolist()))
     layout = _ragged_layout(runs)
     levels = np.concatenate([lv.reshape(-1) for lv, _ in drawn])
     t = np.concatenate([tn for _, tn in drawn])
     draws, total = len(t), len(levels)
-    ph = _spectral_phases(levels, t, spectral, layout)
+    ph = np.concatenate([phases_from_levels(lv, tn).reshape(-1) for lv, tn in drawn])
     # the spectral slots of the checked draws, in the gate phases' order
     mine = np.flatnonzero(is_checked.take(layout.owner[:total]))
     gate_ph, diagonal = _gate_phases(seed, checked_n, index[checked], levels.take(mine),
@@ -330,7 +301,8 @@ def _judge(seed: int, pieces, streams=None) -> tuple[np.ndarray, int]:
 def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationReport:
     """Dominance campaign; failures are counted, never raised.
 
-    The draws run as passes of at most ``CHUNK_ENTRIES`` matrix entries
+    The draws run as passes (:func:`_passes`) whose draws and padded
+    cross-check stack each hold at most ``CHUNK_ENTRIES`` matrix entries
     (one draw, if n^2 alone exceeds it), so memory stays flat whatever
     the sample count.  Bad dims, sample count or seed raise
     :class:`CampaignInputError` before the first draw; a cross-check
@@ -346,13 +318,8 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
     failures = 0
     cross_checked = 0
     worst = math.inf
-    # each dimension's stream reads on from pass to pass: a fresh Philox
-    # per pass doubles _spectra's time over the 856 passes of the
-    # (2..8, 16, 32, 64) x 10^4 campaign (about 45 to 90 ms on a 2-core
-    # x86-64) and slows that campaign by 2-5 %
-    streams = {}
     for pieces in _passes(dims, samples_per_dim):
-        margin, checked = _judge(seed, pieces, streams)
+        margin, checked = _judge(seed, pieces)
         worst = min(worst, float(margin.min()))
         failures += int(np.count_nonzero(margin < -DOMINANCE_TOL))
         cross_checked += checked

@@ -87,8 +87,9 @@ def random_unitaries(n, seeds) -> np.ndarray:
     stacked QR factorization follows, with each R diagonal's phases
     absorbed into its Q so the distribution is exactly Haar.
 
-    ``n`` is one dimension for every seed, or one per seed.  The stack is
-    then ``(k, w, w)``, w the largest n, and holds ``diag(I_{w-n}, U)``:
+    ``n`` is one dimension for every seed, or one per seed, in any order,
+    as a campaign pass's cross-checked draws come.  The stack is then
+    ``(k, w, w)``, w the largest n, and holds ``diag(I_{w-n}, U)``:
     LAPACK factors the identity block as itself, and the zeros around it
     stay exactly 0.  U is bitwise the unitary its seed gives alone
     wherever LAPACK runs its unblocked QR on both shapes, as numpy's

@@ -242,7 +242,11 @@ def cyclic_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Two computations of one phase multiset can differ by a cyclic shift,
     since a phase near 0 in one may come out near 2 pi in the other.
+    Stacks of different shapes raise ValueError.
     """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"phase stacks differ in shape: {a.shape} and {b.shape}")
     shape = a.shape[:-1]
     layout = _ragged_layout(((a.shape[-1], math.prod(shape)),))
     return _list_distance(a.reshape(-1), b.reshape(-1), layout, 0).reshape(shape)
@@ -292,10 +296,11 @@ def _margins(n, modulus, products, deficit) -> Dominance:
 
 
 def dominance_from_phases(ph: np.ndarray, modulus) -> Dominance:
-    """Check every rotation of each sorted phase list of a stack ``(..., n)``
+    """Check every rotation of each phase list of a stack ``(..., n)``
     against all five trace bounds; ``modulus`` is the matching ``|tr U|``,
     one per phase list or one for them all.
 
+    A phase list is a multiset: it is judged sorted, in any input order.
     The MT product takes the trace deficit ``1 - r^2`` from the phases
     rather than from the rounded trace, so a near-identity gate's margin
     is not lost to cancellation.  Phases outside [0, 2 pi), NaN included,
@@ -304,6 +309,7 @@ def dominance_from_phases(ph: np.ndarray, modulus) -> Dominance:
     # NaN and infinities fail the range test as well
     if not ((0.0 <= ph) & (ph < TWO_PI)).all():
         raise ValueError("phases must be finite and lie in [0, 2*pi)")
+    ph = np.sort(ph, axis=-1)
     # the margin step stacks its bound forms, so one trace per phase list
     modulus = np.broadcast_to(modulus, ph.shape[:-1])
     return _margins(ph.shape[-1], modulus, *_stack_products(ph, np.exp(-1j * ph).sum(axis=-1)))

@@ -368,7 +368,7 @@ class TestVerifyCommand:
     def test_value_error_in_a_pass_is_not_bad_input(self, monkeypatch):
         from gateqsl import harness
 
-        def broken(seed, pieces, streams):
+        def broken(seed, pieces):
             raise ValueError("a bug inside a pass")
 
         monkeypatch.setattr(harness, "_judge", broken)
@@ -447,15 +447,15 @@ class TestVerifyCommand:
     def test_cross_check_failure_exits_4(self, capsys, monkeypatch):
         from gateqsl import harness
 
-        exact = harness._spectral_phases
+        exact = harness.phases_from_levels
 
-        def perturbed(*args):
-            ph = exact(*args)
-            ph[-1] += 1e-6
+        def perturbed(levels, t):
+            ph = exact(levels, t)
+            ph[-1, -1] += 1e-6
             return ph
 
         # draw 0 is cross-checked; its spectral phases are off by 1e-6
-        monkeypatch.setattr(harness, "_spectral_phases", perturbed)
+        monkeypatch.setattr(harness, "phases_from_levels", perturbed)
         code, out, err = run_cli(["verify", "--dims", "3", "--samples", "1", "--seed", "7"],
                                  capsys)
         assert code == 4

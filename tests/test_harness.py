@@ -190,17 +190,13 @@ class TestBatchedEngine:
         # then its time
         stride = -(-(n + 1) // 4) * 4
         words = np.random.Generator(np.random.Philox((9, n))).random((10000, stride))
-        streams = {}
-        # each piece once alone, opening the stream at its first draw, and
-        # once with the streams the pieces before it left: pieces 2 and 3
-        # read on from where the last piece stopped
+        # each piece opens the stream at its first draw's Philox counter
         for indices in (range(0, 1), range(1, 63), range(63, 70), range(9984, 10000),
                         range(5, 20)):
-            for carried in (streams, None):
-                levels, t = harness._spectra(n, 9, indices, carried)
-                rows = words[indices.start:indices.stop]
-                assert np.array_equal(levels, np.sort(harness.SPECTRUM_HIGH * rows[:, :n]))
-                assert np.array_equal(t, harness.TIME_HIGH * (1.0 - rows[:, n]))
+            levels, t = harness._spectra(n, 9, indices)
+            rows = words[indices.start:indices.stop]
+            assert np.array_equal(levels, np.sort(harness.SPECTRUM_HIGH * rows[:, :n]))
+            assert np.array_equal(t, harness.TIME_HIGH * (1.0 - rows[:, n]))
         # a replay far down the stream, against words read after an advance
         bits = np.random.Philox((9, n))
         bits.advance(2**40 * stride // 4)
@@ -278,29 +274,20 @@ class TestPasses:
         draws = [(n, i) for pieces in passes for n, indices in pieces for i in indices]
         assert draws == [(n, i) for n in dims for i in range(samples)]
 
-    @pytest.mark.parametrize("n", [3, 8])
-    def test_stream_reads_on_where_the_last_stack_stopped(self, n):
-        streams = {}
-        harness._spectra(n, 9, range(0, 5), streams)
-        for indices in (range(5, 20), range(20, 21), range(30, 33), range(2, 4)):
-            kept = harness._spectra(n, 9, indices, streams)
-            fresh = harness._spectra(n, 9, indices)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, fresh))
-
-    def test_streams_kept_across_passes_change_no_margin(self):
-        passes = list(harness._passes((64, 3), 40))
-        assert len(passes) == 3
-        streams = {}
-        kept = np.concatenate([harness._judge(5, pieces, streams)[0] for pieces in passes])
-        fresh = np.concatenate([harness._judge(5, pieces)[0] for pieces in passes])
-        assert kept.tobytes() == fresh.tobytes()
-
     def test_mixed_widths_share_a_pass(self):
+        # draws 2 of n = 148 and 0..2 of n = 2 share a pass: its one
+        # checked draw, n = 2's draw 0, pads to 2
+        assert list(harness._passes((148, 2), 3)) == [
+            [(148, range(0, 2))], [(148, range(2, 3)), (2, range(0, 3))]]
         # 5000 draws at n = 2 and two at n = 148 fit in CHUNK_ENTRIES
-        # entries: no draw is padded, so they share a pass
+        # entries, but the 79 checked n = 2 draws and the checked n = 148
+        # draw 0, padded to 148, do not: the pass closes before n = 148
         assert 5000 * 2**2 + 2 * 148**2 <= CHUNK_ENTRIES
-        assert list(harness._passes((2, 148), 5000))[:2] == [
-            [(2, range(0, 5000)), (148, range(0, 2))], [(148, range(2, 4))]]
+        assert 80 * 148**2 > CHUNK_ENTRIES
+        passes = list(harness._passes((2, 148), 5000))
+        assert passes[:3] == [[(2, range(0, 5000))], [(148, range(0, 2))],
+                              [(148, range(2, 4))]]
+        assert len(passes) == 2501
 
     def test_lone_draw_pass_is_bitwise_the_stacked_draw(self):
         # n = 200 holds one draw per chunk: draw 0 is a pass of its own, a
@@ -326,21 +313,31 @@ class TestPasses:
         assert info.hits + info.misses == 2 * len(passes) == 174
         assert info.misses == 11
 
-    def test_pass_phases_are_each_draws_phases(self):
-        # three pieces back to back, then a gate run the phase step skips
+    def test_pass_phases_are_each_draws_phases(self, monkeypatch):
+        # three pieces of one pass, out of order: the kernel reads every
+        # draw's own phases back to back, bitwise, then the gate phases
         pieces = [(5, range(0, 40)), (2, range(3, 50)), (64, range(0, 2))]
-        drawn = [harness._spectra(n, 3, indices) for n, indices in pieces]
-        runs = tuple((n, len(indices)) for n, indices in pieces)
-        levels = np.concatenate([lv.reshape(-1) for lv, _ in drawn])
-        t = np.concatenate([tn for _, tn in drawn])
-        ph = harness._spectral_phases(levels, t, runs, _ragged_layout(runs + ((5, 1),)))
-        want = [phases_from_levels(lv, tn).reshape(-1) for lv, tn in drawn]
-        assert ph.tobytes() == np.concatenate(want).tobytes()
+        seen = []
+        products = harness._phase_products
+
+        def recording(ph, runs, trace):
+            seen.append(ph.copy())
+            return products(ph, runs, trace)
+
+        monkeypatch.setattr(harness, "_phase_products", recording)
+        harness._judge(3, pieces)
+        want = [phases_from_levels(*_draws(n, 3, indices)[:2]).reshape(-1)
+                for n, indices in pieces]
+        spectral = sum(n * len(indices) for n, indices in pieces)
+        assert seen[0][:spectral].tobytes() == np.concatenate(want).tobytes()
+        # the gate runs: draw 0 of n = 5 and of n = 64
+        assert len(seen[0]) == spectral + 5 + 64
 
     def test_per_dimension_steps_run_once_per_dimension(self, monkeypatch):
-        # one pass over dims 3..8: only the draws and the gate products run
-        # per dimension; the rest, the window kernel, the phases and the
-        # cross-check's Haar QR, eigvals and distances included, once per pass
+        # one pass over dims 3..8: only the draws, their phases and the
+        # gate products run per dimension; the rest, the window kernel and
+        # the cross-check's Haar QR, eigvals and distances included, once
+        # per pass
         pieces = list(harness._passes(range(3, 9), 3))
         assert len(pieces) == 1
         calls = {}
@@ -354,10 +351,10 @@ class TestPasses:
 
             monkeypatch.setattr(module, name, counted)
 
-        once = ("_spectral_phases", "_modulus", "_level_moments", "_list_distance",
-                "random_unitaries", "_phases", "_phase_products", "_gate_phases")
+        once = ("_modulus", "_level_moments", "_list_distance", "random_unitaries",
+                "_phases", "_phase_products", "_gate_phases")
         lapack = ("qr", "eigvals")
-        per_dimension = ("_spectra", "_draw_gates")
+        per_dimension = ("_spectra", "phases_from_levels", "_draw_gates")
         for name in once + per_dimension:
             counting(harness, name)
         for name in lapack:
@@ -368,36 +365,37 @@ class TestPasses:
     def test_mismatch_in_second_dimension_names_its_draw(self, monkeypatch):
         # draw 64 of n = 5 is cross-checked, in the second piece of one pass
         assert len(list(harness._passes((2, 5), 130))) == 1
-        exact = harness._spectral_phases
+        exact = harness.phases_from_levels
 
-        def perturbed(*args):
-            # one call for the whole pass, each draw's phases back to back:
-            # n = 2's 130 draws, then n = 5's; this is draw 64's last
-            ph = exact(*args)
-            ph[2 * 130 + 5 * 64 + 4] += 1e-6
+        def perturbed(levels, t):
+            # one call per piece: n = 2's 130 draws, then n = 5's; this is
+            # draw 64's last phase
+            ph = exact(levels, t)
+            if levels.shape[-1] == 5:
+                ph[64, -1] += 1e-6
             return ph
 
-        monkeypatch.setattr(harness, "_spectral_phases", perturbed)
+        monkeypatch.setattr(harness, "phases_from_levels", perturbed)
         with pytest.raises(CrossCheckError, match=r"seed 7, n 5, index 64\)") as exc:
             run_random_campaign((2, 5), 130, 7)
         assert "differ from the spectral phases by 1e-06" in str(exc.value)
 
 
 def perturb_last_draw(monkeypatch, offset=1e-6):
-    """Make the spectral phases of every pass's last draw wrong by ``offset``."""
-    exact = harness._spectral_phases
+    """Make the last spectral phase of every piece's last draw wrong by ``offset``."""
+    exact = harness.phases_from_levels
 
-    def perturbed(*args):
-        ph = exact(*args)
-        ph[-1] += offset
+    def perturbed(levels, t):
+        ph = exact(levels, t)
+        ph[-1, -1] += offset
         return ph
 
-    monkeypatch.setattr(harness, "_spectral_phases", perturbed)
+    monkeypatch.setattr(harness, "phases_from_levels", perturbed)
 
 
 def assert_stacks_hold_replayed_gates(monkeypatch, dims, samples, shapes):
     """Run a campaign and check each stack ``_phases`` gets: its shape, and
-    each draw, in order of n, as ``diag(I, U)`` with the identity exact,
+    each draw, in campaign order, as ``diag(I, U)`` with the identity exact,
     exact zeros beside it and U bitwise ``sample_spectrum_gate``'s gate."""
     seen = []
     phases = harness._phases
@@ -410,13 +408,57 @@ def assert_stacks_hold_replayed_gates(monkeypatch, dims, samples, shapes):
     run_random_campaign(dims, samples, 5)
     assert [u.shape for u in seen] == shapes
     gates = [u for stack in seen for u in stack]
-    want = sorted((n, index) for n in dims for index in range(0, samples, CROSS_CHECK_EVERY))
+    want = [(n, index) for n in dims for index in range(0, samples, CROSS_CHECK_EVERY)]
     assert len(gates) == len(want)
     for got, (n, index) in zip(gates, want):
         pads = got.shape[-1] - n
         assert got[pads:, pads:].tobytes() == sample_spectrum_gate(n, 5, index)[2].tobytes()
         assert np.array_equal(got[:pads, :pads], np.eye(pads))
         assert not got[:pads, pads:].any() and not got[pads:, :pads].any()
+
+
+def assert_one_stack_per_pass(monkeypatch, dims, samples):
+    """Run a campaign and check that each pass with checked draws draws
+    their bases, factors them and takes their eigvals once, in one stack
+    of k w^2 <= ``CHUNK_ENTRIES`` entries or one draw, and that a pass
+    without makes none.  Returns the stacks' shapes."""
+    calls, shapes, judged = {}, [], []
+
+    def counting(module, name):
+        step = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((harness, "random_unitaries"), (np.linalg, "qr"),
+                         (np.linalg, "eigvals")):
+        counting(module, name)
+    phases, judge = harness._phases, harness._judge
+
+    def recording(u):
+        shapes.append(u.shape)
+        return phases(u)
+
+    def judging(seed, pieces):
+        calls.clear()
+        margin, checked = judge(seed, pieces)
+        judged.append((checked, dict(calls)))
+        return margin, checked
+
+    monkeypatch.setattr(harness, "_phases", recording)
+    monkeypatch.setattr(harness, "_judge", judging)
+    report = run_random_campaign(dims, samples, 3)
+    assert report.cross_checked == len(dims) * math.ceil(samples / CROSS_CHECK_EVERY)
+    assert [k for k, _, _ in shapes] == [checked for checked, _ in judged if checked]
+    once = dict.fromkeys(("random_unitaries", "qr", "eigvals"), 1)
+    assert [counts for _, counts in judged] == [once if checked else {}
+                                                for checked, _ in judged]
+    for k, w, _ in shapes:
+        assert k * w * w <= CHUNK_ENTRIES or k == 1
+    return shapes
 
 
 class TestSpectralVerdict:
@@ -430,17 +472,34 @@ class TestSpectralVerdict:
             tol = CROSS_CHECK_PHASE_TOL * (1.0 + (spectrum.levels[-1] - spectrum.levels[0]) * t1)
             assert cyclic_distance(ph[index], gate_ph) <= tol
 
+    def test_gate_stacks_stay_within_chunk_entries(self, monkeypatch):
+        # every dimension's draw 0 is checked; the n = 250 draw fills a
+        # stack by itself, the smaller ones pack
+        dims = tuple(range(2, 128)) + (250,)
+        shapes = assert_one_stack_per_pass(monkeypatch, dims, 1)
+        assert sum(k for k, _, _ in shapes) == len(dims)
+        assert max(k for k, _, _ in shapes) > 1
+        assert shapes[-1] == (1, 250, 250)
+
+    @pytest.mark.parametrize("dims, samples, shapes", [
+        ((8, 3, 128, 64, 127), 1, [(4, 128, 128), (1, 127, 127)]),
+        ((2, 148), 5000, [(79, 2, 2)] + [(1, 148, 148)] * 79),
+        # a draw above CHUNK_ENTRIES entries is a stack of its own
+        ((2, 3, 256, 300), 1, [(2, 3, 3), (1, 256, 256), (1, 300, 300)])])
+    def test_each_pass_makes_one_stack(self, dims, samples, shapes, monkeypatch):
+        assert assert_one_stack_per_pass(monkeypatch, dims, samples) == shapes
+
     def test_cross_check_gate_is_the_replayed_gate(self, monkeypatch):
         # each padded stack the cross-check diagonalises holds a draw as
         # diag(I, U): the identity exactly, exact zeros beside it, and U
         # bitwise the gate sample_spectrum_gate replays for that draw
         assert_stacks_hold_replayed_gates(monkeypatch, (3, 8), 130, [(6, 8, 8)])
 
-    def test_pass_out_of_order_stacks_replayed_gates_by_n(self, monkeypatch):
-        # one pass of five dims, out of order, in two stacks: 4 * 127^2
-        # entries, then 128^2 alone
+    def test_pass_out_of_order_stacks_replayed_gates_in_pass_order(self, monkeypatch):
+        # five dims, out of order, in two passes: 4 * 128^2 entries, then
+        # n = 127, which would push the first stack past CHUNK_ENTRIES
         assert_stacks_hold_replayed_gates(monkeypatch, (8, 3, 128, 64, 127), 1,
-                                          [(4, 127, 127), (1, 128, 128)])
+                                          [(4, 128, 128), (1, 127, 127)])
 
     @pytest.mark.parametrize("dims", [(3, 8), (8, 3)])
     def test_mismatch_in_a_padded_gate_names_its_draw(self, dims, monkeypatch):
@@ -460,27 +519,6 @@ class TestSpectralVerdict:
         with pytest.raises(CrossCheckError, match=r"seed 7, n 3, index 0\)") as exc:
             run_random_campaign(dims, 1, 7)
         assert "differ from the spectral phases by 1e-06" in str(exc.value)
-
-    def test_gate_stacks_stay_within_chunk_entries(self, monkeypatch):
-        # every dimension's draw 0 is checked; the n = 250 draw fills a
-        # stack by itself, the smaller ones pack
-        shapes = []
-        phases = harness._phases
-
-        def recording(u):
-            shapes.append(u.shape)
-            return phases(u)
-
-        monkeypatch.setattr(harness, "_phases", recording)
-        dims = tuple(range(2, 128)) + (250,)
-        assert run_random_campaign(dims, 1, 3).cross_checked == len(dims)
-        assert sum(k for k, _, _ in shapes) == len(dims)
-        assert max(k for k, _, _ in shapes) > 1
-        for k, w, _ in shapes:
-            assert k * w * w <= max(CHUNK_ENTRIES, w * w)
-        # a draw above CHUNK_ENTRIES entries is a stack of its own
-        assert list(harness._gate_stacks([2, 3, 256, 300, 300])) == [
-            slice(0, 2), slice(2, 3), slice(3, 4), slice(4, 5)]
 
     def test_cross_checked_count(self):
         # n = 64 holds 16 draws per chunk: draws 64 and 128 open chunks,

@@ -83,6 +83,40 @@ class TestDominanceFromPhases:
         with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
             dominance_from_phases(ph, np.ones(1))
 
+    def test_permuted_list_is_the_sorted_list(self):
+        # a phase list is a multiset: unsorted, [3.0, 0.5, 1.0] read as
+        # given gives an ml margin of -2.45; sorted, it gives +0.05
+        def fields(d):
+            return [np.asarray(x).tobytes() for x in d]
+
+        want = dominance_from_phases(np.array([0.5, 1.0, 3.0]), 1.0)
+        assert want.margins[0] > 0.0
+        for ph in itertools.permutations([0.5, 1.0, 3.0]):
+            assert fields(dominance_from_phases(np.array(ph), 1.0)) == fields(want)
+        rng = np.random.default_rng(4)
+        stack = np.sort(rng.uniform(0.0, TWO_PI, (3, 5)), axis=-1)
+        shuffled = rng.permuted(stack, axis=-1)
+        kept = shuffled.copy()
+        assert not np.array_equal(shuffled, stack)
+        assert fields(dominance_from_phases(shuffled, 2.0)) == fields(
+            dominance_from_phases(stack, 2.0))
+        # the caller's array is left as it was
+        assert np.array_equal(shuffled, kept)
+
+
+class TestCyclicDistance:
+    def test_shifted_multiset_is_at_distance_zero(self):
+        assert cyclic_distance(np.array([0.1, 0.2, 6.2]), np.array([6.2, 0.1, 0.2])) == 0.0
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((3,), (5,)), ((5,), (3,)),
+                                                  ((2, 3), (3, 3)), ((3, 3), (2, 3)),
+                                                  ((3,), (1, 3))])
+    def test_rejects_shape_mismatch(self, a_shape, b_shape):
+        a = np.full(a_shape, 0.1)
+        b = np.full(b_shape, 0.1)
+        with pytest.raises(ValueError, match="differ in shape"):
+            cyclic_distance(a, b)
+
 
 class TestEigenphases:
     def test_identity(self):
