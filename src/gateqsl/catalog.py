@@ -154,7 +154,10 @@ def qutrit_mub(p: QutritMubParams) -> np.ndarray:
 
 def _qutrit_mubs(family: MubFamily, x, y) -> np.ndarray:
     """:func:`qutrit_mub` of each pair of ``x`` and ``y``, floats or arrays
-    that broadcast together: a stack ``(..., 3, 3)``, filled in place."""
+    that broadcast together: a stack ``(..., 3, 3)``, filled in place.  A
+    non-finite x or y raises ValueError."""
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("qutrit parameters must be finite")
     w = np.exp(2j * np.pi / 3.0)
     if family is MubFamily.ONE:
         c1, c2 = _omega_column(np.conj(w)), _omega_column(w)

@@ -134,30 +134,36 @@ def _spectra(n: int, seed: int, indices: range):
     return levels, TIME_HIGH * (1.0 - u[:, n])
 
 
-def _draws(n: int, seed: int, indices: range):
-    """Campaign draws ``indices`` at dimension ``n``, with their gates, as stacks.
-
-    Returns sorted levels ``(k, n)``, times ``(k,)`` and gates ``(k, n, n)``
-    from :func:`_draw_gates`, on Haar bases keyed by ``(seed, n, index)``.
-    """
-    levels, t = _spectra(n, seed, indices)
-    basis = random_unitaries(n, [(seed, n, index) for index in indices])
-    return levels, t, _draw_gates(basis, levels, t)
-
-
-def _draw_gates(basis: np.ndarray, levels: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gates ``basis diag(e^{-i (E_k - E_0) T}) basis†`` ``(k, n, n)`` of
-    draws with bases ``(k, n, n)``, sorted levels ``(k, n)`` and times ``(k,)``.
-
-    Built from the unreduced products ``(E_k - E_0) T``, so a gate shares
-    no step with the phase reduction its cross-check tests.
-    """
-    return _gates(basis, np.exp(-1j * (levels - levels[:, :1]) * t[:, None]))
-
-
 def _gates(basis: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """``basis diag(eigenvalues) basis†`` for stacks ``(k, n, n)`` and ``(k, n)``."""
     return (basis * eigenvalues[:, None, :]) @ np.swapaxes(basis.conj(), -1, -2)
+
+
+def _build_gates(seed: int, dims: np.ndarray, indices: np.ndarray,
+                 levels: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gates of campaign draws at dimensions ``dims``, indices ``indices``
+    and times ``t`` ``(k,)``, whose sorted levels lie back to back in
+    ``levels``, as one identity-padded stack ``(k, w, w)``, w the widest n.
+
+    One :func:`random_unitaries` call draws the Haar bases, keyed by
+    ``(seed, n, index)``, each padded as ``diag(I_{w-n}, basis)``.  Each
+    run of equal n then builds ``U = basis diag(e^{-i (E_k - E_0) T})
+    basis†`` on its basis blocks, at its own n, from the unreduced
+    products ``(E_k - E_0) T``: a gate shares no step with the phase
+    reduction its cross-check tests.
+    """
+    sizes = dims.tolist()
+    w = max(sizes)
+    u = random_unitaries(sizes, [(seed, n, index) for n, index in zip(sizes, indices.tolist())])
+    stop, at = 0, 0
+    for n, run in itertools.groupby(sizes):
+        start, stop = stop, stop + len(list(run))
+        block = u[start:stop, w - n:, w - n:]
+        lv = levels[at:at + (stop - start) * n].reshape(-1, n)
+        at += lv.size
+        # each draw's gate at its own n: a padded product would move its last bits
+        block[...] = _gates(block, np.exp(-1j * (lv - lv[:, :1]) * t[start:stop, None]))
+    return u
 
 
 def sample_spectrum_gate(n: int, seed: int, index: int):
@@ -165,12 +171,11 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
 
     Levels are uniform on [0, 10], the time uniform on (0, 2] (so the
     products E_k*T regularly exceed 2 pi and exercise branch wrapping),
-    and the eigenbasis is Haar.  The gate ``basis diag(e^{-i (E_k - E_0) T})
-    basis†`` is built from the drawn basis directly.  Returns
-    (spectrum, T, U); the campaign draws the same levels and time, from
-    the same stream opened at the same Philox counter (see
-    :func:`_spectra`), and a cross-checked draw's gate is this U, the
-    trailing block of its pass's padded stack (see :func:`_gate_phases`),
+    and the eigenbasis is Haar.  Returns (spectrum, T, U); the campaign
+    draws the same levels and time, from the same stream opened at the
+    same Philox counter (see :func:`_spectra`).  U comes from
+    :func:`_build_gates` as a one-draw stack, so a cross-checked draw's
+    gate, the trailing block of its pass's padded stack, is this U,
     bitwise up to a stack width of 128 (see
     :func:`gateqsl.linalg.random_unitaries`).  An n, seed or index
     that no campaign draws raises :class:`CampaignInputError`.
@@ -178,7 +183,8 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
     n = _at_least(n, 2, _DIMS_RULE)
     seed = _at_least(seed, 0, _SEED_RULE)
     index = _at_least(index, 0, "index must be nonnegative")
-    levels, t, u = _draws(n, seed, range(index, index + 1))
+    levels, t = _spectra(n, seed, range(index, index + 1))
+    u = _build_gates(seed, np.array([n]), np.array([index]), levels.reshape(-1), t)
     return EnergySpectrum(levels[0]), float(t[0]), u[0]
 
 
@@ -212,33 +218,18 @@ def _passes(dims, samples_per_dim: int):
 
 def _gate_phases(seed: int, dims: np.ndarray, indices: np.ndarray,
                  levels: np.ndarray, t: np.ndarray):
-    """Gate eigenphases and diagonals of cross-checked draws at dimensions
-    ``dims``, indices ``indices`` and times ``t`` ``(k,)``, laid back to
-    back as their sorted levels are in ``levels``.
+    """Gate eigenphases and diagonals of cross-checked draws, laid back to
+    back as their sorted levels are in ``levels``; the arguments are
+    :func:`_build_gates`'.
 
-    The draws make one identity-padded stack ``(k, w, w)`` in pass order,
-    w the widest n, each draw as ``diag(I_{w-n}, U)``: one
-    :func:`random_unitaries` call draws the padded Haar bases, each run of
-    equal n builds U on its basis block at its own n by
-    :func:`_draw_gates`, as ``sample_spectrum_gate`` builds it, and one
-    :func:`_phases` call checks the stack unitary and takes its
-    ``eigvals``.  The identity block's phases come out exactly 0 and sort
-    first, so U's phases and diagonal are the last n of its row.
+    One :func:`_phases` call checks the padded stack unitary and takes its
+    ``eigvals``.  A draw's identity block's phases come out exactly 0 and
+    sort first, so U's phases and diagonal are the last n of its row.
     """
     if not len(dims):
         return np.empty(0), np.empty(0, dtype=np.complex128)
-    sizes = dims.tolist()
-    w = max(sizes)
-    u = random_unitaries(sizes, [(seed, n, index) for n, index in zip(sizes, indices.tolist())])
-    stop, at = 0, 0
-    for n, run in itertools.groupby(sizes):
-        start, stop = stop, stop + len(list(run))
-        block = u[start:stop, w - n:, w - n:]
-        lv = levels[at:at + (stop - start) * n].reshape(-1, n)
-        at += lv.size
-        # each draw's gate at its own n: a padded product would move its last bits
-        block[...] = _draw_gates(block, lv, t[start:stop])
-    own = np.arange(w) >= (w - dims)[:, None]
+    u = _build_gates(seed, dims, indices, levels, t)
+    own = np.arange(u.shape[-1]) >= (u.shape[-1] - dims)[:, None]
     return _phases(u)[own], np.diagonal(u, axis1=-2, axis2=-1)[own]
 
 

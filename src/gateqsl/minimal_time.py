@@ -14,15 +14,15 @@ in-window assignments are exactly the n cyclic rotations.
 
 For each rotation this module computes the dimensionless products
 ``E*T`` (mean above ground), ``dE*T`` (population std), ``width*T`` and
-the dual gap ``(E_max - mean)*T``, takes the least of each over the
-distinct rotations, and checks it against the corresponding trace
-bound.  The window kernel :func:`_phase_products` takes sorted phase
-lists of any dimensions laid back to back, ``count`` lists of n phases
-for each ``(n, count)`` of a ``runs`` tuple: it gathers every window from
-a layout cached per runs and sums each window by ``np.add.reduceat``
-over its own n values, so a list's products do not depend on the lists
-beside it, and it takes each list's trace deficit in O(n) from the trace
-its caller already holds.  A margin step follows, elementwise.
+the dual gap ``(E_max - mean)*T``, takes the least of each over all n
+windows, which is the least over the distinct rotations, and checks it
+against its trace bound.  The window kernel :func:`_phase_products`
+takes sorted phase lists of any dimensions laid back to back, ``count``
+lists of n phases for each ``(n, count)`` of a ``runs`` tuple: it
+gathers every window from a layout cached per runs and sums each window
+by ``np.add.reduceat`` over its own n values, so a list's products do
+not depend on the lists beside it, and it takes each list's trace
+deficit in O(n) from the trace its caller already holds.  A margin step follows, elementwise.
 :func:`dominance_from_phases`, :func:`dominance` and
 :func:`verify_dominance` run both on one run of equal-length lists; a
 campaign pass runs each once over all its draws and cross-checked gates.
@@ -55,7 +55,6 @@ _LIFTS = np.array([[0.0], [TWO_PI]])
 
 # Scales psi into the rows psi / 2 and psi of the trace deficit's sines.
 _HALF_AND_WHOLE = np.array([[0.5], [1.0]])
-
 
 @dataclass(frozen=True)
 class VerificationRecord:
@@ -137,9 +136,7 @@ class _Layout(NamedTuple):
     gather: np.ndarray
     windows: np.ndarray
     repeats: np.ndarray
-    size: np.ndarray
     last: np.ndarray
-    before: np.ndarray
     owner: np.ndarray
     lists: np.ndarray
     n: np.ndarray
@@ -150,18 +147,15 @@ def _ragged_layout(runs: tuple) -> _Layout:
     """The window layout of ``count`` lists of n phases for each
     ``(n, count)`` of ``runs``, in that order, laid back to back in one
     flat array ``ph``: read-only, built once per ``runs``; the 16 most
-    recent are kept, 8 bytes per window value and 48 per phase.
+    recent are kept, 8 bytes per window value and 32 per phase.
 
     Phase w, slot j of its list, starts window w: slots j to n - 1 of its
     list, then slots 0 to j - 1 lifted by 2 pi.  Every index points into
     ``lifted = concatenate([ph, ph + 2 pi])``.  ``gather`` lists every
     window's n values back to back, ``windows`` is where each window
-    starts in that gather, ``repeats`` its length n (``size`` as a float)
-    and ``last`` the index of its last value.  ``before`` is the index of
-    the phase before phi_w in its list, or of phi_w + 2 pi, which no phase
-    equals, where phi_w comes first.  ``owner`` is the list of each phase,
-    ``lists`` is where each list starts in ``ph`` and ``n`` its length, as
-    a float.
+    starts in that gather, ``repeats`` its length n and ``last`` the
+    index of its last value.  ``owner`` is the list of each phase,
+    ``lists`` is where each list starts in ``ph`` and ``n`` its length.
     """
     n = np.repeat([length for length, _ in runs], [count for _, count in runs]).astype(np.intp)
     lists = np.cumsum(n) - n
@@ -174,10 +168,8 @@ def _ragged_layout(runs: tuple) -> _Layout:
     # slot j + k of window w's list, lifted where it passes the list's end
     at = slot[window] + np.arange(len(window)) - windows[window]
     gather = first[window] + at + np.where(at < size[window], 0, total - size[window])
-    before = np.arange(total) + np.where(slot == 0, total, -1)
     owner = np.repeat(np.arange(len(n)), n)
-    layout = _Layout(gather, windows, size, size.astype(np.float64), gather[windows + size - 1],
-                     before, owner, lists, n.astype(np.float64))
+    layout = _Layout(gather, windows, size, gather[windows + size - 1], owner, lists, n)
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -192,26 +184,31 @@ def _window_products(ph: np.ndarray, layout: _Layout):
     values sit in [phi_w, phi_w + 2 pi).  Each window's sums run by
     ``np.add.reduceat`` over its own n contiguous values, so they depend
     on the window alone, not on the lists beside it.  Returns the products
-    ``(4, windows)``, in the order e_t, var_t, width_t, dual_t, and
-    ``start`` ``(windows,)``, which is False where phi_w repeats the phase
-    before it in its list: that window duplicates an earlier one.
+    ``(4, windows)``, in the order e_t, var_t, width_t, dual_t: one
+    window per phase, repeated phases included (see
+    :func:`_phase_products`).
     """
     # rows ph and ph + 2 pi, which take() reads as concatenate([ph, ph + 2 pi])
     lifted = _LIFTS + ph
     theta = lifted.take(layout.gather)
-    mean = np.add.reduceat(theta, layout.windows) / layout.size
+    mean = np.add.reduceat(theta, layout.windows) / layout.repeats
     theta -= np.repeat(mean, layout.repeats)
-    var_t = np.sqrt(np.add.reduceat(np.square(theta, out=theta), layout.windows) / layout.size)
+    var_t = np.sqrt(np.add.reduceat(np.square(theta, out=theta), layout.windows) / layout.repeats)
     last = lifted.take(layout.last)
-    return np.array([mean - ph, var_t, last - ph, last - mean]), ph != lifted.take(layout.before)
+    return np.array([mean - ph, var_t, last - ph, last - mean])
 
 
 def _phase_products(ph: np.ndarray, runs: tuple, trace: np.ndarray):
     """The kernel of the campaign, :func:`dominance` and the qutrit figures:
     the least products ``(4, lists)``, e_t, var_t, width_t and dual_t, over
-    the distinct cyclic windows of each sorted phase list in [0, 2 pi) laid
-    back to back in ``ph`` as ``runs`` lays them (see
-    :func:`_ragged_layout`), and each list's trace deficit ``1 - r^2``.
+    all n cyclic windows of each sorted phase list in [0, 2 pi) laid back
+    to back in ``ph`` as ``runs`` lays them (see :func:`_ragged_layout`),
+    and each list's trace deficit ``1 - r^2``.
+
+    A window that starts inside a run of m equal phases lifts k of them,
+    0 < k < m: its e_t and dual_t exceed those of windows k = 0 and k = m,
+    its width_t is 2 pi and its var_t is strictly concave in k, so it
+    never sets a least.
 
     ``trace`` holds each list's ``sum_k e^{-i phi_k}``, or a trace close to
     it, such as the trace of the gate whose eigenphases the list holds.
@@ -224,8 +221,7 @@ def _phase_products(ph: np.ndarray, runs: tuple, trace: np.ndarray):
     do not depend on the lists beside it.
     """
     layout = _ragged_layout(runs)
-    products, start = _window_products(ph, layout)
-    least = np.minimum.reduceat(np.where(start, products, np.inf), layout.lists, axis=-1)
+    least = np.minimum.reduceat(_window_products(ph, layout), layout.lists, axis=-1)
     # rows sin(psi / 2) and sin(psi), psi = phi + arg(trace); a / 2 and b
     # are their sums after squaring the first
     arg = np.arctan2(trace.imag, trace.real)
@@ -242,13 +238,18 @@ def cyclic_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Two computations of one phase multiset can differ by a cyclic shift,
     since a phase near 0 in one may come out near 2 pi in the other.
-    Stacks of different shapes raise ValueError.
+    Stacks of different shapes, or of empty lists, raise ValueError; a
+    stack of no lists gives an empty result shaped as the stack.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"phase stacks differ in shape: {a.shape} and {b.shape}")
-    shape = a.shape[:-1]
-    layout = _ragged_layout(((a.shape[-1], math.prod(shape)),))
+    *shape, n = a.shape
+    if n < 1:
+        raise ValueError("a phase list needs at least one phase")
+    if not math.prod(shape):
+        return np.empty(shape)
+    layout = _ragged_layout(((n, math.prod(shape)),))
     return _list_distance(a.reshape(-1), b.reshape(-1), layout, 0).reshape(shape)
 
 
@@ -304,11 +305,13 @@ def dominance_from_phases(ph: np.ndarray, modulus) -> Dominance:
     The MT product takes the trace deficit ``1 - r^2`` from the phases
     rather than from the rounded trace, so a near-identity gate's margin
     is not lost to cancellation.  Phases outside [0, 2 pi), NaN included,
-    raise ValueError.
+    and lists of no phases raise ValueError.
     """
     # NaN and infinities fail the range test as well
     if not ((0.0 <= ph) & (ph < TWO_PI)).all():
         raise ValueError("phases must be finite and lie in [0, 2*pi)")
+    if ph.ndim and ph.shape[-1] < 1:
+        raise ValueError("a phase list needs at least one phase")
     ph = np.sort(ph, axis=-1)
     # the margin step stacks its bound forms, so one trace per phase list
     modulus = np.broadcast_to(modulus, ph.shape[:-1])

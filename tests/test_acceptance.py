@@ -21,7 +21,7 @@ from gateqsl.catalog import (
 )
 from gateqsl.cli import _gate_products
 from gateqsl.cli import main as cli_main
-from gateqsl.harness import DEFAULT_QUTRIT_X, _draws, figure_qubit, figure_qutrit
+from gateqsl.harness import DEFAULT_QUTRIT_X, _build_gates, _spectra, figure_qubit, figure_qutrit
 from gateqsl.linalg import random_unitary
 from gateqsl.minimal_time import (
     TWO_PI,
@@ -49,7 +49,10 @@ def campaign_samples():
     drawn as the campaign draws them."""
     stacks = []
     for n in CAMPAIGN_DIMS:
-        levels, t, u = _draws(n, CAMPAIGN_SEED, range(CAMPAIGN_SAMPLES_PER_DIM))
+        indices = range(CAMPAIGN_SAMPLES_PER_DIM)
+        levels, t = _spectra(n, CAMPAIGN_SEED, indices)
+        u = _build_gates(CAMPAIGN_SEED, np.full(len(indices), n), np.array(indices),
+                         levels.reshape(-1), t)
         # the deficit 1 - r^2 from the gates' eigenphases, not their rounded traces
         d = dominance(u)
         stacks.append((t, bounds_from_products(d.ml, d.mt, level_stats(levels))))
@@ -149,7 +152,9 @@ def test_criterion_8_tightness_witness():
     hits = []
     for q in (1, 2, 3):
         phases = eigenphases(hadamard_power(q))
-        (e_t, _, _, _), start = _window_products(phases, _ragged_layout(((len(phases), 1),)))
+        e_t = _window_products(phases, _ragged_layout(((len(phases), 1),)))[0]
+        # the windows that start on a distinct phase
+        start = np.r_[True, phases[1:] != phases[:-1]]
         hits.append(bool((np.abs(e_t[start] - math.pi / 2.0) <= 1e-9).any()))
     # gap between pi/2 and the MUB ML bound at dimension 8: (pi/2) k / sqrt(8)
     gap = math.pi / 2.0 - ml_product(math.sqrt(8.0) / 8.0)

@@ -18,7 +18,8 @@ from gateqsl.harness import (
     CampaignInputError,
     CrossCheckError,
     CurvePoint,
-    _draws,
+    _build_gates,
+    _spectra,
     figure_qubit,
     figure_qubit_mub,
     figure_qutrit,
@@ -176,7 +177,8 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 64])
     def test_stacked_draw_is_bitwise_the_single_draw(self, n):
         for first in (0, 40):
-            levels, t, u = _draws(n, 9, range(first, first + 12))
+            levels, t = _spectra(n, 9, range(first, first + 12))
+            u = _build_gates(9, np.full(12, n), np.arange(first, first + 12), levels.reshape(-1), t)
             for i in range(12):
                 spectrum, t1, u1 = sample_spectrum_gate(n, 9, first + i)
                 assert np.array_equal(levels[i], spectrum.levels)
@@ -326,7 +328,7 @@ class TestPasses:
 
         monkeypatch.setattr(harness, "_phase_products", recording)
         harness._judge(3, pieces)
-        want = [phases_from_levels(*_draws(n, 3, indices)[:2]).reshape(-1)
+        want = [phases_from_levels(*_spectra(n, 3, indices)).reshape(-1)
                 for n, indices in pieces]
         spectral = sum(n * len(indices) for n, indices in pieces)
         assert seen[0][:spectral].tobytes() == np.concatenate(want).tobytes()
@@ -354,7 +356,7 @@ class TestPasses:
         once = ("_modulus", "_level_moments", "_list_distance", "random_unitaries",
                 "_phases", "_phase_products", "_gate_phases")
         lapack = ("qr", "eigvals")
-        per_dimension = ("_spectra", "phases_from_levels", "_draw_gates")
+        per_dimension = ("_spectra", "phases_from_levels", "_gates")
         for name in once + per_dimension:
             counting(harness, name)
         for name in lapack:
@@ -464,8 +466,7 @@ def assert_one_stack_per_pass(monkeypatch, dims, samples):
 class TestSpectralVerdict:
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
     def test_phases_match_the_gate_eigenphases(self, n):
-        levels, t, _ = _draws(n, 4, range(40))
-        ph = phases_from_levels(levels, t)
+        ph = phases_from_levels(*_spectra(n, 4, range(40)))
         for index in range(40):
             spectrum, t1, u = sample_spectrum_gate(n, 4, index)
             gate_ph = eigenphases(u)
@@ -634,6 +635,12 @@ class TestFigureQutrit:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             figure_qutrit(MubFamily.ONE, y_points=1)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_x(self, x):
+        # as the one-gate route rejects it, before any gate is built
+        with pytest.raises(ValueError, match="^qutrit parameters must be finite$"):
+            figure_qutrit(MubFamily.ONE, x_values=[0.0, x], y_points=3)
 
     @pytest.mark.parametrize("family", list(MubFamily))
     @pytest.mark.parametrize("xs", [DEFAULT_QUTRIT_X, (0.3, -1.2, 2.5, 7.0)])

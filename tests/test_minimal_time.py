@@ -52,12 +52,18 @@ def brute_force_minima(phases, offsets=(0, 1, 2)):
     return best_e, best_var, best_width
 
 
+def distinct_starts(ph):
+    """Of each window of sorted ``ph``, whether its first phase differs
+    from the one before it: the windows of the distinct rotations."""
+    return np.r_[True, ph[1:] != ph[:-1]]
+
+
 def rotations(phases):
     """Products ``(4, m)`` of the m distinct cyclic windows of ``phases``, in
     the order e_t, var_t, width_t, dual_t."""
     ph = np.sort(np.asarray(phases, dtype=np.float64))
-    products, start = _window_products(ph, _ragged_layout(((len(ph), 1),)))
-    return products[:, start]
+    products = _window_products(ph, _ragged_layout(((len(ph), 1),)))
+    return products[:, distinct_starts(ph)]
 
 
 def exact_minima(phases):
@@ -83,6 +89,15 @@ class TestDominanceFromPhases:
         with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
             dominance_from_phases(ph, np.ones(1))
 
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 0)])
+    def test_rejects_lists_of_no_phases(self, shape):
+        with pytest.raises(ValueError, match="^a phase list needs at least one phase$"):
+            dominance_from_phases(np.zeros(shape), 0.0)
+
+    def test_stack_of_no_lists_is_empty(self):
+        d = dominance_from_phases(np.zeros((0, 3)), np.zeros(0))
+        assert d.margins.shape == (5, 0) and d.products.shape == (4, 0)
+
     def test_permuted_list_is_the_sorted_list(self):
         # a phase list is a multiset: unsorted, [3.0, 0.5, 1.0] read as
         # given gives an ml margin of -2.45; sorted, it gives +0.05
@@ -107,6 +122,15 @@ class TestDominanceFromPhases:
 class TestCyclicDistance:
     def test_shifted_multiset_is_at_distance_zero(self):
         assert cyclic_distance(np.array([0.1, 0.2, 6.2]), np.array([6.2, 0.1, 0.2])) == 0.0
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 0)])
+    def test_rejects_lists_of_no_phases(self, shape):
+        with pytest.raises(ValueError, match="^a phase list needs at least one phase$"):
+            cyclic_distance(np.zeros(shape), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+    def test_stack_of_no_lists_is_shaped_as_the_stack(self, shape):
+        assert cyclic_distance(np.zeros(shape), np.zeros(shape)).shape == shape[:-1]
 
     @pytest.mark.parametrize("a_shape, b_shape", [((3,), (5,)), ((5,), (3,)),
                                                   ((2, 3), (3, 3)), ((3, 3), (2, 3)),
@@ -251,6 +275,16 @@ def lone_products(ph):
     return _phase_products(ph, ((len(ph), 1),), np.exp(-1j * ph).sum(keepdims=True))
 
 
+def branch_products(ph):
+    """Every assignment ``(2^n, n)`` of 0 or 2 pi to each phase of ``ph``,
+    as lift flags, and its products ``(4, 2^n)``: e_t, var_t, width_t and
+    dual_t."""
+    lift = np.array(list(itertools.product((0, 1), repeat=len(ph))), dtype=bool)
+    theta = ph + TWO_PI * lift
+    return lift, np.array([theta.mean(axis=-1) - theta.min(axis=-1), theta.std(axis=-1),
+                           np.ptp(theta, axis=-1), theta.max(axis=-1) - theta.mean(axis=-1)])
+
+
 def sine_deficit(ph):
     """The n-by-n form of the deficit: 2 sum_{j,k} sin^2((phi_j - phi_k) / 2) / n^2."""
     s = np.sin(0.5 * (ph[:, None] - ph[None, :]))
@@ -292,20 +326,56 @@ class TestRaggedKernel:
         rng = np.random.default_rng(18)
         for ph in phase_families(rng):
             n = len(ph)
-            products, start = _window_products(ph, _ragged_layout(((n, 1),)))
-            # every assignment of 0 or 2 pi to each phase; window j is the
-            # one that lifts the phases in slots before j
-            lift = np.array(list(itertools.product((0, 1), repeat=n)), dtype=bool)
-            theta = ph + TWO_PI * lift
-            brute = np.array([theta.mean(axis=-1) - theta.min(axis=-1), theta.std(axis=-1),
-                              np.ptp(theta, axis=-1), theta.max(axis=-1) - theta.mean(axis=-1)])
+            products = _window_products(ph, _ragged_layout(((n, 1),)))
+            start = distinct_starts(ph)
+            # window j is the assignment that lifts the phases in slots before j
+            lift, brute = branch_products(ph)
             for j in np.flatnonzero(start):
                 window = int(np.flatnonzero((lift == (np.arange(n) < j)).all(axis=-1))[0])
                 assert np.abs(products[:, j] - brute[:, window]).max() <= 1e-12
-            # a window starts a distinct rotation unless its phase repeats the last
-            assert start[0] and (start[1:] == (ph[1:] != ph[:-1])).all()
             least = lone_products(ph)[0][:, 0]
             assert np.abs(least - brute.min(axis=-1)).max() <= 1e-12
+            # the least over every window is the least over the distinct ones
+            assert least.tobytes() == products[:, start].min(axis=-1).tobytes()
+
+    def test_least_over_all_windows_is_the_least_over_distinct_ones(self):
+        # degenerate lists, where windows start inside runs of equal phases
+        rng = np.random.default_rng(24)
+        below = np.nextafter(TWO_PI, 0.0)
+        lists = []
+        for n in range(2, 11):
+            # runs at 0 and just below 2 pi around distinct phases
+            for zeros in range(n + 1):
+                tops = int(rng.integers(0, n - zeros + 1))
+                middle = rng.uniform(0.0, TWO_PI, n - zeros - tops)
+                lists.append(np.sort(np.r_[np.zeros(zeros), middle, np.full(tops, below)]))
+            lists += [np.full(n, c) for c in (0.0, 1.0, np.pi, below)]
+            # m copies of the lowest phase a, with a = mean - pi (1 - 1/n):
+            # lifting one copy leaves var_t unchanged, and only concavity
+            # in the number lifted keeps the split windows above k = m
+            a = 0.05
+            for m in range(2, n // 2 + 1):
+                offset = math.pi * (n - 1) / (n - m)
+                dev = rng.uniform(-1.0, 1.0, n - m)
+                dev -= dev.mean()
+                dev *= 0.9 * min(offset, TWO_PI - a - offset) / np.abs(dev).max()
+                ph = np.sort(np.r_[np.full(m, a), a + offset + dev])
+                var_t = _window_products(ph, _ragged_layout(((n, 1),)))[1]
+                assert abs(var_t[1] - var_t[0]) <= 1e-12
+                lists.append(ph)
+        # gate spectra, as computed and snapped onto their exact roots of unity
+        gates = [(fourier(n), 4) for n in range(2, 11)]
+        gates += [(hadamard_power(q), 2) for q in (1, 2, 3)]
+        gates += [(permutation(rng.permutation(n)), 2520) for n in range(2, 11) for _ in range(2)]
+        for u, roots in gates:
+            ph = eigenphases(u)
+            lists.append(ph)
+            lists.append(np.sort(np.round(ph * (roots / TWO_PI)) % roots * (TWO_PI / roots)))
+        for ph in lists:
+            products = _window_products(ph, _ragged_layout(((len(ph), 1),)))
+            least = lone_products(ph)[0][:, 0]
+            assert least.tobytes() == products[:, distinct_starts(ph)].min(axis=-1).tobytes()
+            assert np.abs(least - branch_products(ph)[1].min(axis=-1)).max() <= 1e-12
 
     @pytest.mark.parametrize("a", 10.0 ** -np.arange(1, 13))
     def test_deficit_of_a_pair_is_sin_of_half_its_gap(self, a):
