@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,11 +132,6 @@ def qubit_unitary(p: QubitParams) -> np.ndarray:
     return np.exp(1j * p.phi) * m
 
 
-def qubit_exact_time(p: QubitParams) -> float:
-    """Exact dimensionless product E*T for a single-qubit gate: arccos(|tr U| / 2)."""
-    return math.acos(min(1.0, abs(math.cos(p.theta) * math.cos(p.alpha))))
-
-
 def _omega_column(first_power: complex) -> np.ndarray:
     return np.array([1.0, first_power, np.conj(first_power)])
 
@@ -169,39 +163,6 @@ def _qutrit_mubs(family: MubFamily, x, y) -> np.ndarray:
     cols[..., 1] = ex[..., None] * c1
     cols[..., 2] = ey[..., None] * c2
     return cols / math.sqrt(3.0)
-
-
-class PhaseReduction(NamedTuple):
-    """Output of :func:`qutrit_phase_reduce`.
-
-    The five-parameter family member reconstructs as
-    ``exp(i * global_phase) * conjugator† @ qutrit_mub(params) @ conjugator``.
-    """
-
-    params: QutritMubParams
-    global_phase: float
-    conjugator: np.ndarray
-
-
-def qutrit_phase_reduce(phis, alpha: float, beta: float, family: MubFamily) -> PhaseReduction:
-    """Strip the three row phases from the five-parameter qutrit family.
-
-    A global phase ``phi_1`` and the diagonal conjugation by
-    ``diag(1, e^{i(phi_1-phi_2)}, e^{i(phi_1-phi_3)})`` absorb the row
-    phases, leaving the two-parameter form with ``x = phi_2 - phi_1 - alpha``
-    and ``y = phi_3 - phi_1 - beta``.
-    """
-    p1, p2, p3 = (float(v) for v in phis)
-    params = QutritMubParams(family=family, x=p2 - p1 - alpha, y=p3 - p1 - beta)
-    conjugator = np.diag([1.0, np.exp(1j * (p1 - p2)), np.exp(1j * (p1 - p3))])
-    return PhaseReduction(params=params, global_phase=p1, conjugator=conjugator)
-
-
-def mub_trace_cap(n: int) -> float:
-    """Upper limit sqrt(n) on |tr U| for any basis-to-MUB transformation."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    return math.sqrt(n)
 
 
 def prior_mub_bound(n: int) -> float:

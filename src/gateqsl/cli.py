@@ -37,7 +37,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import bounds, catalog, harness
-from .linalg import is_unitary, square_matrix, trace_deficit
+from .linalg import square_matrix, trace_deficit, unitarity_error
 from .spectrum import EnergySpectrum, compute_stats
 
 DEFAULT_SEED = 12345
@@ -209,7 +209,7 @@ def cmd_bounds(args) -> int:
         u = _build_gate(args)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         _end(EXIT_BAD_INPUT, f"error: cannot build gate: {exc}")
-    if args.file is not None and not is_unitary(u, FILE_UNITARY_TOL):
+    if args.file is not None and not unitarity_error(u) <= FILE_UNITARY_TOL:
         _end(EXIT_NOT_UNITARY,
               f"error: matrix in {args.file} is not unitary to {FILE_UNITARY_TOL:g}")
 

@@ -50,14 +50,6 @@ def unitarity_error(u) -> np.ndarray:
     return np.abs(gram).max(axis=(-2, -1))
 
 
-def is_unitary(u, tol: float) -> bool:
-    """Max-abs-entry of ``u†u - I`` is at most ``tol``."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(unitarity_error(u) <= tol)
-
-
 def _modulus(z) -> np.ndarray:
     """``|z|`` as ``hypot(re, im)``: rounds as scalar ``abs()``, which ``np.abs`` may not."""
     return np.hypot(z.real, z.imag)
@@ -109,7 +101,3 @@ def random_unitaries(n, seeds) -> np.ndarray:
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
 
-
-def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Haar-distributed n-by-n unitary, deterministic for a fixed seed."""
-    return random_unitaries(n, [seed])[0]

@@ -232,33 +232,17 @@ def _phase_products(ph: np.ndarray, runs: tuple, trace: np.ndarray):
     return least, (4.0 * half_a * (n - half_a) - b * b) / (n * n)
 
 
-def cyclic_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Largest circular distance between sorted phase lists ``(..., n)`` in
-    [0, 2 pi), least over the cyclic shifts of ``a``.
+def _list_distance(ph: np.ndarray, other: np.ndarray, layout: _Layout, first: int):
+    """For each sorted phase list in [0, 2 pi) of ``ph`` from list
+    ``first`` on, laid out as in ``layout``: its largest circular distance
+    from the matching list of ``other`` (laid back to back), least over
+    the list's cyclic shifts.
 
     Two computations of one phase multiset can differ by a cyclic shift,
-    since a phase near 0 in one may come out near 2 pi in the other.
-    Stacks of different shapes, or of empty lists, raise ValueError; a
-    stack of no lists gives an empty result shaped as the stack.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"phase stacks differ in shape: {a.shape} and {b.shape}")
-    *shape, n = a.shape
-    if n < 1:
-        raise ValueError("a phase list needs at least one phase")
-    if not math.prod(shape):
-        return np.empty(shape)
-    layout = _ragged_layout(((n, math.prod(shape)),))
-    return _list_distance(a.reshape(-1), b.reshape(-1), layout, 0).reshape(shape)
-
-
-def _list_distance(ph: np.ndarray, other: np.ndarray, layout: _Layout, first: int):
-    """:func:`cyclic_distance` of the phase lists of ``ph`` from list
-    ``first`` on, laid out as in ``layout``, against the lists laid back to
-    back in ``other``.  The shifts are the windows, read unlifted through
-    ``gather % len(ph)``; each window's largest gap and each list's least
-    are taken by ``reduceat``, over the list's own values alone."""
+    since a phase near 0 in one may come out near 2 pi in the other.  The
+    shifts are the windows, read unlifted through ``gather % len(ph)``;
+    each window's largest gap and each list's least are taken by
+    ``reduceat``, over the list's own values alone."""
     start = layout.lists[first]
     windows = layout.windows[start:] - layout.windows[start]
     shifts = ph.take(layout.gather[layout.windows[start]:] % len(ph))
@@ -305,13 +289,14 @@ def dominance_from_phases(ph: np.ndarray, modulus) -> Dominance:
     The MT product takes the trace deficit ``1 - r^2`` from the phases
     rather than from the rounded trace, so a near-identity gate's margin
     is not lost to cancellation.  Phases outside [0, 2 pi), NaN included,
-    and lists of no phases raise ValueError.
+    lists of no phases and a lone number raise ValueError.
     """
+    ph = np.asarray(ph)
+    if not ph.ndim or ph.shape[-1] < 1:
+        raise ValueError("a phase list needs at least one phase")
     # NaN and infinities fail the range test as well
     if not ((0.0 <= ph) & (ph < TWO_PI)).all():
         raise ValueError("phases must be finite and lie in [0, 2*pi)")
-    if ph.ndim and ph.shape[-1] < 1:
-        raise ValueError("a phase list needs at least one phase")
     ph = np.sort(ph, axis=-1)
     # the margin step stacks its bound forms, so one trace per phase list
     modulus = np.broadcast_to(modulus, ph.shape[:-1])

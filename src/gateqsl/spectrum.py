@@ -20,9 +20,10 @@ class EnergySpectrum:
     levels: np.ndarray
 
     def __post_init__(self):
-        arr = np.sort(np.asarray(self.levels, dtype=np.float64))
+        arr = np.asarray(self.levels, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("a spectrum needs at least one level")
+        arr = np.sort(arr)
         if not np.all(np.isfinite(arr)):
             raise ValueError("energy levels must be finite")
         arr.flags.writeable = False
@@ -80,12 +81,13 @@ def level_stats(levels) -> EnergyStats:
 
     A width beyond float64 range, or a non-finite level, gives a
     non-finite statistic, and :class:`EnergyStats` rejects it.  Rows of no
-    levels raise ValueError, as an empty :class:`EnergySpectrum` does.
+    levels, and a lone number, raise ValueError, as an empty
+    :class:`EnergySpectrum` does.
     """
     levels = np.asarray(levels)
-    *shape, n = levels.shape
-    if n < 1:
+    if not levels.ndim or levels.shape[-1] < 1:
         raise ValueError("a spectrum needs at least one level")
+    *shape, n = levels.shape
     owner = np.arange(levels.size) // n
     moments = _level_moments(levels.reshape(-1), np.arange(0, levels.size, n), n, owner)
     return EnergyStats(*moments.reshape(5, *shape))

@@ -22,7 +22,7 @@ from gateqsl.catalog import (
 from gateqsl.cli import _gate_products
 from gateqsl.cli import main as cli_main
 from gateqsl.harness import DEFAULT_QUTRIT_X, _build_gates, _spectra, figure_qubit, figure_qutrit
-from gateqsl.linalg import random_unitary
+from gateqsl.linalg import random_unitaries
 from gateqsl.minimal_time import (
     TWO_PI,
     _ragged_layout,
@@ -179,8 +179,8 @@ def test_criterion_10_invariance_suite():
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 9))
-        u = random_unitary(n, int(rng.integers(2**63)))
-        v = random_unitary(n, int(rng.integers(2**63)))
+        u = random_unitaries(n, [int(rng.integers(2**63))])[0]
+        v = random_unitaries(n, [int(rng.integers(2**63))])[0]
         phi = float(rng.uniform(0.0, TWO_PI))
         stats = compute_stats(EnergySpectrum(rng.uniform(0.0, 10.0, n)))
         # the ML and MT products as ``gateqsl bounds`` takes them

@@ -19,7 +19,7 @@ from gateqsl.bounds import (
     mt_product,
 )
 from gateqsl.catalog import prior_mub_bound
-from gateqsl.linalg import random_unitary, trace_deficit
+from gateqsl.linalg import random_unitaries, trace_deficit
 from gateqsl.minimal_time import dominance
 from gateqsl.spectrum import EnergySpectrum, compute_stats
 
@@ -203,8 +203,8 @@ def test_phase_and_basis_invariance():
     rng = np.random.default_rng(12)
     stats = stats_of([0.0, 0.5, 2.0, 3.5])
     for _ in range(25):
-        u = random_unitary(4, int(rng.integers(2**63)))
-        v = random_unitary(4, int(rng.integers(2**63)))
+        u = random_unitaries(4, [int(rng.integers(2**63))])[0]
+        v = random_unitaries(4, [int(rng.integers(2**63))])[0]
         phi = rng.uniform(0, 2 * np.pi)
         base = bounds_at(4, abs(np.trace(u)), stats)
         phased = bounds_at(4, abs(np.trace(np.exp(1j * phi) * u)), stats)

@@ -8,7 +8,6 @@ import pytest
 
 from gateqsl.catalog import (
     MubFamily,
-    PhaseReduction,
     QubitParams,
     QutritMubParams,
     _qutrit_mubs,
@@ -16,15 +15,14 @@ from gateqsl.catalog import (
     gauss_trace,
     grover,
     hadamard_power,
-    mub_trace_cap,
     permutation,
     prior_mub_bound,
-    qubit_exact_time,
     qubit_unitary,
     qutrit_mub,
-    qutrit_phase_reduce,
 )
-from gateqsl.linalg import is_unitary
+from gateqsl.cli import main
+from gateqsl.linalg import unitarity_error
+from gateqsl.minimal_time import dominance
 
 OMEGA3 = np.exp(2j * np.pi / 3.0)
 
@@ -167,23 +165,46 @@ class TestQubitUnitary:
 
     def test_unitary_tight_tolerance(self):
         p = QubitParams(phi=0.7, alpha=-1.2, beta=2.4, theta=0.9)
-        assert is_unitary(qubit_unitary(p), 1e-12)
+        assert unitarity_error(qubit_unitary(p)) <= 1e-12
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             QubitParams(phi=np.nan, alpha=0.0, beta=0.0, theta=0.0)
 
 
+def exact_time(p):
+    """The least E*T of the single-qubit gate of ``p``, as the window kernel
+    finds it: half the shorter arc between its two eigenphases."""
+    return dominance(qubit_unitary(p)).products[0]
+
+
+def arccos_half_trace(p):
+    return math.acos(min(1.0, abs(math.cos(p.theta) * math.cos(p.alpha))))
+
+
 class TestQubitExactTime:
+    """The exact time of a qubit gate is arccos(|tr U| / 2)."""
+
     def test_traceless_gate(self):
-        assert qubit_exact_time(QubitParams(0.0, 0.0, 0.0, math.pi / 2)) == math.pi / 2
+        p = QubitParams(0.0, 0.0, 0.0, math.pi / 2)
+        assert arccos_half_trace(p) == math.pi / 2
+        assert abs(exact_time(p) - math.pi / 2) <= 1e-12
 
     def test_identity_gate(self):
-        assert qubit_exact_time(QubitParams(0.0, 0.0, 0.0, 0.0)) == 0.0
+        p = QubitParams(0.0, 0.0, 0.0, 0.0)
+        assert arccos_half_trace(p) == 0.0
+        assert abs(exact_time(p)) <= 1e-12
 
     def test_mub_angle(self):
-        got = qubit_exact_time(QubitParams(0.0, 0.0, 0.0, math.pi / 4))
-        assert abs(got - math.pi / 4.0) < 1e-15
+        p = QubitParams(0.0, 0.0, 0.0, math.pi / 4)
+        assert abs(arccos_half_trace(p) - math.pi / 4.0) < 1e-15
+        assert abs(exact_time(p) - math.pi / 4.0) <= 1e-12
+
+    def test_seeded_gates(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            p = QubitParams(*rng.uniform(-2 * np.pi, 2 * np.pi, 4))
+            assert abs(exact_time(p) - arccos_half_trace(p)) <= 1e-12
 
 
 class TestQutritMub:
@@ -191,7 +212,7 @@ class TestQutritMub:
         for family in MubFamily:
             for x, y in ((0.0, 0.0), (0.7, -2.2), (3.9, 1.0)):
                 u = qutrit_mub(QutritMubParams(family, x, y))
-                assert is_unitary(u, 1e-10)
+                assert unitarity_error(u) <= 1e-10
                 assert np.max(np.abs(np.abs(u) ** 2 - 1.0 / 3.0)) < 1e-12
 
     def test_trace_at_origin(self):
@@ -242,20 +263,34 @@ def full_qutrit_matrix(phis, alpha, beta, family):
     return np.array(rows) / np.sqrt(3.0)
 
 
+def reduced_qutrit_matrix(phis, alpha, beta, family):
+    """The five-parameter member rebuilt from the two-parameter family: a
+    global phase phi_1 and the diagonal conjugation by
+    diag(1, e^{i(phi_1 - phi_2)}, e^{i(phi_1 - phi_3)}) absorb the row
+    phases, leaving x = phi_2 - phi_1 - alpha and y = phi_3 - phi_1 - beta."""
+    p1, p2, p3 = phis
+    d = np.diag([1.0, np.exp(1j * (p1 - p2)), np.exp(1j * (p1 - p3))])
+    u = qutrit_mub(QutritMubParams(family, p2 - p1 - alpha, p3 - p1 - beta))
+    return np.exp(1j * p1) * d.conj().T @ u @ d
+
+
 class TestQutritPhaseReduce:
     def test_zero_phases(self):
-        red = qutrit_phase_reduce((0.0, 0.0, 0.0), 0.4, -1.0, MubFamily.ONE)
-        assert isinstance(red, PhaseReduction)
-        assert red.global_phase == 0.0
-        assert np.max(np.abs(red.conjugator - np.eye(3))) < 1e-15
-        assert red.params.x == -0.4
-        assert red.params.y == 1.0
+        # no row phases: the member is the two-parameter gate at (-alpha, -beta)
+        want = qutrit_mub(QutritMubParams(MubFamily.ONE, -0.4, 1.0))
+        got = full_qutrit_matrix((0.0, 0.0, 0.0), 0.4, -1.0, MubFamily.ONE)
+        assert np.max(np.abs(got - want)) < 1e-15
+        assert np.max(np.abs(reduced_qutrit_matrix((0.0, 0.0, 0.0), 0.4, -1.0,
+                                                   MubFamily.ONE) - want)) < 1e-15
 
     def test_uniform_phases(self):
+        # equal row phases are a global phase alone
         c = 0.9
-        red = qutrit_phase_reduce((c, c, c), 0.0, 0.0, MubFamily.TWO)
-        assert red.global_phase == c
-        assert np.max(np.abs(red.conjugator - np.eye(3))) < 1e-15
+        want = np.exp(1j * c) * qutrit_mub(QutritMubParams(MubFamily.TWO, 0.0, 0.0))
+        got = full_qutrit_matrix((c, c, c), 0.0, 0.0, MubFamily.TWO)
+        assert np.max(np.abs(got - want)) < 1e-15
+        assert np.max(np.abs(reduced_qutrit_matrix((c, c, c), 0.0, 0.0, MubFamily.TWO)
+                             - want)) < 1e-15
 
     @pytest.mark.parametrize("family", list(MubFamily))
     def test_reconstruction(self, family):
@@ -263,32 +298,35 @@ class TestQutritPhaseReduce:
         for _ in range(25):
             phis = rng.uniform(-np.pi, np.pi, 3)
             alpha, beta = rng.uniform(-np.pi, np.pi, 2)
-            red = qutrit_phase_reduce(phis, alpha, beta, family)
-            rebuilt = (
-                np.exp(1j * red.global_phase)
-                * red.conjugator.conj().T
-                @ qutrit_mub(red.params)
-                @ red.conjugator
-            )
+            rebuilt = reduced_qutrit_matrix(phis, alpha, beta, family)
             want = full_qutrit_matrix(phis, alpha, beta, family)
             assert np.max(np.abs(rebuilt - want)) < 1e-12
 
 
 class TestMubTraceCap:
-    def test_value(self):
-        assert mub_trace_cap(4) == 2.0
+    """|tr U| <= sqrt(n) for any gate that maps the computational basis to
+    a mutually unbiased one, as ``gateqsl catalog`` prints."""
+
+    def test_value(self, capsys):
+        assert main(["catalog"]) == 0
+        cap = "MUB trace cap: |tr U| <= sqrt(N) for any basis-to-MUB gate\n"
+        assert capsys.readouterr().out.endswith(cap)
+        # the qutrit families reach the cap where e^{ix} = e^{iy} = w
+        for family in MubFamily:
+            for x, y in itertools.product(np.linspace(-np.pi, np.pi, 25), repeat=2):
+                u = qutrit_mub(QutritMubParams(family, x, y))
+                assert abs(np.trace(u)) <= math.sqrt(3.0) + 1e-12
+        top = 2.0 * np.pi / 3.0
+        u = qutrit_mub(QutritMubParams(MubFamily.ONE, top, top))
+        assert abs(abs(np.trace(u)) - math.sqrt(3.0)) < 1e-12
 
     def test_fourier_respects_cap(self):
         for n in range(2, 65):
-            assert abs(np.trace(fourier(n))) <= mub_trace_cap(n) + 1e-9
+            assert abs(np.trace(fourier(n))) <= math.sqrt(n) + 1e-9
 
     def test_hadamard_respects_cap(self):
         for q in (1, 2, 3):
-            assert abs(np.trace(hadamard_power(q))) <= mub_trace_cap(2**q)
-
-    def test_rejects_small_dimension(self):
-        with pytest.raises(ValueError):
-            mub_trace_cap(1)
+            assert abs(np.trace(hadamard_power(q))) <= math.sqrt(2**q)
 
 
 class TestPriorMubBound:
@@ -324,4 +362,4 @@ def test_all_catalog_outputs_unitary():
         qutrit_mub(QutritMubParams(MubFamily.TWO, 0.3, 5.5)),
     ]
     for u in gates:
-        assert is_unitary(u, 1e-9)
+        assert unitarity_error(u) <= 1e-9

@@ -1,5 +1,7 @@
-"""Every module of the package reads each name it imports, and none
-calls ``print``: the CLI writes its output through one checked writer.
+"""Every module of the package reads each name it imports, none calls
+``print`` (the CLI writes its output through one checked writer), and
+every public function or class is read by the package itself, save a
+listed few.
 
 No linter ships with the toolchain, so this parses each module with the
 standard library's ``ast``.  ``__init__.py`` is checked too, so a
@@ -27,6 +29,36 @@ def unread_imports(source: str) -> list[str]:
     # an attribute chain such as np.linalg.eigvals starts with a read of np
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - read)
+
+
+def unread_public(sources: dict) -> list[str]:
+    """Public top-level functions and classes of the modules ``sources``
+    (file name to source) that no top-level statement of any of them reads,
+    their own definitions aside.  A read is a name, or an attribute such
+    as ``catalog.fourier``."""
+    defined, reads = {}, {}
+    for name, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            reads[name, i] = {node.id if isinstance(node, ast.Name) else node.attr
+                              for node in ast.walk(stmt)
+                              if isinstance(node, (ast.Name, ast.Attribute))}
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                defined[stmt.name] = name, i
+    return sorted(public for public, at in defined.items()
+                  if not any(public in read for where, read in reads.items() if where != at))
+
+
+# Public names that no module of the package reads, and why each stays.
+UNREAD_PUBLIC = {
+    "dominance": "the verdict of a stack of unitaries, for callers of the package",
+    "dominance_from_phases": "the verdict of phase lists, for callers that hold no gate",
+    "eigenphases": "the sorted eigenphases the exact time is taken from",
+    "gauss_trace": "closed-form |tr F_n|, acceptance criterion 4's reference",
+    "prior_mub_bound": "the earlier MUB bound that acceptance criterion 7 compares with",
+    "sample_spectrum_gate": "the replay of one campaign draw as its built gate",
+    "verify_dominance": "one gate's verification record, the single-gate check",
+}
 
 
 def print_calls(source: str) -> list[int]:
@@ -58,3 +90,16 @@ def test_no_print_call(path):
 def test_print_call_is_caught():
     source = "import sys\nsys.stdout.write('a')\nif True:\n    print('b', file=sys.stderr)\n"
     assert print_calls(source) == [4]
+
+
+def test_every_public_name_is_read():
+    # a listed name that is gone, or that the package now reads, fails too
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_public(sources) == sorted(UNREAD_PUBLIC)
+
+
+def test_unread_public_name_is_caught():
+    sources = {"a.py": "def used():\n    pass\n\ndef unused():\n    return unused\n\n"
+                       "class _Private:\n    pass\n\nclass Shape:\n    pass\n",
+               "b.py": "from . import a\nfrom .a import used\nused()\na.Shape\n"}
+    assert unread_public(sources) == ["unused"]

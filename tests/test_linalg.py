@@ -7,11 +7,10 @@ from gateqsl import catalog
 from gateqsl.harness import _gates
 from gateqsl.linalg import (
     _modulus,
-    is_unitary,
     random_unitaries,
-    random_unitary,
     square_matrix,
     trace_deficit,
+    unitarity_error,
 )
 from gateqsl.minimal_time import EIGENPHASE_UNITARY_TOL, dominance, eigenphases
 
@@ -20,7 +19,7 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 def random_hamiltonian(n, rng):
     """Levels and a Haar eigenbasis of a random Hamiltonian."""
-    return rng.standard_normal(n), random_unitary(n, int(rng.integers(2**63)))
+    return rng.standard_normal(n), random_unitaries(n, [int(rng.integers(2**63))])[0]
 
 
 def expm(levels, basis, t):
@@ -48,8 +47,8 @@ class TestConstruction:
             square_matrix([[1j * np.inf, 0], [0, 1]])
 
     def test_predicates(self):
-        assert is_unitary(HADAMARD, 1e-10)
-        assert not is_unitary(2 * HADAMARD, 1e-10)
+        assert unitarity_error(HADAMARD) <= 1e-10
+        assert not unitarity_error(2 * HADAMARD) <= 1e-10
 
 
 class TestExpm:
@@ -70,7 +69,7 @@ class TestExpm:
 
     def test_output_unitary(self):
         levels, basis = random_hamiltonian(6, np.random.default_rng(3))
-        assert is_unitary(expm(levels, basis, 1.3), 1e-9)
+        assert unitarity_error(expm(levels, basis, 1.3)) <= 1e-9
 
     def test_phase_recovery_mod_2pi(self):
         # eigenphases(exp(-i H t)) must reproduce {e^{-i E_k t}} as a multiset
@@ -91,20 +90,20 @@ class TestExpm:
 
 class TestRandomUnitary:
     def test_scalar_case(self):
-        u = random_unitary(1, seed=0)
+        u = random_unitaries(1, [0])[0]
         assert u.shape == (1, 1)
         assert abs(abs(u[0, 0]) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("n", [2, 3, 8, 20])
     def test_unitarity(self, n):
-        assert is_unitary(random_unitary(n, seed=n), 1e-10)
+        assert unitarity_error(random_unitaries(n, [n])[0]) <= 1e-10
 
     def test_deterministic(self):
-        assert np.array_equal(random_unitary(6, seed=9), random_unitary(6, seed=9))
+        assert np.array_equal(random_unitaries(6, [9])[0], random_unitaries(6, [9])[0])
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
-            random_unitary(0, seed=1)
+            random_unitaries(0, [1])
 
     @pytest.mark.parametrize("dims", [[2, 5, 1, 8, 3, 8], [17, 128, 64, 127]])
     def test_one_dimension_per_seed_pads_each_unitary(self, dims):
@@ -133,7 +132,7 @@ class TestRandomUnitary:
         acc = 0.0
         samples = 2000
         for _ in range(samples):
-            acc += abs(np.trace(random_unitary(n, int(rng.integers(2**63))))) ** 2
+            acc += abs(np.trace(random_unitaries(n, [int(rng.integers(2**63))])[0])) ** 2
         assert abs(acc / samples - 1.0) < 0.1
 
 
@@ -151,7 +150,7 @@ class TestTraceAbs:
 
     def test_bounded_by_dimension(self):
         for seed in range(5):
-            u = random_unitary(6, seed)
+            u = random_unitaries(6, [seed])[0]
             assert trace_deficit(u)[0] <= 6.0 + 1e-12
 
 

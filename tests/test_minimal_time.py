@@ -21,7 +21,7 @@ from gateqsl.catalog import (
     qubit_unitary,
     qutrit_mub,
 )
-from gateqsl.linalg import _modulus, random_unitaries, random_unitary, trace_deficit
+from gateqsl.linalg import _modulus, random_unitaries, trace_deficit
 from gateqsl.minimal_time import (
     DOMINANCE_TOL,
     TWO_PI,
@@ -31,7 +31,6 @@ from gateqsl.minimal_time import (
     _ragged_layout,
     _stack_products,
     _window_products,
-    cyclic_distance,
     dominance,
     dominance_from_phases,
     eigenphases,
@@ -94,6 +93,19 @@ class TestDominanceFromPhases:
         with pytest.raises(ValueError, match="^a phase list needs at least one phase$"):
             dominance_from_phases(np.zeros(shape), 0.0)
 
+    @pytest.mark.parametrize("ph", [np.float64(1.0), np.array(1.0), 1.0],
+                             ids=["float64", "0-d", "float"])
+    def test_rejects_a_lone_number(self, ph):
+        with pytest.raises(ValueError, match="^a phase list needs at least one phase$"):
+            dominance_from_phases(ph, 1.0)
+
+    @pytest.mark.parametrize("ph", [[0.1, 0.2], [[3.0, 0.5, 1.0], [6.0, 0.0, 2.5]]])
+    def test_list_is_the_array(self, ph):
+        want = dominance_from_phases(np.array(ph), 1.0)
+        got = dominance_from_phases(ph, 1.0)
+        assert np.asarray(got.margins).tobytes() == np.asarray(want.margins).tobytes()
+        assert np.asarray(got.products).tobytes() == np.asarray(want.products).tobytes()
+
     def test_stack_of_no_lists_is_empty(self):
         d = dominance_from_phases(np.zeros((0, 3)), np.zeros(0))
         assert d.margins.shape == (5, 0) and d.products.shape == (4, 0)
@@ -121,25 +133,9 @@ class TestDominanceFromPhases:
 
 class TestCyclicDistance:
     def test_shifted_multiset_is_at_distance_zero(self):
-        assert cyclic_distance(np.array([0.1, 0.2, 6.2]), np.array([6.2, 0.1, 0.2])) == 0.0
-
-    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 0)])
-    def test_rejects_lists_of_no_phases(self, shape):
-        with pytest.raises(ValueError, match="^a phase list needs at least one phase$"):
-            cyclic_distance(np.zeros(shape), np.zeros(shape))
-
-    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
-    def test_stack_of_no_lists_is_shaped_as_the_stack(self, shape):
-        assert cyclic_distance(np.zeros(shape), np.zeros(shape)).shape == shape[:-1]
-
-    @pytest.mark.parametrize("a_shape, b_shape", [((3,), (5,)), ((5,), (3,)),
-                                                  ((2, 3), (3, 3)), ((3, 3), (2, 3)),
-                                                  ((3,), (1, 3))])
-    def test_rejects_shape_mismatch(self, a_shape, b_shape):
-        a = np.full(a_shape, 0.1)
-        b = np.full(b_shape, 0.1)
-        with pytest.raises(ValueError, match="differ in shape"):
-            cyclic_distance(a, b)
+        # the top phase of one computation comes out as the bottom of the other
+        a, b = np.array([0.1, 0.2, 6.2]), np.array([6.2, 0.1, 0.2])
+        assert _list_distance(a, b, _ragged_layout(((3, 1),)), 0) == 0.0
 
 
 class TestEigenphases:
@@ -168,7 +164,7 @@ class TestEigenphases:
             eigenphases(np.ones((2, 2)))
 
     def test_matches_eigenvalue_multiset(self):
-        u = random_unitary(6, seed=3)
+        u = random_unitaries(6, [3])[0]
         ph = eigenphases(u)
         got = np.sort(np.angle(np.exp(-1j * ph)))
         want = np.sort(np.angle(np.linalg.eigvals(u)))
@@ -435,7 +431,6 @@ class TestRaggedKernel:
                                  len(before))
             assert got.shape == (len(a),)
             for i, (ph, other) in enumerate(zip(a, b)):
-                assert got[i].tobytes() == cyclic_distance(ph, other).tobytes()
                 # every cyclic shift of ph against other, one at a time
                 gaps = np.abs([np.roll(ph, -j) - other for j in range(len(ph))])
                 assert got[i] == np.minimum(gaps, TWO_PI - gaps).max(axis=-1).min()
@@ -490,7 +485,7 @@ class TestVerifyDominance:
         real = np.stack([hadamard_power(2), permutation([1, 0, 3, 2]), permutation([0, 1, 2, 3]),
                          grover(4, 1)])
         mixed = np.stack([fourier(4), hadamard_power(2), permutation([1, 0, 3, 2]),
-                          permutation([0, 1, 2, 3]), random_unitary(4, 8)])
+                          permutation([0, 1, 2, 3]), random_unitaries(4, [8])[0]])
         assert real.dtype == np.float64
         for gates in (mixed, real):
             d = dominance(gates)
@@ -593,7 +588,7 @@ def test_stacked_trace_rounds_as_trace_abs():
          basis_seed=4495955697287347687)
 def test_near_identity_qubit_dominance(e0, gap, t, basis_seed):
     levels = np.array([e0, e0 + gap])
-    basis = random_unitary(2, basis_seed)
+    basis = random_unitaries(2, [basis_seed])[0]
     u = (basis * np.exp(-1j * levels * t)) @ basis.conj().T
     d = dominance(u)
     assert d.margins.min() >= -DOMINANCE_TOL
@@ -639,7 +634,7 @@ class TestRoundTrip:
             n = int(rng.integers(2, 8))
             t = float(rng.uniform(0.4, 2.0))
             levels = np.sort(rng.uniform(0.0, 0.95 * TWO_PI / t, n))
-            basis = random_unitary(n, int(rng.integers(2**63)))
+            basis = random_unitaries(n, [int(rng.integers(2**63))])[0]
             u = (basis * np.exp(-1j * levels * t)) @ basis.conj().T
             stats = compute_stats(EnergySpectrum(levels))
             hits = [
@@ -654,7 +649,7 @@ class TestRoundTrip:
     def test_global_phase_invariant_minima(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            u = random_unitary(5, int(rng.integers(2**63)))
+            u = random_unitaries(5, [int(rng.integers(2**63))])[0]
             phi = rng.uniform(0, TWO_PI)
             _, a_var, a_width = exact_minima(eigenphases(u))
             _, b_var, b_width = exact_minima(eigenphases(np.exp(1j * phi) * u))

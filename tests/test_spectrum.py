@@ -72,6 +72,22 @@ def test_level_stats_rejects_rows_of_no_levels(shape):
         level_stats(np.zeros(shape))
 
 
+LONE_NUMBERS = pytest.mark.parametrize("levels", [np.float64(1.0), np.array(1.0), 1.0, 3],
+                                       ids=["float64", "0-d", "float", "int"])
+
+
+@LONE_NUMBERS
+def test_level_stats_rejects_a_lone_number(levels):
+    with pytest.raises(ValueError, match=r"^a spectrum needs at least one level$"):
+        level_stats(levels)
+
+
+@LONE_NUMBERS
+def test_spectrum_rejects_a_lone_number(levels):
+    with pytest.raises(ValueError, match=r"^a spectrum needs at least one level$"):
+        EnergySpectrum(levels)
+
+
 def test_shift_examples():
     s = EnergySpectrum([0.0, 1.0])
     shifted = EnergySpectrum(s.levels + 5.0)
