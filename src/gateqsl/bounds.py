@@ -20,7 +20,6 @@ stack of campaign draws alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +28,10 @@ from .spectrum import EnergyStats
 ML_TRACE_FACTOR = math.sqrt(1.0 + 4.0 / math.pi**2)
 
 
-# The five bounds, in the order of BoundSet's fields, the margin rows of
-# minimal_time.Dominance, the margin fields of VerificationRecord and the
-# rows the ``bounds`` command prints.
+# The five bounds, in the order of the rows of bound_forms and
+# bounds_from_products, the margin rows of minimal_time.Dominance, the
+# margin fields of VerificationRecord and the rows the ``bounds`` command
+# prints.
 BOUND_NAMES = ("ml", "mt", "dual_ml", "width_ml", "width_mt")
 
 # The statistic behind each bound, in BOUND_NAMES order, as an index into
@@ -62,28 +62,6 @@ def _clamped_trace(n, modulus):
     return clamped[()]
 
 
-@dataclass(frozen=True)
-class BoundSet:
-    """All five bound values for one gate/spectrum pair, plus their max.
-
-    Fields are floats, or arrays over a stack of pairs.
-    """
-
-    ml: float
-    mt: float
-    dual_ml: float
-    width_ml: float
-    width_mt: float
-
-    def __post_init__(self):
-        if np.less([getattr(self, name) for name in BOUND_NAMES], 0.0).any():
-            raise ValueError("bounds cannot be negative")
-
-    @property
-    def combined(self) -> float:
-        return np.maximum(self.ml, self.mt)
-
-
 def ml_product(ratio: float) -> float:
     """Dimensionless ML bound: lower limit on E*T (equally on (E_max - mean)*T).
 
@@ -92,23 +70,18 @@ def ml_product(ratio: float) -> float:
     return np.maximum(0.0, 0.5 * math.pi * (1.0 - ratio * ML_TRACE_FACTOR))
 
 
-def mt_product(ratio: float) -> float:
-    """Dimensionless MT bound: lower limit on dE*T, where r itself is the
-    input (the qubit figures); ``1 - r^2`` cancels near ``r = 1``."""
-    return mt_from_deficit(1.0 - ratio * ratio)
-
-
 def mt_from_deficit(deficit: float) -> float:
     """MT product ``sqrt(1 - r^2)`` from the trace deficit ``1 - r^2``, taken
     from a gate's entries (:func:`gateqsl.linalg.trace_deficit`) or phases,
-    never by cancellation from a rounded trace near ``r = 1``."""
+    never by cancellation from a rounded trace near ``r = 1``; only the
+    qubit figures, whose r is itself the input, pass ``1 - r^2``."""
     return np.sqrt(np.maximum(0.0, deficit))
 
 
-def bound_forms(ml, mt) -> list:
-    """The five dimensionless bound forms, in ``BOUND_NAMES`` order, from
-    the ML and MT products: each bound times its statistic."""
-    return [ml, mt, ml, 2.0 * ml, 2.0 * mt]
+def bound_forms(ml, mt) -> np.ndarray:
+    """The five dimensionless bound forms ``(5, ...)``, in ``BOUND_NAMES``
+    order, from the ML and MT products: each bound times its statistic."""
+    return np.array([ml, mt, ml, 2.0 * ml, 2.0 * mt], dtype=np.float64)
 
 
 def _scaled(raw, denom):
@@ -135,12 +108,13 @@ def _scaled(raw, denom):
     return out
 
 
-def bounds_from_products(ml, mt, stats: EnergyStats | None = None) -> BoundSet:
-    """The five time bounds from the dimensionless ML and MT products,
-    by one divide over the stacked numerators and denominators; with no
-    ``stats``, the dimensionless forms themselves, every statistic 1."""
+def bounds_from_products(ml, mt, stats: EnergyStats | None = None) -> np.ndarray:
+    """The five time bounds ``(5, ...)``, in ``BOUND_NAMES`` order, from the
+    dimensionless ML and MT products, by one divide over the stacked
+    numerators and denominators; with no ``stats``, the dimensionless
+    forms themselves, every statistic 1.  Every bound is nonnegative."""
     forms = bound_forms(ml, mt)
     if stats is None:
-        return BoundSet(*forms)
+        return forms
     gaps = (stats.e_above_ground, stats.variance_sqrt, stats.width, stats.e_below_top)
-    return BoundSet(*_scaled(forms, [gaps[i] for i in STATISTIC_INDEX]))
+    return _scaled(forms, [gaps[i] for i in STATISTIC_INDEX])

@@ -58,8 +58,12 @@ EXIT_NOT_UNITARY = 3
 EXIT_CROSS_CHECK = 4
 
 
+# One printed number: 12 significant digits.
+_NUMBER = "{:.12g}"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return _NUMBER.format(x)
 
 
 def _end(code: int, message: str) -> NoReturn:
@@ -228,7 +232,7 @@ def cmd_bounds(args) -> int:
         bs = bounds.bounds_from_products(ml, mt, stats)
     except ValueError as exc:
         _end(EXIT_BAD_INPUT, f"error: {exc}")
-    values = [getattr(bs, name) for name in bounds.BOUND_NAMES] + [bs.combined]
+    values = [*bs, bs[:2].max()]
     units = _PRODUCT_UNITS if spectrum is None else _TIME_UNITS
     lines = [f"n          {n}\n", f"|tr U|     {_fmt(tr)}\n", f"r=|trU|/n  {_fmt(tr / n)}\n"]
     lines += [f"{name:<11}{_fmt(value)}  {unit}\n"
@@ -263,8 +267,8 @@ def cmd_verify(args) -> int:
 _FIGURES = {
     "qubit": harness.figure_qubit,
     "qubit-mub": harness.figure_qubit_mub,
-    "qutrit-u1": lambda points: harness.figure_qutrit(catalog.MubFamily.ONE, y_points=points),
-    "qutrit-u2": lambda points: harness.figure_qutrit(catalog.MubFamily.TWO, y_points=points),
+    "qutrit-u1": functools.partial(harness.figure_qutrit, catalog.MubFamily.ONE),
+    "qutrit-u2": functools.partial(harness.figure_qutrit, catalog.MubFamily.TWO),
 }
 
 
@@ -277,9 +281,10 @@ def cmd_figure(args) -> int:
         points = _FIGURES[args.name](args.resolution + 1)
     except harness._FigureCheckError as exc:
         _end(EXIT_FAILED_CHECK, f"FAILED: {exc}")
-    # CSV rows with CRLF endings, as the csv module writes them
-    rows = [f"{_fmt(p.abscissa)},{_fmt(p.exact)},{_fmt(p.ml)},"
-            f"{'' if p.mt is None else _fmt(p.mt)}\r\n" for p in points]
+    # CSV rows with CRLF endings, as the csv module writes them; a figure
+    # with no mt column leaves that cell empty
+    row = ",".join([_NUMBER] * points.shape[1] + [""] * (4 - points.shape[1])) + "\r\n"
+    rows = [row.format(*p) for p in points.tolist()]
     _write(args.out, "figure data", ["abscissa,exact,ml,mt\r\n"] + rows)
     return EXIT_OK
 

@@ -15,7 +15,8 @@ A pass is one layout and one stack: it closes before its window gather
 or its padded stack would pass ``CHUNK_ENTRIES`` entries.
 Figure helpers emit the curve data behind the qubit exact-time plot,
 the qubit MUB-time plot and the two qutrit MUB family plots, each as
-one stack (a qutrit figure as one per block of rows): the qutrit gates
+one float64 array of rows, its columns in CSV order, computed as one
+stack (a qutrit figure as one per block of rows): the qutrit gates
 are judged as by :func:`gateqsl.minimal_time.dominance`, and one array
 check raises at the first point whose exact column is below its bound.
 """
@@ -44,7 +45,8 @@ from .minimal_time import (
 )
 from .spectrum import EnergySpectrum, EnergyStats, _level_moments
 
-DEFAULT_QUTRIT_X = (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi)
+# The x value of each block of rows of a qutrit figure.
+QUTRIT_X = (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi)
 
 SPECTRUM_HIGH = 10.0
 TIME_HIGH = 2.0
@@ -104,16 +106,6 @@ class VerificationReport:
         """Deterministic payload: the report holds no wall-clock time, so
         identical runs serialize identically."""
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One figure row; ``mt`` is None where that column does not apply."""
-
-    abscissa: float
-    exact: float
-    ml: float
-    mt: float | None
 
 
 def _spectra(n: int, seed: int, indices: range):
@@ -285,8 +277,7 @@ def _judge(seed: int, pieces) -> tuple[np.ndarray, int]:
                 f"{CROSS_CHECK_MARGIN_TOL:g})"
             )
     bs = bounds.bounds_from_products(d.ml[:draws], d.mt[:draws], EnergyStats(*moments))
-    worst_bound = np.maximum.reduce([getattr(bs, name) for name in bounds.BOUND_NAMES])
-    return np.minimum(t - worst_bound, d.margins[:, :draws].min(axis=0)), len(checked)
+    return np.minimum(t - bs.max(axis=0), d.margins[:, :draws].min(axis=0)), len(checked)
 
 
 def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationReport:
@@ -324,8 +315,9 @@ def run_random_campaign(dims, samples_per_dim: int, seed: int) -> VerificationRe
     )
 
 
-def _curve(abscissa, exact, ml, mt=None) -> list[CurvePoint]:
-    """Figure rows from their columns, after one check over all of them:
+def _curve(abscissa, exact, ml, mt=None) -> np.ndarray:
+    """Figure rows ``(points, 4)`` of the columns abscissa, exact, ml and
+    mt, or ``(points, 3)`` with no mt, after one check over all of them:
     the exact column may not fall more than ``DOMINANCE_TOL`` below the
     bound, ml or max(ml, mt).  The first abscissa where it does raises."""
     limit = ml if mt is None else np.maximum(ml, mt)
@@ -334,8 +326,7 @@ def _curve(abscissa, exact, ml, mt=None) -> list[CurvePoint]:
         i = int(np.argmax(bad))
         raise _FigureCheckError(f"dominance violated at abscissa {abscissa[i]}: "
                                 f"exact {exact[i]} < bound {limit[i]}")
-    mt = [None] * len(ml) if mt is None else mt.tolist()
-    return [CurvePoint(*row) for row in zip(abscissa.tolist(), exact.tolist(), ml.tolist(), mt)]
+    return np.column_stack((abscissa, exact, ml) + (() if mt is None else (mt,)))
 
 
 def _grid(stop: float, points: int) -> np.ndarray:
@@ -345,7 +336,7 @@ def _grid(stop: float, points: int) -> np.ndarray:
     return np.linspace(0.0, stop, points)
 
 
-def _qubit_curve(grid, trace) -> list[CurvePoint]:
+def _qubit_curve(grid, trace) -> np.ndarray:
     """Exact qubit E*T, arccos(|tr U|/2), vs the two bounds at each abscissa
     of ``grid``, where ``trace`` maps the abscissae to |tr U|.
 
@@ -354,15 +345,16 @@ def _qubit_curve(grid, trace) -> list[CurvePoint]:
     """
     ratio = trace(grid) / 2.0
     exact = np.array([math.acos(min(1.0, r)) for r in ratio.tolist()])
-    return _curve(grid, exact, bounds.ml_product(ratio), bounds.mt_product(ratio))
+    return _curve(grid, exact, bounds.ml_product(ratio),
+                  bounds.mt_from_deficit(1.0 - ratio * ratio))
 
 
-def figure_qubit(points: int) -> list[CurvePoint]:
+def figure_qubit(points: int) -> np.ndarray:
     """Exact qubit time arccos(|tr U|/2) vs the two bounds, over |tr U| in [0, 2]."""
     return _qubit_curve(_grid(2.0, points), lambda tr: tr)
 
 
-def figure_qubit_mub(points: int) -> list[CurvePoint]:
+def figure_qubit_mub(points: int) -> np.ndarray:
     """E*T for reaching a qubit MUB partner basis, as a function of alpha in [0, pi].
 
     The trace modulus is sqrt(2)|cos alpha|; the minimum time pi/4 sits
@@ -372,18 +364,17 @@ def figure_qubit_mub(points: int) -> list[CurvePoint]:
                         lambda alpha: math.sqrt(2.0) * np.abs(np.cos(alpha)))
 
 
-def figure_qutrit(family: MubFamily, x_values=DEFAULT_QUTRIT_X,
-                  y_points: int = 100) -> list[CurvePoint]:
+def figure_qutrit(family: MubFamily, points: int) -> np.ndarray:
     """Minimum-rotation E*T vs the dimensionless ML bound for a qutrit family.
 
-    One block of rows per x value, each sweeping y over [0, 2 pi]; the
-    abscissa column is y.  The exact column takes the smallest E*T over
-    all canonical rotations, matching the most favorable energy ordering.
+    One block of ``points`` rows per x value of ``QUTRIT_X``, each
+    sweeping y over [0, 2 pi]; the abscissa column is y.  The exact
+    column takes the smallest E*T over all canonical rotations, matching
+    the most favorable energy ordering.
     Each block's gates are built as one stack and judged as ``dominance``
     judges them, so no layout spans more than one block.
     """
-    grid = _grid(2.0 * math.pi, y_points)
-    blocks = [_dominance(_qutrit_mubs(family, x, grid))
-              for x in np.asarray(x_values, dtype=np.float64)]
+    grid = _grid(2.0 * math.pi, points)
+    blocks = [_dominance(_qutrit_mubs(family, x, grid)) for x in QUTRIT_X]
     return _curve(np.tile(grid, len(blocks)), np.ravel([d.products[0] for d in blocks]),
                   np.ravel([d.ml for d in blocks]))

@@ -276,7 +276,7 @@ def _margins(n, modulus, products, deficit) -> Dominance:
     ml = ml_product(ratio)
     mt = mt_from_deficit(deficit)
     # each least product less its bound form, in BOUND_NAMES order
-    margins = products.take(STATISTIC_INDEX, axis=0) - np.array(bound_forms(ml, mt))
+    margins = products.take(STATISTIC_INDEX, axis=0) - bound_forms(ml, mt)
     return Dominance(ratio, ml, mt, products, margins)
 
 
@@ -289,11 +289,15 @@ def dominance_from_phases(ph: np.ndarray, modulus) -> Dominance:
     The MT product takes the trace deficit ``1 - r^2`` from the phases
     rather than from the rounded trace, so a near-identity gate's margin
     is not lost to cancellation.  Phases outside [0, 2 pi), NaN included,
-    lists of no phases and a lone number raise ValueError.
+    lists of no phases, a lone number and complex phases or moduli raise
+    ValueError.
     """
     ph = np.asarray(ph)
     if not ph.ndim or ph.shape[-1] < 1:
         raise ValueError("a phase list needs at least one phase")
+    # numpy orders complex values, so complex phases would pass the range test
+    if np.iscomplexobj(ph) or np.iscomplexobj(modulus):
+        raise ValueError("phases and |tr U| must be real")
     # NaN and infinities fail the range test as well
     if not ((0.0 <= ph) & (ph < TWO_PI)).all():
         raise ValueError("phases must be finite and lie in [0, 2*pi)")

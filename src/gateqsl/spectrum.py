@@ -15,15 +15,18 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class EnergySpectrum:
-    """Sorted real energy levels E_0 <= ... <= E_{n-1}; repeats allowed."""
+    """Sorted real energy levels E_0 <= ... <= E_{n-1}; repeats allowed.
+    Complex levels raise ValueError, even where their imaginary parts vanish."""
 
     levels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.levels, dtype=np.float64)
+        arr = np.asarray(self.levels)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("a spectrum needs at least one level")
-        arr = np.sort(arr)
+        if np.iscomplexobj(arr):
+            raise ValueError("energy levels must be real")
+        arr = np.sort(arr.astype(np.float64, copy=False))
         if not np.all(np.isfinite(arr)):
             raise ValueError("energy levels must be finite")
         arr.flags.writeable = False
@@ -81,12 +84,14 @@ def level_stats(levels) -> EnergyStats:
 
     A width beyond float64 range, or a non-finite level, gives a
     non-finite statistic, and :class:`EnergyStats` rejects it.  Rows of no
-    levels, and a lone number, raise ValueError, as an empty
-    :class:`EnergySpectrum` does.
+    levels, a lone number and complex levels raise ValueError, as they do
+    in :class:`EnergySpectrum`.
     """
     levels = np.asarray(levels)
     if not levels.ndim or levels.shape[-1] < 1:
         raise ValueError("a spectrum needs at least one level")
+    if np.iscomplexobj(levels):
+        raise ValueError("energy levels must be real")
     *shape, n = levels.shape
     owner = np.arange(levels.size) // n
     moments = _level_moments(levels.reshape(-1), np.arange(0, levels.size, n), n, owner)

@@ -21,7 +21,7 @@ from gateqsl.catalog import (
 )
 from gateqsl.cli import _gate_products
 from gateqsl.cli import main as cli_main
-from gateqsl.harness import DEFAULT_QUTRIT_X, _build_gates, _spectra, figure_qubit, figure_qutrit
+from gateqsl.harness import _build_gates, _spectra, figure_qubit, figure_qutrit
 from gateqsl.linalg import random_unitaries
 from gateqsl.minimal_time import (
     TWO_PI,
@@ -61,7 +61,8 @@ def campaign_samples():
 
 def test_criterion_1_combined_bound_dominance(campaign_samples):
     margins = np.concatenate([
-        np.minimum.reduce([t - bs.ml, t - bs.mt, t - bs.dual_ml])
+        # rows ml, mt and dual_ml
+        np.minimum.reduce([t - bs[0], t - bs[1], t - bs[2]])
         for t, bs in campaign_samples
     ])
     worst = float(margins.min())
@@ -75,9 +76,9 @@ def test_criterion_1_combined_bound_dominance(campaign_samples):
 
 
 def test_criterion_2_width_bound_dominance(campaign_samples):
-    margins = np.concatenate([np.minimum(t - bs.width_ml, t - bs.width_mt)
-                              for t, bs in campaign_samples])
-    consistency = min(float((bs.mt - bs.width_mt).min()) for _, bs in campaign_samples)
+    # rows width_ml and width_mt, and mt
+    margins = np.concatenate([np.minimum(t - bs[3], t - bs[4]) for t, bs in campaign_samples])
+    consistency = min(float((bs[1] - bs[4]).min()) for _, bs in campaign_samples)
     worst = float(margins.min())
     failures = int(np.count_nonzero(margins < -1e-9))
     ok = failures == 0 and worst >= -1e-9 and consistency >= -1e-12
@@ -90,14 +91,15 @@ def test_criterion_2_width_bound_dominance(campaign_samples):
 
 
 def test_criterion_3_qubit_exactness():
+    # columns abscissa, exact, ml, mt
     points = figure_qubit(200)
-    worst = min(p.exact - max(p.ml, p.mt) for p in points)
-    zero_gap = abs(points[0].exact - points[0].ml)
+    worst = min(exact - max(ml, mt) for _, exact, ml, mt in points)
+    zero_gap = abs(points[0, 1] - points[0, 2])
     ok = (
         len(points) == 200
         and worst >= -1e-12
         and zero_gap <= 1e-12
-        and abs(points[0].exact - math.pi / 2.0) <= 1e-12
+        and abs(points[0, 1] - math.pi / 2.0) <= 1e-12
     )
     report(3, "qubit exact time dominates both bounds", ok,
            f"worst_margin={worst:.3e} gap_at_zero={zero_gap:.3e}")
@@ -122,9 +124,10 @@ def test_criterion_5_grover_trace():
 def test_criterion_6_qutrit_figures(tmp_path):
     worst = math.inf
     for family in (MubFamily.ONE, MubFamily.TWO):
-        points = figure_qutrit(family, x_values=DEFAULT_QUTRIT_X, y_points=100)
+        points = figure_qutrit(family, 100)
         assert len(points) == 400
-        worst = min(worst, min(p.exact - p.ml for p in points))
+        # columns abscissa, exact, ml
+        worst = min(worst, min(exact - ml for _, exact, ml in points))
     blobs = []
     for name in ("a.csv", "b.csv"):
         path = tmp_path / name
@@ -187,14 +190,8 @@ def test_criterion_10_invariance_suite():
         base = bounds_from_products(*_gate_products(u)[2:], stats)
         for other_u in (np.exp(1j * phi) * u, v @ u @ v.conj().T):
             other = bounds_from_products(*_gate_products(other_u)[2:], stats)
-            worst = max(
-                worst,
-                abs(base.ml - other.ml),
-                abs(base.mt - other.mt),
-                abs(base.dual_ml - other.dual_ml),
-                abs(base.width_ml - other.width_ml),
-                abs(base.width_mt - other.width_mt),
-            )
+            # all five bounds, ml, mt, dual_ml, width_ml and width_mt
+            worst = max(worst, *np.abs(base - other))
     report(10, "bounds invariant under global phase and basis change", worst <= 1e-10,
            f"1000 gates worst_spread={worst:.3e}")
 

@@ -1,7 +1,7 @@
 """Bound formulas, their degenerate cases, and the proof-identity suite."""
 
-import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from gateqsl.bounds import (
     BOUND_NAMES,
     ML_TRACE_FACTOR,
-    BoundSet,
     UndefinedBoundError,
     _clamped_trace,
     bounds_from_products,
     ml_product,
-    mt_product,
+    mt_from_deficit,
 )
 from gateqsl.catalog import prior_mub_bound
+from gateqsl.cli import main
 from gateqsl.linalg import random_unitaries, trace_deficit
 from gateqsl.minimal_time import dominance
 from gateqsl.spectrum import EnergySpectrum, compute_stats
@@ -31,9 +31,11 @@ def stats_of(levels):
 
 
 def bounds_at(n, trace_abs, stats):
-    """The five bounds of an n-dimensional gate with ``|tr U| = trace_abs``."""
+    """The five bounds of an n-dimensional gate with ``|tr U| = trace_abs``,
+    each row of :func:`bounds_from_products` by its name."""
     r = _clamped_trace(n, trace_abs) / n
-    return bounds_from_products(ml_product(r), mt_product(r), stats)
+    rows = bounds_from_products(ml_product(r), mt_from_deficit(1.0 - r * r), stats)
+    return types.SimpleNamespace(**dict(zip(BOUND_NAMES, rows)))
 
 
 class TestTraceInput:
@@ -147,29 +149,34 @@ class TestWidthBounds:
 
 
 class TestBoundSet:
+    """The five bounds as one float64 array, a row per bound."""
+
     def test_two_level_composition(self):
         bs = bounds_at(2, 0.0, stats_of([0.0, 1.0]))
         assert abs(bs.ml - math.pi) < 1e-15
         assert bs.mt == 2.0
-        assert bs.combined == bs.ml
 
     def test_full_trace_all_zero(self):
         bs = bounds_at(3, 3.0, stats_of([0.0, 1.0, 2.0]))
-        assert (bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt, bs.combined) == (0,) * 6
+        assert (bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt) == (0,) * 5
 
-    def test_combined_contract(self):
+    def test_combined_contract(self, capsys):
+        # the combined row of ``gateqsl bounds`` is the larger of its ml and mt rows
         rng = np.random.default_rng(3)
         for _ in range(50):
-            n = int(rng.integers(2, 9))
-            bs = bounds_at(n, float(rng.uniform(0, n)), stats_of(rng.uniform(0, 10, n)))
-            assert bs.combined == max(bs.ml, bs.mt)
+            angles = ",".join(map(str, rng.uniform(-3.0, 3.0, 4)))
+            levels = ",".join(map(str, rng.uniform(0.0, 10.0, 2)))
+            assert main(["bounds", f"--qubit={angles}", f"--spectrum={levels}"]) == 0
+            rows = {line[:11].strip(): float(line[11:].split()[0])
+                    for line in capsys.readouterr().out.splitlines()}
+            assert rows["combined"] == max(rows["ml"], rows["mt"])
 
     def test_fields_follow_bound_names(self):
-        assert [f.name for f in dataclasses.fields(BoundSet)] == list(BOUND_NAMES)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="bounds cannot be negative"):
-            BoundSet(ml=1.0, mt=2.0, dual_ml=-1e-300, width_ml=0.0, width_mt=0.0)
+        # rows ml, mt, dual_ml, width_ml, width_mt: each bound form at unit statistics
+        assert BOUND_NAMES == ("ml", "mt", "dual_ml", "width_ml", "width_mt")
+        rows = bounds_from_products(np.array([0.25, 1.0]), np.array([0.5, 0.0]))
+        assert rows.dtype == np.float64
+        assert rows.tolist() == [[0.25, 1.0], [0.5, 0.0], [0.25, 1.0], [0.5, 2.0], [1.0, 0.0]]
 
     @pytest.mark.parametrize("trace, statistic", [(0.0, "mean energy above ground"),
                                                   (1.9, "energy spread (std)")])

@@ -499,7 +499,78 @@ class TestParserReuse:
         assert cli._parser().parse_args(["verify"]).dims == tuple(range(2, 9))
 
 
+# Every row of each figure at -r 4, the header aside.
+GOLDEN_FIGURES = {
+    "qubit": [
+        "0,1.57079632679,1.57079632679,1",
+        "0.5,1.31811607165,1.10527235452,0.968245836552",
+        "1,1.0471975512,0.639748382236,0.866025403784",
+        "1.5,0.722734247813,0.174224409956,0.661437827766",
+        "2,0,0,0",
+    ],
+    "qubit-mub": [
+        "0,0.785398163397,0.25409569638,0.707106781187",
+        "0.785398163397,1.0471975512,0.639748382236,0.866025403784",
+        "1.57079632679,1.57079632679,1.57079632679,1",
+        "2.35619449019,1.0471975512,0.639748382236,0.866025403784",
+        "3.14159265359,0.785398163397,0.25409569638,0.707106781187",
+    ],
+    "qutrit-u1": [
+        "0,1.57079632679,0.950097697089,",
+        "1.57079632679,1.35000680072,0.878496962186,",
+        "3.14159265359,1.69346893593,1.21243580585,",
+        "4.71238898038,1.96225698579,1.38529527113,",
+        "6.28318530718,1.57079632679,0.950097697089,",
+        "0,1.37952111358,0.854075284902,",
+        "1.57079632679,1.02323954235,0.591737176142,",
+        "3.14159265359,1.37952111358,0.854075284902,",
+        "4.71238898038,1.85308397572,1.30845821804,",
+        "6.28318530718,1.37952111358,0.854075284902,",
+        "0,1.3962634016,0.950097697089,",
+        "1.57079632679,0.872664625997,0.528213436349,",
+        "3.14159265359,1.10342062987,0.622663508667,",
+        "4.71238898038,1.80805380136,1.12667523263,",
+        "6.28318530718,1.3962634016,0.950097697089,",
+        "0,1.69346893593,1.21243580585,",
+        "1.57079632679,1.23209547397,0.712820257091,",
+        "3.14159265359,1.0471975512,0.622663508667,",
+        "4.71238898038,1.60023484533,1.0311157105,",
+        "6.28318530718,1.69346893593,1.21243580585,",
+    ],
+    "qutrit-u2": [
+        "0,1.57079632679,0.950097697089,",
+        "1.57079632679,1.90514663704,1.38529527113,",
+        "3.14159265359,1.85934885308,1.21243580585,",
+        "4.71238898038,1.66376143592,0.878496962186,",
+        "6.28318530718,1.57079632679,0.950097697089,",
+        "0,1.74532925199,1.21243580585,",
+        "1.57079632679,1.74532925199,1.21243580585,",
+        "3.14159265359,1.74532925199,1.21243580585,",
+        "4.71238898038,1.74532925199,1.21243580585,",
+        "6.28318530718,1.74532925199,1.21243580585,",
+        "0,2.09439510239,1.57079632679,",
+        "1.57079632679,1.77763912905,1.06399801785,",
+        "3.14159265359,1.59962750926,0.854075284902,",
+        "4.71238898038,1.63062353833,1.06399801785,",
+        "6.28318530718,2.09439510239,1.57079632679,",
+        "0,1.85934885308,1.21243580585,",
+        "1.57079632679,1.67287659777,1.0311157105,",
+        "3.14159265359,1.47891539372,0.622663508667,",
+        "4.71238898038,1.50103072777,0.712820257091,",
+        "6.28318530718,1.85934885308,1.21243580585,",
+    ],
+}
+
+
 class TestFigureCommand:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FIGURES))
+    def test_golden_csv(self, name, tmp_path, capsys):
+        out_path = tmp_path / "fig.csv"
+        code, out, err = run_cli(["figure", name, "-o", str(out_path), "-r", "4"], capsys)
+        assert (code, out, err) == (0, "", "")
+        rows = ["abscissa,exact,ml,mt"] + GOLDEN_FIGURES[name]
+        assert out_path.read_bytes() == "".join(row + "\r\n" for row in rows).encode()
+
     def test_qubit_csv_golden_first_row(self, tmp_path, capsys):
         out_path = tmp_path / "fig.csv"
         code, _, _ = run_cli(["figure", "qubit", "-o", str(out_path), "-r", "200"], capsys)

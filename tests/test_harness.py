@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 
 from gateqsl import bounds, harness, minimal_time
-from gateqsl.bounds import bounds_from_products, ml_product, mt_product
+from gateqsl.bounds import bounds_from_products, ml_product, mt_from_deficit
 from gateqsl.catalog import MubFamily, QutritMubParams, qutrit_mub
 from gateqsl.harness import (
     CHUNK_ENTRIES,
     CROSS_CHECK_EVERY,
     CROSS_CHECK_PHASE_TOL,
-    DEFAULT_QUTRIT_X,
+    QUTRIT_X,
     CampaignInputError,
     CrossCheckError,
-    CurvePoint,
     _build_gates,
     _spectra,
     figure_qubit,
@@ -97,9 +96,9 @@ class TestCampaign:
 
     def test_degenerate_spectrum_sample_passes_trivially(self):
         # all bounds vanish for an identity-like gate from a flat spectrum
-        bs = bounds_from_products(ml_product(1.0), mt_product(1.0),
+        bs = bounds_from_products(ml_product(1.0), mt_from_deficit(0.0),
                                   compute_stats(EnergySpectrum([0.0, 0.0])))
-        assert (bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt) == (0.0,) * 5
+        assert bs.tolist() == [0.0] * 5
 
     def test_sample_generator_contract(self):
         spectrum, t, u = sample_spectrum_gate(4, seed=3, index=17)
@@ -148,9 +147,10 @@ def reference_campaign(dims, samples_per_dim, seed):
             spectrum, t, u = sample_spectrum_gate(n, seed, index)
             # the deficit 1 - r^2 from the gate's eigenphases, not its rounded trace
             d = dominance(u)
-            bs = bounds_from_products(d.ml, d.mt, compute_stats(spectrum))
-            margin = min(t - bs.ml, t - bs.mt, t - bs.dual_ml, t - bs.width_ml,
-                         t - bs.width_mt, verify_dominance(u).worst)
+            ml, mt, dual_ml, width_ml, width_mt = bounds_from_products(d.ml, d.mt,
+                                                                       compute_stats(spectrum))
+            margin = min(t - ml, t - mt, t - dual_ml, t - width_ml, t - width_mt,
+                         verify_dominance(u).worst)
             worst = min(worst, margin)
             failures += margin < -DOMINANCE_TOL
     return failures, worst
@@ -554,21 +554,26 @@ class TestSpectralVerdict:
         assert run_random_campaign([3], 5, 7).cross_checked == 1
 
 
+# The columns of a figure row.
+ABSCISSA, EXACT, ML, MT = range(4)
+
+
 class TestFigureQubit:
     def test_endpoints_and_equality(self):
         pts = figure_qubit(201)
-        assert len(pts) == 201
+        assert pts.shape == (201, 4)
+        assert pts.dtype == np.float64
         first, last = pts[0], pts[-1]
-        assert first.abscissa == 0.0
-        assert first.exact == HALF_PI
-        assert first.ml == HALF_PI
-        assert first.mt == 1.0
-        assert last.abscissa == 2.0
-        assert (last.exact, last.ml, last.mt) == (0.0, 0.0, 0.0)
+        assert first[ABSCISSA] == 0.0
+        assert first[EXACT] == HALF_PI
+        assert first[ML] == HALF_PI
+        assert first[MT] == 1.0
+        assert last[ABSCISSA] == 2.0
+        assert (last[EXACT], last[ML], last[MT]) == (0.0, 0.0, 0.0)
 
     def test_exact_dominates_everywhere(self):
         for p in figure_qubit(400):
-            assert p.exact >= max(p.ml, p.mt) - 1e-9
+            assert p[EXACT] >= max(p[ML], p[MT]) - 1e-9
 
     def test_sqrt2_point(self):
         # the emitted columns are these closed forms; frozen at |tr| = sqrt(2):
@@ -578,9 +583,9 @@ class TestFigureQubit:
         assert abs(math.acos(math.sqrt(2.0) / 2.0) - math.pi / 4.0) < 1e-15
         assert abs(ml_product(math.sqrt(2.0) / 2.0) - 0.25409569637955053) < 1e-15
         grid = figure_qubit(1001)
-        target = min(grid, key=lambda p: abs(p.abscissa - math.sqrt(2.0)))
-        assert abs(target.exact - math.pi / 4.0) < 2e-3
-        assert abs(target.ml - 0.25409569637955053) < 2e-3
+        target = min(grid, key=lambda p: abs(p[ABSCISSA] - math.sqrt(2.0)))
+        assert abs(target[EXACT] - math.pi / 4.0) < 2e-3
+        assert abs(target[ML] - 0.25409569637955053) < 2e-3
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -590,72 +595,66 @@ class TestFigureQubit:
 class TestFigureQubitMub:
     def test_extremes(self):
         pts = figure_qubit_mub(5)
-        assert abs(pts[0].exact - math.pi / 4.0) < 1e-15
-        assert abs(pts[2].exact - HALF_PI) < 1e-15
-        assert abs(pts[-1].exact - math.pi / 4.0) < 1e-15
+        assert abs(pts[0, EXACT] - math.pi / 4.0) < 1e-15
+        assert abs(pts[2, EXACT] - HALF_PI) < 1e-15
+        assert abs(pts[-1, EXACT] - math.pi / 4.0) < 1e-15
 
     def test_symmetry_about_midpoint(self):
         pts = figure_qubit_mub(41)
         for a, b in zip(pts, reversed(pts)):
-            assert abs(a.exact - b.exact) < 1e-12
-            assert abs(a.ml - b.ml) < 1e-12
+            assert abs(a[EXACT] - b[EXACT]) < 1e-12
+            assert abs(a[ML] - b[ML]) < 1e-12
 
     def test_range(self):
         for p in figure_qubit_mub(101):
-            assert math.pi / 4.0 - 1e-12 <= p.exact <= HALF_PI + 1e-12
-            assert p.exact >= max(p.ml, p.mt) - 1e-9
+            assert math.pi / 4.0 - 1e-12 <= p[EXACT] <= HALF_PI + 1e-12
+            assert p[EXACT] >= max(p[ML], p[MT]) - 1e-9
 
 
 class TestFigureQutrit:
     def test_block_structure_and_dominance(self):
-        xs = (0.0, math.pi / 2.0)
-        pts = figure_qutrit(MubFamily.ONE, x_values=xs, y_points=12)
-        assert len(pts) == 24
-        assert pts[0].abscissa == 0.0
-        assert abs(pts[11].abscissa - 2 * math.pi) < 1e-12
+        pts = figure_qutrit(MubFamily.ONE, 12)
+        # no mt column
+        assert pts.shape == (len(QUTRIT_X) * 12, 3)
+        assert pts.dtype == np.float64
+        assert pts[0, ABSCISSA] == 0.0
+        assert abs(pts[11, ABSCISSA] - 2 * math.pi) < 1e-12
         for p in pts:
-            assert p.mt is None
-            assert p.exact >= p.ml - 1e-9
-        assert figure_qutrit(MubFamily.ONE, x_values=(), y_points=12) == []
+            assert p[EXACT] >= p[ML] - 1e-9
 
     def test_origin_ml_value(self):
-        pts = figure_qutrit(MubFamily.ONE, x_values=(0.0,), y_points=2)
+        pts = figure_qutrit(MubFamily.ONE, 2)
         # frozen: (pi/2)(1 - k/3) at |tr| = 1
-        assert abs(pts[0].ml - 0.95009769708870108) < 1e-12
+        assert abs(pts[0, ML] - 0.95009769708870108) < 1e-12
 
     def test_conjugate_families_share_ml_column(self):
-        xs = (0.4,)
-        one = figure_qutrit(MubFamily.ONE, x_values=xs, y_points=9)
-        two = figure_qutrit(MubFamily.TWO, x_values=(-0.4,), y_points=9)
-        # U2(-x, -y) is the entrywise conjugate of U1(x, y): same |tr|
-        for a, b in zip(one, reversed(two)):
-            assert abs(a.ml - b.ml) < 1e-9
+        one = figure_qutrit(MubFamily.ONE, 9).reshape(len(QUTRIT_X), 9, 3)
+        two = figure_qutrit(MubFamily.TWO, 9).reshape(len(QUTRIT_X), 9, 3)
+        # U2(-x, -y) is the entrywise conjugate of U1(x, y): same |tr|.  Of
+        # the x values, 0 and pi are their own negatives mod 2 pi, and the
+        # y grid reversed is -y mod 2 pi.
+        for block in (0, QUTRIT_X.index(math.pi)):
+            for a, b in zip(one[block], reversed(two[block])):
+                assert abs(a[ML] - b[ML]) < 1e-9
 
     def test_default_x_grid(self):
-        assert DEFAULT_QUTRIT_X == (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi)
+        assert QUTRIT_X == (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
-            figure_qutrit(MubFamily.ONE, y_points=1)
-
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-    def test_rejects_nonfinite_x(self, x):
-        # as the one-gate route rejects it, before any gate is built
-        with pytest.raises(ValueError, match="^qutrit parameters must be finite$"):
-            figure_qutrit(MubFamily.ONE, x_values=[0.0, x], y_points=3)
+            figure_qutrit(MubFamily.ONE, 1)
 
     @pytest.mark.parametrize("family", list(MubFamily))
-    @pytest.mark.parametrize("xs", [DEFAULT_QUTRIT_X, (0.3, -1.2, 2.5, 7.0)])
-    def test_rows_bitwise_the_per_gate_computation(self, family, xs):
+    def test_rows_bitwise_the_per_gate_computation(self, family):
         ys = np.linspace(0.0, 2.0 * math.pi, 17)
-        rows = figure_qutrit(family, x_values=xs, y_points=len(ys))
-        assert len(rows) == len(xs) * len(ys)
-        for row, (x, y) in zip(rows, itertools.product(xs, ys)):
+        rows = figure_qutrit(family, len(ys))
+        assert len(rows) == len(QUTRIT_X) * len(ys)
+        for row, (x, y) in zip(rows, itertools.product(QUTRIT_X, ys)):
             u = qutrit_mub(QutritMubParams(family=family, x=x, y=float(y)))
-            assert row.abscissa == y
-            assert row.exact == _stack_products(eigenphases(u), np.trace(u))[0][0]
-            assert row.ml == ml_product(min(1.0, abs(np.trace(u)) / 3.0))
-            assert row.mt is None
+            assert row[ABSCISSA] == y
+            assert row[EXACT] == _stack_products(eigenphases(u), np.trace(u))[0][0]
+            assert row[ML] == ml_product(min(1.0, abs(np.trace(u)) / 3.0))
+            assert len(row) == 3
 
 
 class TestFigureCheck:
@@ -670,8 +669,8 @@ class TestFigureCheck:
             figure_qubit(5)
 
     def test_qubit_mub_checks_the_mt_column(self, monkeypatch):
-        mt = bounds.mt_product
-        monkeypatch.setattr(bounds, "mt_product", lambda r: mt(r) + 2.0)
+        mt = bounds.mt_from_deficit
+        monkeypatch.setattr(bounds, "mt_from_deficit", lambda deficit: mt(deficit) + 2.0)
         with pytest.raises(RuntimeError, match=r"abscissa 0\.0: "):
             figure_qubit_mub(3)
 
@@ -685,18 +684,13 @@ class TestFigureCheck:
             seen.append(r.size)
             return ml(r) + np.where(rows >= 6, 10.0, 0.0)
 
-        # rows 0-4 are the block x = 0; row 6 is y = pi/2 of the block x = 1
+        # rows 0-4 are the block x = 0; row 6 is y = pi/2 of the block x = pi/3
         monkeypatch.setattr(minimal_time, "ml_product", broken_from_row_6)
         with pytest.raises(RuntimeError, match=rf"abscissa {math.pi / 2}: exact "):
-            figure_qutrit(MubFamily.ONE, x_values=(0.0, 1.0), y_points=5)
+            figure_qutrit(MubFamily.ONE, 5)
 
     def test_bound_within_tolerance_passes(self, monkeypatch):
         ml = bounds.ml_product
         # the exact column at |tr U| = 2 is 0; a bound DOMINANCE_TOL above it passes
         monkeypatch.setattr(bounds, "ml_product", lambda r: ml(r) + DOMINANCE_TOL)
-        assert figure_qubit(3)[-1].exact == 0.0
-
-
-def test_curve_point_is_plain_record():
-    p = CurvePoint(abscissa=0.0, exact=1.0, ml=0.5, mt=None)
-    assert p.mt is None
+        assert figure_qubit(3)[-1, EXACT] == 0.0

@@ -88,6 +88,25 @@ def test_spectrum_rejects_a_lone_number(levels):
         EnergySpectrum(levels)
 
 
+# Complex levels, with and without imaginary parts, as arrays and as lists.
+COMPLEX_LEVELS = pytest.mark.parametrize("levels", [
+    np.array([1.0 + 1.0j, 2.0]), np.array([1.0, 2.0], dtype=np.complex128),
+    np.array([1.0, 2.0], dtype=np.complex64), [1.0 + 0.0j, 2.0],
+], ids=["imaginary", "complex128", "complex64", "list"])
+
+
+@COMPLEX_LEVELS
+def test_spectrum_rejects_complex_levels(levels):
+    with pytest.raises(ValueError, match=r"^energy levels must be real$"):
+        EnergySpectrum(levels)
+
+
+@COMPLEX_LEVELS
+def test_level_stats_rejects_complex_levels(levels):
+    with pytest.raises(ValueError, match=r"^energy levels must be real$"):
+        level_stats(levels)
+
+
 def test_shift_examples():
     s = EnergySpectrum([0.0, 1.0])
     shifted = EnergySpectrum(s.levels + 5.0)
