@@ -38,7 +38,7 @@ import numpy as np
 
 from . import bounds, catalog, harness
 from .linalg import square_matrix, trace_deficit, unitarity_error
-from .spectrum import EnergySpectrum, compute_stats
+from .spectrum import _sorted_levels, level_stats
 
 DEFAULT_SEED = 12345
 
@@ -156,13 +156,13 @@ def load_matrix_file(path: str) -> np.ndarray:
     return square_matrix(re + 1j * im)
 
 
-def _parse_spectrum(text: str) -> EnergySpectrum:
+def _parse_spectrum(text: str) -> np.ndarray:
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
             levels = [float(line) for line in fh if line.strip()]
     else:
         levels = [float(part) for part in text.split(",")]
-    return EnergySpectrum(levels)
+    return _sorted_levels(levels)
 
 
 def _capped(n: int) -> int:
@@ -224,11 +224,11 @@ def cmd_bounds(args) -> int:
             spectrum = _parse_spectrum(args.spectrum)
         except (OSError, ValueError) as exc:
             _end(EXIT_BAD_INPUT, f"error: bad spectrum: {exc}")
-        if spectrum.n != n:
+        if spectrum.size != n:
             _end(EXIT_BAD_INPUT,
-                  f"error: spectrum has {spectrum.n} levels, gate has dimension {n}")
+                  f"error: spectrum has {spectrum.size} levels, gate has dimension {n}")
     try:
-        stats = None if spectrum is None else compute_stats(spectrum)
+        stats = None if spectrum is None else level_stats(spectrum)
         bs = bounds.bounds_from_products(ml, mt, stats)
     except ValueError as exc:
         _end(EXIT_BAD_INPUT, f"error: {exc}")

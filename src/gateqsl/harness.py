@@ -43,7 +43,7 @@ from .minimal_time import (
     _ragged_layout,
     phases_from_levels,
 )
-from .spectrum import EnergySpectrum, EnergyStats, _level_moments
+from .spectrum import EnergyStats, _level_moments
 
 # The x value of each block of rows of a qutrit figure.
 QUTRIT_X = (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi)
@@ -163,13 +163,13 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
 
     Levels are uniform on [0, 10], the time uniform on (0, 2] (so the
     products E_k*T regularly exceed 2 pi and exercise branch wrapping),
-    and the eigenbasis is Haar.  Returns (spectrum, T, U); the campaign
-    draws the same levels and time, from the same stream opened at the
-    same Philox counter (see :func:`_spectra`).  U comes from
-    :func:`_build_gates` as a one-draw stack, so a cross-checked draw's
-    gate, the trailing block of its pass's padded stack, is this U,
-    bitwise up to a stack width of 128 (see
-    :func:`gateqsl.linalg.random_unitaries`).  An n, seed or index
+    and the eigenbasis is Haar.  Returns (levels, T, U), the levels a
+    sorted float64 array; the campaign draws the same levels and time,
+    from the same stream opened at the same Philox counter (see
+    :func:`_spectra`).  U comes from :func:`_build_gates` as a one-draw
+    stack, so a cross-checked draw's gate, the trailing block of its
+    pass's padded stack, is this U, bitwise up to a stack width of 128
+    (see :func:`gateqsl.linalg.random_unitaries`).  An n, seed or index
     that no campaign draws raises :class:`CampaignInputError`.
     """
     n = _at_least(n, 2, _DIMS_RULE)
@@ -177,7 +177,7 @@ def sample_spectrum_gate(n: int, seed: int, index: int):
     index = _at_least(index, 0, "index must be nonnegative")
     levels, t = _spectra(n, seed, range(index, index + 1))
     u = _build_gates(seed, np.array([n]), np.array([index]), levels.reshape(-1), t)
-    return EnergySpectrum(levels[0]), float(t[0]), u[0]
+    return levels[0], float(t[0]), u[0]
 
 
 def _passes(dims, samples_per_dim: int):

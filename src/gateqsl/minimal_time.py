@@ -42,6 +42,7 @@ import numpy as np
 from .bounds import (BOUND_NAMES, STATISTIC_INDEX, _clamped_trace, bound_forms, ml_product,
                      mt_from_deficit)
 from .linalg import _modulus, _square_matrices, square_matrix, unitarity_error
+from .spectrum import _reals
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,8 +122,11 @@ def phases_from_levels(levels: np.ndarray, t: np.ndarray) -> np.ndarray:
     These are the eigenphases of ``exp(-i H T)`` for any H with those
     levels, less the global phase ``E_0 T``, which no bound or window
     product sees.  The products are nonnegative, so ``fmod`` reduces them
-    exactly as ``%`` would, into [0, 2 pi), and faster.
+    exactly as ``%`` would, into [0, 2 pi), and faster.  Complex levels
+    or times raise ValueError.
     """
+    if np.iscomplexobj(levels) or np.iscomplexobj(t):
+        raise ValueError("energy levels and times must be real")
     ph = (levels - levels[..., :1]) * np.asarray(t)[..., None]
     np.fmod(ph, TWO_PI, out=ph)
     ph.sort(axis=-1)
@@ -289,15 +293,14 @@ def dominance_from_phases(ph: np.ndarray, modulus) -> Dominance:
     The MT product takes the trace deficit ``1 - r^2`` from the phases
     rather than from the rounded trace, so a near-identity gate's margin
     is not lost to cancellation.  Phases outside [0, 2 pi), NaN included,
-    lists of no phases, a lone number and complex phases or moduli raise
-    ValueError.
+    lists of no phases, a lone number, and complex or non-numeric phases
+    or moduli raise ValueError; an object array of real numbers is taken
+    as float64.
     """
-    ph = np.asarray(ph)
+    # numpy orders complex values, so complex phases would pass the range test
+    ph, modulus = (_reals(x, "phases and |tr U| must be real") for x in (ph, modulus))
     if not ph.ndim or ph.shape[-1] < 1:
         raise ValueError("a phase list needs at least one phase")
-    # numpy orders complex values, so complex phases would pass the range test
-    if np.iscomplexobj(ph) or np.iscomplexobj(modulus):
-        raise ValueError("phases and |tr U| must be real")
     # NaN and infinities fail the range test as well
     if not ((0.0 <= ph) & (ph < TWO_PI)).all():
         raise ValueError("phases must be finite and lie in [0, 2*pi)")

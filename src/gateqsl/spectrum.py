@@ -1,46 +1,17 @@
 """Energy spectra and the summary statistics that drive every bound.
 
-Conventions (ħ = 1 throughout): levels are stored sorted ascending,
-``e_above_ground`` is the mean energy measured from the ground level,
-``variance_sqrt`` uses population normalization 1/N, and ``width`` is
-the full spread of the spectrum.
+Conventions (ħ = 1 throughout): levels are sorted ascending before any
+statistic is taken, ``e_above_ground`` is the mean energy measured from
+the ground level, ``variance_sqrt`` uses population normalization 1/N,
+and ``width`` is the full spread of the spectrum.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class EnergySpectrum:
-    """Sorted real energy levels E_0 <= ... <= E_{n-1}; repeats allowed.
-    Complex levels raise ValueError, even where their imaginary parts vanish."""
-
-    levels: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.levels)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("a spectrum needs at least one level")
-        if np.iscomplexobj(arr):
-            raise ValueError("energy levels must be real")
-        arr = np.sort(arr.astype(np.float64, copy=False))
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("energy levels must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "levels", arr)
-
-    def __eq__(self, other):
-        return isinstance(other, EnergySpectrum) and np.array_equal(self.levels, other.levels)
-
-    def __hash__(self):
-        return hash(self.levels.tobytes())
-
-    @property
-    def n(self) -> int:
-        return self.levels.size
 
 
 @dataclass(frozen=True)
@@ -74,24 +45,41 @@ class EnergyStats:
                 raise ValueError("Popoviciu violated: 2*variance_sqrt exceeds width")
 
 
-def compute_stats(s: EnergySpectrum) -> EnergyStats:
-    """Mean, mean-above-ground, population std, width and top gap."""
-    return level_stats(s.levels)
+def _reals(values, message: str) -> np.ndarray:
+    """``values`` as an array of real numbers: bool, integer or float, or
+    an object array of real numbers, taken as float64.  Anything else,
+    complex values included even where their imaginary parts vanish,
+    raises ValueError(message)."""
+    values = np.asarray(values)
+    if values.dtype == object and all(isinstance(v, numbers.Real) for v in values.flat):
+        values = values.astype(np.float64)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(message)
+    return values
+
+
+def _sorted_levels(levels) -> np.ndarray:
+    """Raw energy levels ``(..., n)`` as rows of finite float64 levels,
+    each sorted ascending.  Complex or non-numeric levels, rows of no
+    levels, a lone number and a non-finite level raise ValueError."""
+    levels = _reals(levels, "energy levels must be real")
+    if not levels.ndim or levels.shape[-1] < 1:
+        raise ValueError("a spectrum needs at least one level")
+    levels = np.sort(levels.astype(np.float64, copy=False), axis=-1)
+    if not np.isfinite(levels).all():
+        raise ValueError("energy levels must be finite")
+    return levels
 
 
 def level_stats(levels) -> EnergyStats:
-    """:func:`compute_stats` of every row of sorted levels ``(..., n)``.
+    """Mean, mean-above-ground, population std, width and top gap of
+    every row of levels ``(..., n)``, in any order: each row is checked
+    and sorted first (see :func:`_sorted_levels`).
 
-    A width beyond float64 range, or a non-finite level, gives a
-    non-finite statistic, and :class:`EnergyStats` rejects it.  Rows of no
-    levels, a lone number and complex levels raise ValueError, as they do
-    in :class:`EnergySpectrum`.
+    A width beyond float64 range gives a non-finite statistic, and
+    :class:`EnergyStats` rejects it.
     """
-    levels = np.asarray(levels)
-    if not levels.ndim or levels.shape[-1] < 1:
-        raise ValueError("a spectrum needs at least one level")
-    if np.iscomplexobj(levels):
-        raise ValueError("energy levels must be real")
+    levels = _sorted_levels(levels)
     *shape, n = levels.shape
     owner = np.arange(levels.size) // n
     moments = _level_moments(levels.reshape(-1), np.arange(0, levels.size, n), n, owner)

@@ -31,7 +31,7 @@ from gateqsl.minimal_time import (
     dominance,
     eigenphases,
 )
-from gateqsl.spectrum import EnergySpectrum, compute_stats, level_stats
+from gateqsl.spectrum import level_stats
 
 CAMPAIGN_SEED = 20240
 CAMPAIGN_DIMS = range(2, 9)
@@ -185,7 +185,7 @@ def test_criterion_10_invariance_suite():
         u = random_unitaries(n, [int(rng.integers(2**63))])[0]
         v = random_unitaries(n, [int(rng.integers(2**63))])[0]
         phi = float(rng.uniform(0.0, TWO_PI))
-        stats = compute_stats(EnergySpectrum(rng.uniform(0.0, 10.0, n)))
+        stats = level_stats(rng.uniform(0.0, 10.0, n))
         # the ML and MT products as ``gateqsl bounds`` takes them
         base = bounds_from_products(*_gate_products(u)[2:], stats)
         for other_u in (np.exp(1j * phi) * u, v @ u @ v.conj().T):

@@ -21,13 +21,9 @@ from gateqsl.catalog import prior_mub_bound
 from gateqsl.cli import main
 from gateqsl.linalg import random_unitaries, trace_deficit
 from gateqsl.minimal_time import dominance
-from gateqsl.spectrum import EnergySpectrum, compute_stats
+from gateqsl.spectrum import level_stats
 
 HALF_PI = 0.5 * math.pi
-
-
-def stats_of(levels):
-    return compute_stats(EnergySpectrum(levels))
 
 
 def bounds_at(n, trace_abs, stats):
@@ -69,95 +65,95 @@ class TestTraceInput:
 class TestMlBound:
     def test_vanishing_trace(self):
         # half-pi over E at zero trace
-        assert abs(bounds_at(2, 0.0, stats_of([0.0, 2.0])).ml - HALF_PI) < 1e-15
+        assert abs(bounds_at(2, 0.0, level_stats([0.0, 2.0])).ml - HALF_PI) < 1e-15
 
     def test_full_trace_clamps_to_zero(self):
-        assert bounds_at(2, 2.0, stats_of([0.0, 1.0])).ml == 0.0
+        assert bounds_at(2, 2.0, level_stats([0.0, 1.0])).ml == 0.0
 
     def test_mub_case_n4(self):
         # frozen high-precision value of (pi/2)(1 - k/2), k = sqrt(1+4/pi^2)
-        got = bounds_at(4, 2.0, stats_of([0.0, 4.0 / 3, 4.0 / 3, 4.0 / 3])).ml
+        got = bounds_at(4, 2.0, level_stats([0.0, 4.0 / 3, 4.0 / 3, 4.0 / 3])).ml
         assert abs(got - 0.63974838223560331) < 1e-14
 
     def test_degenerate_spectrum_identity_gate(self):
-        assert bounds_at(2, 2.0, stats_of([1.0, 1.0])).ml == 0.0
+        assert bounds_at(2, 2.0, level_stats([1.0, 1.0])).ml == 0.0
 
     def test_degenerate_spectrum_trace_deficit_undefined(self):
         with pytest.raises(UndefinedBoundError):
-            bounds_at(2, 0.0, stats_of([1.0, 1.0]))
+            bounds_at(2, 0.0, level_stats([1.0, 1.0]))
 
 
 class TestMtBound:
     def test_plug_in(self):
-        assert bounds_at(2, 0.0, stats_of([0.0, 1.0])).mt == 2.0
+        assert bounds_at(2, 0.0, level_stats([0.0, 1.0])).mt == 2.0
 
     def test_full_trace(self):
-        assert bounds_at(3, 3.0, stats_of([0.0, 1.0, 2.0])).mt == 0.0
+        assert bounds_at(3, 3.0, level_stats([0.0, 1.0, 2.0])).mt == 0.0
 
     def test_fourier3_value(self):
         # sqrt(1 - 1/9) = sqrt(8)/3 at unit std; {-c, 0, c} with c = sqrt(3/2) has std 1
         c = math.sqrt(1.5)
-        got = bounds_at(3, 1.0, stats_of([-c, 0.0, c])).mt
+        got = bounds_at(3, 1.0, level_stats([-c, 0.0, c])).mt
         assert abs(got - 0.94280904158206337) < 1e-12
 
     def test_degenerate_undefined(self):
         with pytest.raises(UndefinedBoundError):
-            bounds_at(2, 1.0, stats_of([3.0, 3.0]))
+            bounds_at(2, 1.0, level_stats([3.0, 3.0]))
 
 
 class TestDualMlBound:
     def test_symmetric_two_level_matches_ml(self):
-        stats = stats_of([0.0, 2.0])
+        stats = level_stats([0.0, 2.0])
         for tr in (0.0, 0.7, 1.9):
             bs = bounds_at(2, tr, stats)
             assert bs.dual_ml == bs.ml
 
     def test_full_trace(self):
-        assert bounds_at(2, 2.0, stats_of([0.0, 1.0])).dual_ml == 0.0
+        assert bounds_at(2, 2.0, level_stats([0.0, 1.0])).dual_ml == 0.0
 
     def test_skewed_spectrum_evaluation(self):
-        stats = stats_of([0.0, 1.0, 2.0, 9.0])
+        stats = level_stats([0.0, 1.0, 2.0, 9.0])
         assert abs(stats.e_below_top - 6.0) < 1e-12
         got = bounds_at(4, 0.0, stats).dual_ml
         assert abs(got - HALF_PI / 6.0) < 1e-14
 
     def test_pi_over_four(self):
         # two-level spectrum with E_max - mean = 2 gives pi/4 at zero trace
-        stats = stats_of([-2.0, 2.0])
+        stats = level_stats([-2.0, 2.0])
         assert stats.e_below_top == 2.0
         assert abs(bounds_at(2, 0.0, stats).dual_ml - math.pi / 4.0) < 1e-15
 
 
 class TestWidthBounds:
     def test_plug_in(self):
-        bs = bounds_at(2, 0.0, stats_of([0.0, 2.0]))
+        bs = bounds_at(2, 0.0, level_stats([0.0, 2.0]))
         assert abs(bs.width_ml - HALF_PI) < 1e-15
         assert bs.width_mt == 1.0
 
     def test_full_trace(self):
-        bs = bounds_at(2, 2.0, stats_of([0.0, 5.0]))
+        bs = bounds_at(2, 2.0, level_stats([0.0, 5.0]))
         assert (bs.width_ml, bs.width_mt) == (0.0, 0.0)
 
     def test_fourier4_width_mt(self):
         # 2 sqrt(1 - 2/16) = 2 sqrt(7/8) at unit width
-        w_mt = bounds_at(4, math.sqrt(2.0), stats_of([0.0, 0.3, 0.8, 1.0])).width_mt
+        w_mt = bounds_at(4, math.sqrt(2.0), level_stats([0.0, 0.3, 0.8, 1.0])).width_mt
         assert abs(w_mt - 1.87082869338697069) < 1e-14
 
     def test_zero_width_undefined(self):
         with pytest.raises(UndefinedBoundError):
-            bounds_at(2, 0.0, stats_of([1.0, 1.0]))
+            bounds_at(2, 0.0, level_stats([1.0, 1.0]))
 
 
 class TestBoundSet:
     """The five bounds as one float64 array, a row per bound."""
 
     def test_two_level_composition(self):
-        bs = bounds_at(2, 0.0, stats_of([0.0, 1.0]))
+        bs = bounds_at(2, 0.0, level_stats([0.0, 1.0]))
         assert abs(bs.ml - math.pi) < 1e-15
         assert bs.mt == 2.0
 
     def test_full_trace_all_zero(self):
-        bs = bounds_at(3, 3.0, stats_of([0.0, 1.0, 2.0]))
+        bs = bounds_at(3, 3.0, level_stats([0.0, 1.0, 2.0]))
         assert (bs.ml, bs.mt, bs.dual_ml, bs.width_ml, bs.width_mt) == (0,) * 5
 
     def test_combined_contract(self, capsys):
@@ -184,7 +180,7 @@ class TestBoundSet:
         # a flat spectrum zeroes all four statistics; at |tr U| = 1.9 the ML
         # product clamps to 0, so the MT bound is the first undefined one
         with pytest.raises(UndefinedBoundError) as exc:
-            bounds_at(2, trace, stats_of([1.0, 1.0]))
+            bounds_at(2, trace, level_stats([1.0, 1.0]))
         assert str(exc.value) == (f"{statistic} is zero but the gate has a trace deficit; "
                                   "no finite bound exists")
 
@@ -198,7 +194,7 @@ def test_monotone_in_trace(n, data):
     t1 = data.draw(st.floats(min_value=0.0, max_value=float(n)))
     t2 = data.draw(st.floats(min_value=0.0, max_value=float(n)))
     lo, hi = sorted((t1, t2))
-    stats = stats_of([0.0, 1.0] + [0.5] * (n - 2))
+    stats = level_stats([0.0, 1.0] + [0.5] * (n - 2))
     a = bounds_at(n, lo, stats)
     b = bounds_at(n, hi, stats)
     for name in ("ml", "mt", "dual_ml", "width_ml", "width_mt"):
@@ -208,7 +204,7 @@ def test_monotone_in_trace(n, data):
 def test_phase_and_basis_invariance():
     # |tr| of e^{i phi} U and V U V† equals |tr U|, so all bounds agree
     rng = np.random.default_rng(12)
-    stats = stats_of([0.0, 0.5, 2.0, 3.5])
+    stats = level_stats([0.0, 0.5, 2.0, 3.5])
     for _ in range(25):
         u = random_unitaries(4, [int(rng.integers(2**63))])[0]
         v = random_unitaries(4, [int(rng.integers(2**63))])[0]
@@ -247,7 +243,7 @@ def test_width_mt_below_mt_on_random_spectra():
     rng = np.random.default_rng(5)
     for _ in range(500):
         n = int(rng.integers(2, 33))
-        stats = stats_of(rng.uniform(-4, 7, n))
+        stats = level_stats(rng.uniform(-4, 7, n))
         trace = float(rng.uniform(0, n))
         if stats.variance_sqrt == 0.0:
             continue

@@ -36,7 +36,7 @@ from gateqsl.minimal_time import (
     phases_from_levels,
     verify_dominance,
 )
-from gateqsl.spectrum import EnergySpectrum, compute_stats
+from gateqsl.spectrum import level_stats
 
 HALF_PI = math.pi / 2.0
 
@@ -97,19 +97,20 @@ class TestCampaign:
     def test_degenerate_spectrum_sample_passes_trivially(self):
         # all bounds vanish for an identity-like gate from a flat spectrum
         bs = bounds_from_products(ml_product(1.0), mt_from_deficit(0.0),
-                                  compute_stats(EnergySpectrum([0.0, 0.0])))
+                                  level_stats([0.0, 0.0]))
         assert bs.tolist() == [0.0] * 5
 
     def test_sample_generator_contract(self):
-        spectrum, t, u = sample_spectrum_gate(4, seed=3, index=17)
-        assert spectrum.n == 4
+        levels, t, u = sample_spectrum_gate(4, seed=3, index=17)
+        assert levels.shape == (4,) and levels.dtype == np.float64
+        assert np.array_equal(levels, np.sort(levels))
         assert 0.0 < t <= 2.0
         assert unitarity_error(u) <= 1e-9
         # the gate carries exactly the phases (E_k - E_0) T mod 2 pi
-        want = np.sort(((spectrum.levels - spectrum.levels[0]) * t) % (2.0 * math.pi))
+        want = np.sort(((levels - levels[0]) * t) % (2.0 * math.pi))
         assert np.max(np.abs(eigenphases(u) - want)) < 1e-10
         again = sample_spectrum_gate(4, seed=3, index=17)
-        assert np.array_equal(spectrum.levels, again[0].levels)
+        assert np.array_equal(levels, again[0])
         assert t == again[1]
         assert np.array_equal(u, again[2])
 
@@ -132,8 +133,8 @@ class TestCampaign:
 
     def test_popoviciu_on_sampled_spectra(self):
         for index in range(200):
-            spectrum, _, _ = sample_spectrum_gate(5, seed=21, index=index)
-            stats = compute_stats(spectrum)
+            levels, _, _ = sample_spectrum_gate(5, seed=21, index=index)
+            stats = level_stats(levels)
             assert 2.0 * stats.variance_sqrt <= stats.width + 1e-12
 
 
@@ -144,11 +145,11 @@ def reference_campaign(dims, samples_per_dim, seed):
     worst = math.inf
     for n in dims:
         for index in range(samples_per_dim):
-            spectrum, t, u = sample_spectrum_gate(n, seed, index)
+            levels, t, u = sample_spectrum_gate(n, seed, index)
             # the deficit 1 - r^2 from the gate's eigenphases, not its rounded trace
             d = dominance(u)
             ml, mt, dual_ml, width_ml, width_mt = bounds_from_products(d.ml, d.mt,
-                                                                       compute_stats(spectrum))
+                                                                       level_stats(levels))
             margin = min(t - ml, t - mt, t - dual_ml, t - width_ml, t - width_mt,
                          verify_dominance(u).worst)
             worst = min(worst, margin)
@@ -180,8 +181,8 @@ class TestBatchedEngine:
             levels, t = _spectra(n, 9, range(first, first + 12))
             u = _build_gates(9, np.full(12, n), np.arange(first, first + 12), levels.reshape(-1), t)
             for i in range(12):
-                spectrum, t1, u1 = sample_spectrum_gate(n, 9, first + i)
-                assert np.array_equal(levels[i], spectrum.levels)
+                levels1, t1, u1 = sample_spectrum_gate(n, 9, first + i)
+                assert np.array_equal(levels[i], levels1)
                 assert t[i] == t1
                 assert np.array_equal(u[i], u1)
 
@@ -203,15 +204,15 @@ class TestBatchedEngine:
         bits = np.random.Philox((9, n))
         bits.advance(2**40 * stride // 4)
         words = np.random.Generator(bits).random(stride)
-        spectrum, t, _ = sample_spectrum_gate(n, 9, 2**40)
-        assert np.array_equal(spectrum.levels, np.sort(harness.SPECTRUM_HIGH * words[:n]))
+        levels, t, _ = sample_spectrum_gate(n, 9, 2**40)
+        assert np.array_equal(levels, np.sort(harness.SPECTRUM_HIGH * words[:n]))
         assert t == harness.TIME_HIGH * (1.0 - words[n])
 
     def test_pinned_near_identity_draw_passes(self):
         # draw (seed 236, n 2, index 15) has r = 1 - 2.9e-10; taking 1 - r^2
         # from its rounded trace makes it a false FAIL at -5.7e-8
-        spectrum, t, _ = sample_spectrum_gate(2, 236, 15)
-        assert spectrum.levels.tolist() == [1.9478560316781401, 1.9478901544668548]
+        levels, t, _ = sample_spectrum_gate(2, 236, 15)
+        assert levels.tolist() == [1.9478560316781401, 1.9478901544668548]
         assert t == 1.4167153081748352
         report = run_random_campaign([2], 16, 236)
         assert report.failures == 0
@@ -468,9 +469,9 @@ class TestSpectralVerdict:
     def test_phases_match_the_gate_eigenphases(self, n):
         ph = phases_from_levels(*_spectra(n, 4, range(40)))
         for index in range(40):
-            spectrum, t1, u = sample_spectrum_gate(n, 4, index)
+            levels, t1, u = sample_spectrum_gate(n, 4, index)
             gate_ph = eigenphases(u)
-            tol = CROSS_CHECK_PHASE_TOL * (1.0 + (spectrum.levels[-1] - spectrum.levels[0]) * t1)
+            tol = CROSS_CHECK_PHASE_TOL * (1.0 + (levels[-1] - levels[0]) * t1)
             # every cyclic shift of the spectral phases against the gate's
             gaps = np.abs([np.roll(ph[index], -j) - gate_ph for j in range(n)])
             assert np.minimum(gaps, TWO_PI - gaps).max(axis=-1).min() <= tol

@@ -37,7 +37,7 @@ from gateqsl.minimal_time import (
     phases_from_levels,
     verify_dominance,
 )
-from gateqsl.spectrum import EnergySpectrum, compute_stats, level_stats
+from gateqsl.spectrum import level_stats
 
 
 def brute_force_minima(phases, offsets=(0, 1, 2)):
@@ -108,6 +108,24 @@ class TestDominanceFromPhases:
         # numpy orders complex values, so a complex phase passes a range test
         with pytest.raises(ValueError, match=r"^phases and \|tr U\| must be real$"):
             dominance_from_phases(ph, modulus)
+
+    @pytest.mark.parametrize("ph, modulus, error", [
+        (np.array([0.5, 1.0], dtype=object), 1.0, False),
+        (np.array([[1, 0.5], [np.float64(3.0), 2.5]], dtype=object), np.array([1.5, 0.5]), False),
+        (np.array([0.5, 1.0]), np.array(1.0, dtype=object), False),
+        (np.array([0.5, 1.0 + 0.0j], dtype=object), 1.0, True),
+        (np.array([0.5, "1.0"], dtype=object), 1.0, True),
+        (np.array([0.5, 1.0]), np.array("1.0", dtype=object), True),
+    ], ids=["floats", "mixed", "modulus", "complex", "string", "string-modulus"])
+    def test_object_arrays_of_real_numbers(self, ph, modulus, error):
+        if error:
+            with pytest.raises(ValueError, match=r"^phases and \|tr U\| must be real$"):
+                dominance_from_phases(ph, modulus)
+            return
+        got = dominance_from_phases(ph, modulus)
+        want = dominance_from_phases(ph.astype(np.float64), np.asarray(modulus, dtype=np.float64))
+        assert np.asarray(got.margins).tobytes() == np.asarray(want.margins).tobytes()
+        assert np.asarray(got.products).tobytes() == np.asarray(want.products).tobytes()
 
     @pytest.mark.parametrize("ph", [[0.1, 0.2], [[3.0, 0.5, 1.0], [6.0, 0.0, 2.5]]])
     def test_list_is_the_array(self, ph):
@@ -605,7 +623,7 @@ def test_near_identity_qubit_dominance(e0, gap, t, basis_seed):
     # A float gate carries its phases only to about eps * (1 + E*T), and
     # that error over dE is a floor under any time margin: time margins
     # are judged where the floor is a tenth of the tolerance.
-    stats = compute_stats(EnergySpectrum(levels))
+    stats = level_stats(levels)
     if np.finfo(float).eps * (1.0 + levels[1] * t) / stats.variance_sqrt <= DOMINANCE_TOL / 10:
         bs = bounds_from_products(d.ml, d.mt, stats)
         # the largest of the five bounds
@@ -637,6 +655,16 @@ def test_near_identity_spectral_dominance(e0, gap, t):
     assert t - bs.max() >= -DOMINANCE_TOL
 
 
+@pytest.mark.parametrize("levels, t", [
+    (np.array([[0.0, 1.0 + 1.0j]]), np.array([1.0])),
+    (np.array([[0.0, 1.0]], dtype=np.complex128), np.array([1.0])),
+    (np.array([[0.0, 1.0]]), np.array([1.0 + 0.0j])),
+], ids=["imaginary", "complex128", "time"])
+def test_phases_from_levels_rejects_complex_input(levels, t):
+    with pytest.raises(ValueError, match=r"^energy levels and times must be real$"):
+        phases_from_levels(levels, t)
+
+
 class TestRoundTrip:
     def test_narrow_spectrum_recovery(self):
         # levels*T confined to one 2 pi window: some rotation must match the
@@ -648,7 +676,7 @@ class TestRoundTrip:
             levels = np.sort(rng.uniform(0.0, 0.95 * TWO_PI / t, n))
             basis = random_unitaries(n, [int(rng.integers(2**63))])[0]
             u = (basis * np.exp(-1j * levels * t)) @ basis.conj().T
-            stats = compute_stats(EnergySpectrum(levels))
+            stats = level_stats(levels)
             hits = [
                 r
                 for r in rotations(eigenphases(u)).T
