@@ -41,7 +41,7 @@ from .minimal_time import (
     _phase_products,
     _phases,
     _ragged_layout,
-    phases_from_levels,
+    _sorted_phases,
 )
 from .spectrum import EnergyStats, _level_moments
 
@@ -230,14 +230,16 @@ def _judge(seed: int, pieces) -> tuple[np.ndarray, int]:
     and the five rotation-product bounds, and the number of draws
     cross-checked.
 
-    Per ``(n, indices)`` piece run only the draws and their phases
-    (:func:`phases_from_levels`); the rest runs once per pass over one
-    layout (:func:`_ragged_layout`): each draw's own levels or phases
-    back to back, a run per piece, then the gate phases
-    (:func:`_gate_phases`) of the draws whose index is a multiple of
-    ``CROSS_CHECK_EVERY``, a run per dimension in pass order.  Every sum
-    over a list runs by ``reduceat`` over its own values, so no draw's
-    verdict depends on its pass.
+    Per ``(n, indices)`` piece run only the draws and their phases: the
+    products ``(E_k - E_0) T``, nonnegative, reduced by
+    :func:`_sorted_phases`, are the eigenphases of ``exp(-i H T)`` less
+    the global phase ``E_0 T``, which no bound or window product sees.
+    The rest runs once per pass over one layout (:func:`_ragged_layout`):
+    each draw's own levels or phases back to back, a run per piece, then
+    the gate phases (:func:`_gate_phases`) of the draws whose index is a
+    multiple of ``CROSS_CHECK_EVERY``, a run per dimension in pass order.
+    Every sum over a list runs by ``reduceat`` over its own values, so no
+    draw's verdict depends on its pass.
     """
     drawn = [_spectra(n, seed, indices) for n, indices in pieces]
     count = np.repeat([n for n, _ in pieces], [len(indices) for _, indices in pieces])
@@ -251,7 +253,8 @@ def _judge(seed: int, pieces) -> tuple[np.ndarray, int]:
     levels = np.concatenate([lv.reshape(-1) for lv, _ in drawn])
     t = np.concatenate([tn for _, tn in drawn])
     draws, total = len(t), len(levels)
-    ph = np.concatenate([phases_from_levels(lv, tn).reshape(-1) for lv, tn in drawn])
+    ph = np.concatenate([_sorted_phases((lv - lv[:, :1]) * tn[:, None]).reshape(-1)
+                         for lv, tn in drawn])
     # the spectral slots of the checked draws, in the gate phases' order
     mine = np.flatnonzero(is_checked.take(layout.owner[:total]))
     gate_ph, diagonal = _gate_phases(seed, checked_n, index[checked], levels.take(mine),

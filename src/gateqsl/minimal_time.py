@@ -17,12 +17,15 @@ For each rotation this module computes the dimensionless products
 the dual gap ``(E_max - mean)*T``, takes the least of each over all n
 windows, which is the least over the distinct rotations, and checks it
 against its trace bound.  The window kernel :func:`_phase_products`
-takes sorted phase lists of any dimensions laid back to back, ``count``
-lists of n phases for each ``(n, count)`` of a ``runs`` tuple: it
-gathers every window from a layout cached per runs and sums each window
-by ``np.add.reduceat`` over its own n values, so a list's products do
-not depend on the lists beside it, and it takes each list's trace
-deficit in O(n) from the trace its caller already holds.  A margin step follows, elementwise.
+takes sorted phase lists in [0, 2 pi) of any dimensions laid back to
+back, ``count`` lists of n phases for each ``(n, count)`` of a ``runs``
+tuple: it gathers every window from a layout cached per runs and sums
+each window by ``np.add.reduceat`` over its own n values, so a list's
+products do not depend on the lists beside it, and it takes each list's
+trace deficit in O(n) from the trace its caller already holds.  A margin
+step follows, elementwise.  One routine, :func:`_sorted_phases`, makes
+the lists it reads, from a gate's eigenvalue angles and from a campaign
+draw's products ``(E_k - E_0) T`` alike.
 :func:`dominance_from_phases`, :func:`dominance` and
 :func:`verify_dominance` run both on one run of equal-length lists; a
 campaign pass runs each once over all its draws and cross-checked gates.
@@ -39,8 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (BOUND_NAMES, STATISTIC_INDEX, _clamped_trace, bound_forms, ml_product,
-                     mt_from_deficit)
+from .bounds import STATISTIC_INDEX, _clamped_trace, bound_forms, ml_product, mt_from_deficit
 from .linalg import _modulus, _square_matrices, square_matrix, unitarity_error
 from .spectrum import _reals
 
@@ -70,10 +72,6 @@ class VerificationRecord:
     width_mt_margin: float
     passed: bool
 
-    @property
-    def worst(self) -> float:
-        return min(getattr(self, f"{name}_margin") for name in BOUND_NAMES)
-
 
 class Dominance(NamedTuple):
     """Dominance data of a stack of unitaries; each field has one entry per gate.
@@ -91,10 +89,13 @@ class Dominance(NamedTuple):
 
 
 def _sorted_phases(ph: np.ndarray) -> np.ndarray:
-    """Angles ``(..., n)`` reduced into [0, 2 pi) and sorted, in place.
+    """Angles ``(..., n)`` reduced into [0, 2 pi) and sorted, in place: the
+    one phase reduction, for a gate's eigenvalue angles and a campaign
+    draw's products ``(E_k - E_0) T`` alike.
 
-    A non-finite angle stays non-finite; :func:`dominance_from_phases`
-    rejects it.
+    On a nonnegative angle ``%`` is bitwise ``fmod``, and the wrap fix
+    below never fires.  A non-finite angle stays non-finite;
+    :func:`dominance_from_phases` rejects it.
     """
     ph %= TWO_PI
     # wrapping a phase an ulp below zero rounds to exactly 2 pi
@@ -113,24 +114,6 @@ def _phases(u: np.ndarray) -> np.ndarray:
     if not (unitarity_error(u) <= EIGENPHASE_UNITARY_TOL).all():
         raise ValueError(f"matrix is not unitary to tolerance {EIGENPHASE_UNITARY_TOL:g}")
     return _sorted_phases(-np.angle(np.linalg.eigvals(u)))
-
-
-def phases_from_levels(levels: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Sorted phases ``(E_k - E_0) T mod 2 pi`` of sorted levels ``(..., n)``
-    and nonnegative times ``(...)``.
-
-    These are the eigenphases of ``exp(-i H T)`` for any H with those
-    levels, less the global phase ``E_0 T``, which no bound or window
-    product sees.  The products are nonnegative, so ``fmod`` reduces them
-    exactly as ``%`` would, into [0, 2 pi), and faster.  Complex levels
-    or times raise ValueError.
-    """
-    if np.iscomplexobj(levels) or np.iscomplexobj(t):
-        raise ValueError("energy levels and times must be real")
-    ph = (levels - levels[..., :1]) * np.asarray(t)[..., None]
-    np.fmod(ph, TWO_PI, out=ph)
-    ph.sort(axis=-1)
-    return ph
 
 
 class _Layout(NamedTuple):
@@ -293,9 +276,9 @@ def dominance_from_phases(ph: np.ndarray, modulus) -> Dominance:
     The MT product takes the trace deficit ``1 - r^2`` from the phases
     rather than from the rounded trace, so a near-identity gate's margin
     is not lost to cancellation.  Phases outside [0, 2 pi), NaN included,
-    lists of no phases, a lone number, and complex or non-numeric phases
-    or moduli raise ValueError; an object array of real numbers is taken
-    as float64.
+    lists of no phases, a lone number, complex or non-numeric phases or
+    moduli, and moduli that do not broadcast to one per phase list raise
+    ValueError; an object array of real numbers is taken as float64.
     """
     # numpy orders complex values, so complex phases would pass the range test
     ph, modulus = (_reals(x, "phases and |tr U| must be real") for x in (ph, modulus))
@@ -306,7 +289,10 @@ def dominance_from_phases(ph: np.ndarray, modulus) -> Dominance:
         raise ValueError("phases must be finite and lie in [0, 2*pi)")
     ph = np.sort(ph, axis=-1)
     # the margin step stacks its bound forms, so one trace per phase list
-    modulus = np.broadcast_to(modulus, ph.shape[:-1])
+    try:
+        modulus = np.broadcast_to(modulus, ph.shape[:-1])
+    except ValueError:
+        raise ValueError("|tr U| must be one number or one per phase list") from None
     return _margins(ph.shape[-1], modulus, *_stack_products(ph, np.exp(-1j * ph).sum(axis=-1)))
 
 

@@ -447,15 +447,15 @@ class TestVerifyCommand:
     def test_cross_check_failure_exits_4(self, capsys, monkeypatch):
         from gateqsl import harness
 
-        exact = harness.phases_from_levels
+        exact = harness._sorted_phases
 
-        def perturbed(levels, t):
-            ph = exact(levels, t)
+        def perturbed(products):
+            ph = exact(products)
             ph[-1, -1] += 1e-6
             return ph
 
         # draw 0 is cross-checked; its spectral phases are off by 1e-6
-        monkeypatch.setattr(harness, "phases_from_levels", perturbed)
+        monkeypatch.setattr(harness, "_sorted_phases", perturbed)
         code, out, err = run_cli(["verify", "--dims", "3", "--samples", "1", "--seed", "7"],
                                  capsys)
         assert code == 4

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gateqsl import bounds, harness, minimal_time
-from gateqsl.bounds import bounds_from_products, ml_product, mt_from_deficit
+from gateqsl.bounds import BOUND_NAMES, bounds_from_products, ml_product, mt_from_deficit
 from gateqsl.catalog import MubFamily, QutritMubParams, qutrit_mub
 from gateqsl.harness import (
     CHUNK_ENTRIES,
@@ -33,7 +33,6 @@ from gateqsl.minimal_time import (
     _stack_products,
     dominance,
     eigenphases,
-    phases_from_levels,
     verify_dominance,
 )
 from gateqsl.spectrum import level_stats
@@ -150,8 +149,9 @@ def reference_campaign(dims, samples_per_dim, seed):
             d = dominance(u)
             ml, mt, dual_ml, width_ml, width_mt = bounds_from_products(d.ml, d.mt,
                                                                        level_stats(levels))
+            rec = verify_dominance(u)
             margin = min(t - ml, t - mt, t - dual_ml, t - width_ml, t - width_mt,
-                         verify_dominance(u).worst)
+                         *(getattr(rec, f"{name}_margin") for name in BOUND_NAMES))
             worst = min(worst, margin)
             failures += margin < -DOMINANCE_TOL
     return failures, worst
@@ -329,8 +329,8 @@ class TestPasses:
 
         monkeypatch.setattr(harness, "_phase_products", recording)
         harness._judge(3, pieces)
-        want = [phases_from_levels(*_spectra(n, 3, indices)).reshape(-1)
-                for n, indices in pieces]
+        want = [np.sort(np.fmod((lv - lv[:, :1]) * t[:, None], TWO_PI)).reshape(-1)
+                for lv, t in (_spectra(n, 3, indices) for n, indices in pieces)]
         spectral = sum(n * len(indices) for n, indices in pieces)
         assert seen[0][:spectral].tobytes() == np.concatenate(want).tobytes()
         # the gate runs: draw 0 of n = 5 and of n = 64
@@ -357,7 +357,7 @@ class TestPasses:
         once = ("_modulus", "_level_moments", "_list_distance", "random_unitaries",
                 "_phases", "_phase_products", "_gate_phases")
         lapack = ("qr", "eigvals")
-        per_dimension = ("_spectra", "phases_from_levels", "_gates")
+        per_dimension = ("_spectra", "_sorted_phases", "_gates")
         for name in once + per_dimension:
             counting(harness, name)
         for name in lapack:
@@ -368,17 +368,17 @@ class TestPasses:
     def test_mismatch_in_second_dimension_names_its_draw(self, monkeypatch):
         # draw 64 of n = 5 is cross-checked, in the second piece of one pass
         assert len(list(harness._passes((2, 5), 130))) == 1
-        exact = harness.phases_from_levels
+        exact = harness._sorted_phases
 
-        def perturbed(levels, t):
+        def perturbed(products):
             # one call per piece: n = 2's 130 draws, then n = 5's; this is
             # draw 64's last phase
-            ph = exact(levels, t)
-            if levels.shape[-1] == 5:
+            ph = exact(products)
+            if ph.shape[-1] == 5:
                 ph[64, -1] += 1e-6
             return ph
 
-        monkeypatch.setattr(harness, "phases_from_levels", perturbed)
+        monkeypatch.setattr(harness, "_sorted_phases", perturbed)
         with pytest.raises(CrossCheckError, match=r"seed 7, n 5, index 64\)") as exc:
             run_random_campaign((2, 5), 130, 7)
         assert "differ from the spectral phases by 1e-06" in str(exc.value)
@@ -386,14 +386,16 @@ class TestPasses:
 
 def perturb_last_draw(monkeypatch, offset=1e-6):
     """Make the last spectral phase of every piece's last draw wrong by ``offset``."""
-    exact = harness.phases_from_levels
+    exact = harness._sorted_phases
 
-    def perturbed(levels, t):
-        ph = exact(levels, t)
+    def perturbed(products):
+        ph = exact(products)
         ph[-1, -1] += offset
         return ph
 
-    monkeypatch.setattr(harness, "phases_from_levels", perturbed)
+    # harness binds _sorted_phases only to the draws' products; the gate
+    # phases come from minimal_time's own binding, inside _phases
+    monkeypatch.setattr(harness, "_sorted_phases", perturbed)
 
 
 def assert_stacks_hold_replayed_gates(monkeypatch, dims, samples, shapes):
@@ -467,7 +469,8 @@ def assert_one_stack_per_pass(monkeypatch, dims, samples):
 class TestSpectralVerdict:
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
     def test_phases_match_the_gate_eigenphases(self, n):
-        ph = phases_from_levels(*_spectra(n, 4, range(40)))
+        lv, t = _spectra(n, 4, range(40))
+        ph = np.sort(np.fmod((lv - lv[:, :1]) * t[:, None], TWO_PI))
         for index in range(40):
             levels, t1, u = sample_spectrum_gate(n, 4, index)
             gate_ph = eigenphases(u)

@@ -1,7 +1,7 @@
 """Every module of the package reads each name it imports, none calls
 ``print`` (the CLI writes its output through one checked writer), and
-every public function or class is read by the package itself, save a
-listed few.
+every public function or class, and every public method or property of
+a public class, is read by the package itself, save a listed few.
 
 No linter ships with the toolchain, so this parses each module with the
 standard library's ``ast``.  ``__init__.py`` is checked too, so a
@@ -9,6 +9,7 @@ re-export that nothing in the package reads fails here.
 """
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -34,19 +35,35 @@ def unread_imports(source: str) -> list[str]:
 def unread_public(sources: dict) -> list[str]:
     """Public top-level functions and classes of the modules ``sources``
     (file name to source) that no top-level statement of any of them reads,
-    their own definitions aside.  A read is a name, or an attribute such
-    as ``catalog.fourier``."""
-    defined, reads = {}, {}
+    their own definitions aside, and public methods and properties of
+    public classes, as ``Class.name``, that no attribute read of any of
+    them reaches, their own bodies aside.  A read of a top-level name is a
+    name, or an attribute such as ``catalog.fourier``; a method's is an
+    attribute only, such as ``rec.worst``, so a local variable of the same
+    name does not count."""
+    defined, reads, methods = {}, {}, []
+    attributes = collections.Counter()
     for name, source in sources.items():
         for i, stmt in enumerate(ast.parse(source).body):
+            nodes = list(ast.walk(stmt))
             reads[name, i] = {node.id if isinstance(node, ast.Name) else node.attr
-                              for node in ast.walk(stmt)
-                              if isinstance(node, (ast.Name, ast.Attribute))}
+                              for node in nodes if isinstance(node, (ast.Name, ast.Attribute))}
+            attributes.update(node.attr for node in nodes if isinstance(node, ast.Attribute))
             if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                     and not stmt.name.startswith("_")):
                 defined[stmt.name] = name, i
-    return sorted(public for public, at in defined.items()
-                  if not any(public in read for where, read in reads.items() if where != at))
+            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                methods += [(stmt.name, item) for item in stmt.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+    unread = [public for public, at in defined.items()
+              if not any(public in read for where, read in reads.items() if where != at)]
+    for cls, method in methods:
+        own = sum(node.attr == method.name for node in ast.walk(method)
+                  if isinstance(node, ast.Attribute))
+        if attributes[method.name] == own:
+            unread.append(f"{cls}.{method.name}")
+    return sorted(unread)
 
 
 # Public names that no module of the package reads, and why each stays.
@@ -103,3 +120,16 @@ def test_unread_public_name_is_caught():
                        "class _Private:\n    pass\n\nclass Shape:\n    pass\n",
                "b.py": "from . import a\nfrom .a import used\nused()\na.Shape\n"}
     assert unread_public(sources) == ["unused"]
+
+
+def test_unread_public_method_is_caught():
+    # a local variable named as a method is no read of it, nor is the
+    # method's own body; a private class's methods are not checked
+    sources = {"a.py": "class Shape:\n    def area(self):\n        return 1\n\n"
+                       "    def worst(self):\n        return self.worst\n\n"
+                       "    @property\n    def size(self):\n        return 2\n\n"
+                       "    def _hidden(self):\n        pass\n\n"
+                       "class _Private:\n    def unused(self):\n        pass\n",
+               "b.py": "from .a import Shape\n\ndef run(s):\n    worst = s.area()\n"
+                       "    return worst, s.size\n\nrun(Shape())\n"}
+    assert unread_public(sources) == ["Shape.worst"]
